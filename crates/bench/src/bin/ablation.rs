@@ -30,9 +30,9 @@ fn compile_with(w: &Workload, policy: PolicyKind, config: &FormationConfig) -> u
 }
 
 fn main() {
-    let workers = chf_bench::parallel::workers();
+    let workers = chf_service::parallel::workers();
     let suite = microbenchmarks();
-    let baselines: Vec<u64> = chf_bench::parallel::par_map(&suite, workers, |w| {
+    let baselines: Vec<u64> = chf_service::parallel::par_map(&suite, workers, |w| {
         let mut f = w.function.clone();
         w.profile.apply(&mut f);
         chf_opt::optimize(&mut f);
@@ -43,7 +43,7 @@ fn main() {
 
     let average = |policy: PolicyKind, config: &FormationConfig| -> f64 {
         let cycles =
-            chf_bench::parallel::par_map(&suite, workers, |w| compile_with(w, policy, config));
+            chf_service::parallel::par_map(&suite, workers, |w| compile_with(w, policy, config));
         cycles
             .iter()
             .zip(&baselines)
@@ -178,7 +178,7 @@ Timing-model sensitivity (convergent BF vs BB under each model)
         ),
     ];
     for (label, tcfg) in timing_variants {
-        let improvements = chf_bench::parallel::par_map(&suite, workers, |w| {
+        let improvements = chf_service::parallel::par_map(&suite, workers, |w| {
             // Baseline under this model.
             let mut base = w.function.clone();
             w.profile.apply(&mut base);

@@ -59,15 +59,6 @@ const DEFAULT_CEILING_MS: f64 = 100.0;
 /// direct-interpretation speed (≤ ~16 Mcycles/s) still fails.
 const DEFAULT_SIM_FLOOR_MCPS: f64 = 2.5 * SEED_SIM_MCPS;
 
-/// Default `--check` ceiling on the sharding machinery's overhead ratio
-/// (unsharded sequential throughput over 1-worker sharded throughput).
-/// The checkpoint plan + replay + validating stitch historically costs
-/// ~1.7× (≈ 29.2 vs ≈ 16.8 Mcycles/s on the reference machine); the gate
-/// sits at 2.5× so machine noise cannot flip it while a structural
-/// regression (a stitch that re-simulates everything, say) still fails.
-/// Relax with `CHF_SHARD_OVERHEAD_CEILING`.
-const DEFAULT_SHARD_OVERHEAD_CEILING: f64 = 2.5;
-
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
     let mut out = None;
@@ -177,33 +168,9 @@ fn main() {
     );
     let event_mcps = sim_cycles as f64 / 1e6 / (sim_event_ms / 1e3);
 
-    // 2d. Sharded whole-program throughput on the composite suite:
-    // checkpoint plan + parallel per-shard replay + validating stitch,
-    // at 1 / 2 / N workers (every stitched cycle count is cross-checked
-    // against the sequential engine inside the probe).
-    let workers = chf_bench::parallel::workers();
-    let mut shard_counts = vec![1usize, 2];
-    if !shard_counts.contains(&workers) {
-        shard_counts.push(workers);
-    }
-    let scaling =
-        chf_bench::sharded::measure_scaling(&shard_counts, &chf_sim::ShardConfig::default(), 2)
-            .unwrap_or_else(|e| panic!("sharded scaling probe failed: {e}"));
-
-    // 2e. Sharding overhead: the plain sequential engine over the same
-    // suite, divided by 1-worker sharded throughput. This isolates the
-    // cost of the checkpoint plan + replay + validating stitch from any
-    // parallel speedup (historically ~29.2 vs ~16.8 Mcycles/s, ≈ 1.7×).
-    let unsharded = chf_bench::sharded::measure_unsharded(2)
-        .unwrap_or_else(|e| panic!("unsharded probe failed: {e}"));
-    let sharded_1w = scaling
-        .iter()
-        .find(|r| r.workers == 1)
-        .expect("scaling probe always samples 1 worker");
-    let shard_overhead_ratio = unsharded.mcps / sharded_1w.mcps;
-
     // 3. End-to-end Table 1 regeneration: parallel harness vs forced
     // sequential, with byte-identity of the outputs.
+    let workers = chf_service::parallel::workers();
     let (wall_ms, artifacts) = best_of(3, || table1_artifacts(workers));
     let (seq_ms, seq_artifacts) = best_of(3, || table1_artifacts(1));
     let identical = artifacts == seq_artifacts;
@@ -304,16 +271,6 @@ fn main() {
         "  sim       total: {sim_ms:8.2} ms  ({sim_cycles} cycles, {mcps:.2} Mcycles/s per-call)"
     );
     println!("  sim (pre-lowered): {sim_event_ms:6.2} ms  ({event_mcps:.2} Mcycles/s event core)");
-    for r in &scaling {
-        println!(
-            "  sim (sharded, {} worker(s)): {:6.2} ms  ({:.2} Mcycles/s, {} shards, {} narrow, {} ckpt bytes, {} fallbacks)",
-            r.workers, r.wall_ms, r.mcps, r.shards, r.narrow_shards, r.checkpoint_bytes, r.fallbacks
-        );
-    }
-    println!(
-        "  sim (unsharded): {:6.2} ms  ({:.2} Mcycles/s; sharding overhead {shard_overhead_ratio:.2}x at 1 worker)",
-        unsharded.wall_ms, unsharded.mcps
-    );
     println!(
         "  table1 end-to-end: {wall_ms:.2} ms ({workers} worker(s)); sequential: {seq_ms:.2} ms"
     );
@@ -374,26 +331,6 @@ fn main() {
     let _ = writeln!(json, "  \"sim_mcycles_per_s\": {mcps:.2},");
     let _ = writeln!(json, "  \"sim_event_ms_total\": {sim_event_ms:.2},");
     let _ = writeln!(json, "  \"sim_event_mcycles_per_s\": {event_mcps:.2},");
-    json.push_str("  \"sharded_sim\": [");
-    for (i, r) in scaling.iter().enumerate() {
-        let sep = if i + 1 < scaling.len() { ", " } else { "" };
-        let _ = write!(
-            json,
-            "{{\"workers\": {}, \"wall_ms\": {:.2}, \"mcycles_per_s\": {:.2}, \
-             \"shards\": {}, \"narrow_shards\": {}, \"checkpoint_bytes\": {}, \"fallbacks\": {}}}{sep}",
-            r.workers, r.wall_ms, r.mcps, r.shards, r.narrow_shards, r.checkpoint_bytes, r.fallbacks
-        );
-    }
-    json.push_str("],\n");
-    let _ = writeln!(
-        json,
-        "  \"sim_unsharded_mcycles_per_s\": {:.2},",
-        unsharded.mcps
-    );
-    let _ = writeln!(
-        json,
-        "  \"shard_overhead_ratio\": {shard_overhead_ratio:.2},"
-    );
     let _ = writeln!(json, "  \"service_cold_ms\": {service_cold_ms:.2},");
     let _ = writeln!(json, "  \"service_hot_ms\": {service_hot_ms:.2},");
     let _ = writeln!(json, "  \"service_stats\": {},", svc_stats.json());
@@ -415,10 +352,6 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_SIM_FLOOR_MCPS);
-        let overhead_ceiling: f64 = std::env::var("CHF_SHARD_OVERHEAD_CEILING")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_SHARD_OVERHEAD_CEILING);
         let mut failed = false;
         if wall_ms > ceiling {
             eprintln!("CHECK FAILED: table1 end-to-end {wall_ms:.2} ms > ceiling {ceiling:.2} ms");
@@ -431,15 +364,6 @@ fn main() {
             );
             failed = true;
         }
-        if shard_overhead_ratio > overhead_ceiling {
-            eprintln!(
-                "CHECK FAILED: sharding overhead {shard_overhead_ratio:.2}x > ceiling \
-                 {overhead_ceiling:.2}x (unsharded {:.2} vs 1-worker sharded {:.2} Mcycles/s; \
-                 relax with CHF_SHARD_OVERHEAD_CEILING)",
-                unsharded.mcps, sharded_1w.mcps
-            );
-            failed = true;
-        }
         if !identical {
             eprintln!("CHECK FAILED: parallel and sequential Table 1 outputs differ");
             failed = true;
@@ -449,8 +373,7 @@ fn main() {
         }
         println!(
             "  check OK: {wall_ms:.2} ms <= {ceiling:.2} ms, \
-             {mcps:.2} Mcycles/s >= {sim_floor:.2}, \
-             overhead {shard_overhead_ratio:.2}x <= {overhead_ceiling:.2}x, outputs identical"
+             {mcps:.2} Mcycles/s >= {sim_floor:.2}, outputs identical"
         );
     }
 }

@@ -3,13 +3,13 @@
 //! Two targets share one binary:
 //!
 //! * **Formation campaign** (default): generates random programs, injects
-//!   one fault each (IR corruption, profile corruption, or a mid-trial
-//!   corruption inside the merge window), runs convergent formation under
-//!   the differential oracle, and requires every fault to be detected,
-//!   rolled back, or survived — zero process aborts, zero undetected
-//!   miscompiles.
-//! * **Service campaign** (`--service`): the same fault registry plus
-//!   `corrupted-cache-entry` and `worker-panic`, delivered through a live
+//!   one fault each from the 8 kinds of `chf_core::chaos::FaultKind` (IR
+//!   corruption, profile corruption, or a mid-trial corruption inside the
+//!   merge window), runs convergent formation under the differential
+//!   oracle, and requires every fault to be detected, rolled back, or
+//!   survived — zero process aborts, zero undetected miscompiles.
+//! * **Service campaign** (`--service`): 10 kinds — the same fault registry
+//!   plus `corrupted-cache-entry` and `worker-panic`, delivered through a live
 //!   `chf-service` instance from concurrent client threads. Adds a third
 //!   hard requirement: zero hung requests. The service's own stats
 //!   snapshot is written to `results/service_stats.json`.

@@ -1,95 +1,20 @@
 //! End-to-end cycle simulation of the SPEC-like composites with a
-//! measured-vs-model comparison (see `chf_bench::whole_program`), plus the
-//! sharded-simulation scaling probe.
+//! measured-vs-model comparison (see `chf_bench::whole_program`).
 //!
 //! Usage:
 //!
 //! ```sh
-//! whole_program                # full suite, parallel; archives results/whole_program.csv
-//! whole_program --smoke       # 3-composite prefix, sequential (CI budget)
-//! whole_program --shard-smoke # sharded==sequential check + scaling probe
+//! whole_program          # full suite, parallel; archives results/whole_program.csv
+//! whole_program --smoke  # 3-composite prefix, sequential (CI budget)
 //! ```
-//!
-//! `--shard-smoke` cycle-simulates the convergent form of every composite
-//! through the sharded simulator at several worker counts, cross-checking
-//! each stitched cycle count against the sequential engine, archives
-//! `results/sim_scaling.csv`, and fails if any stitch fell back to
-//! sequential re-simulation or if multi-worker throughput falls below
-//! `CHF_SIM_SCALE_FLOOR` × single-worker throughput (default `0.0`, i.e.
-//! disabled: the reference container is single-core, so a hard speedup
-//! gate would institutionalize a number the hardware cannot produce; CI
-//! sets the floor explicitly on multi-core runners).
-
-fn shard_smoke() {
-    let workers = chf_bench::parallel::workers();
-    let mut counts = vec![1usize, 2];
-    if !counts.contains(&workers) {
-        counts.push(workers);
-    }
-    let rows =
-        match chf_bench::sharded::measure_scaling(&counts, &chf_sim::ShardConfig::default(), 2) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("shard-smoke FAILED: {e}");
-                std::process::exit(1);
-            }
-        };
-    println!("Sharded whole-program simulation: composite suite, convergent form");
-    println!("(every stitched cycle count cross-checked against the sequential engine)\n");
-    for r in &rows {
-        println!(
-            "  workers {:>2}: {:8.2} ms  {:8.2} Mcycles/s  ({} shards, {} narrow, {} checkpoint bytes, {} fallbacks)",
-            r.workers, r.wall_ms, r.mcps, r.shards, r.narrow_shards, r.checkpoint_bytes, r.fallbacks
-        );
-    }
-    std::fs::create_dir_all("results").ok();
-    let csv = chf_bench::sharded::scaling_csv(&rows);
-    match std::fs::write("results/sim_scaling.csv", &csv) {
-        Ok(()) => println!("\nwrote results/sim_scaling.csv"),
-        Err(e) => eprintln!("\ncould not write results/sim_scaling.csv: {e}"),
-    }
-
-    let fallbacks: usize = rows.iter().map(|r| r.fallbacks).sum();
-    if fallbacks > 0 {
-        eprintln!("shard-smoke FAILED: {fallbacks} stitch(es) fell back to sequential");
-        std::process::exit(1);
-    }
-    let floor: f64 = std::env::var("CHF_SIM_SCALE_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0);
-    if floor > 0.0 {
-        let base = rows.iter().find(|r| r.workers == 1).map(|r| r.mcps);
-        let best = rows
-            .iter()
-            .filter(|r| r.workers > 1)
-            .map(|r| r.mcps)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if let Some(base) = base {
-            let ratio = best / base;
-            if ratio < floor {
-                eprintln!(
-                    "shard-smoke FAILED: multi-worker throughput ratio {ratio:.2} < \
-                     CHF_SIM_SCALE_FLOOR {floor:.2} (base {base:.2} Mcycles/s)"
-                );
-                std::process::exit(1);
-            }
-            println!("scale check OK: ratio {ratio:.2} >= floor {floor:.2}");
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--shard-smoke") {
-        shard_smoke();
-        return;
-    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let (workers, limit) = if smoke {
         (1, 3)
     } else {
-        (chf_bench::parallel::workers(), usize::MAX)
+        (chf_service::parallel::workers(), usize::MAX)
     };
     let (rows, fit) = chf_bench::whole_program::run_with(workers, limit);
     println!("Whole-program cycle simulation of the SPEC-like composites");

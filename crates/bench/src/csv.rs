@@ -155,7 +155,7 @@ pub fn table3_csv(rows: &[table3::Row]) -> String {
 pub fn whole_program_csv(rows: &[whole_program::Row], fit: &fig7::Fit) -> String {
     let mut out = String::from(
         "benchmark,bb_blocks,hb_blocks,block_improvement,bb_cycles,hb_cycles,\
-         cycle_improvement,hb_insts,hb_shards,stitched\n",
+         cycle_improvement,hb_insts\n",
     );
     for r in rows {
         if let Some(err) = &r.error {
@@ -164,7 +164,7 @@ pub fn whole_program_csv(rows: &[whole_program::Row], fit: &fig7::Fit) -> String
         }
         let _ = writeln!(
             out,
-            "{},{},{},{:.2},{},{},{:.2},{},{},{}",
+            "{},{},{},{:.2},{},{},{:.2},{}",
             r.name,
             r.bb_blocks,
             r.hb_blocks,
@@ -172,9 +172,7 @@ pub fn whole_program_csv(rows: &[whole_program::Row], fit: &fig7::Fit) -> String
             r.bb_cycles,
             r.hb_cycles,
             r.cycle_improvement(),
-            r.hb_insts,
-            r.hb_shards,
-            r.stitched
+            r.hb_insts
         );
     }
     let _ = writeln!(

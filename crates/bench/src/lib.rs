@@ -22,18 +22,10 @@
 pub mod csv;
 pub mod fig7;
 pub mod render;
-pub mod sharded;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod whole_program;
-
-// The parallel evaluation harness moved to `chf-service` (the service's
-// worker-count handling shares `clamp_jobs`, and the dependency must point
-// bench → service so the chaos binary can drive a live service). Re-exported
-// here so harness code and docs keep their historical `chf_bench::parallel`
-// path.
-pub use chf_service::parallel;
 
 use chf_core::pipeline::{try_compile, CompileConfig};
 use chf_sim::functional::{run, FuncResult, RunConfig};

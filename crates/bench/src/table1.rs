@@ -6,6 +6,7 @@ use crate::render::{pct, render_table};
 use crate::{percent_improvement, try_compile_and_time};
 use chf_core::pipeline::{CompileConfig, PhaseOrdering};
 use chf_core::FormationStats;
+use chf_service::parallel;
 use chf_workloads::{microbenchmarks, Workload};
 
 /// One benchmark's measurements across every configuration.
@@ -88,10 +89,10 @@ pub fn measure(w: &Workload) -> Row {
 }
 
 /// Run the full Table 1 experiment, fanning benchmarks across the
-/// [`crate::parallel`] harness (results are in deterministic suite order
+/// [`chf_service::parallel`] harness (results are in deterministic suite order
 /// regardless of worker count).
 pub fn run() -> Vec<Row> {
-    run_with(crate::parallel::workers())
+    run_with(parallel::workers())
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
@@ -101,7 +102,7 @@ pub fn run() -> Vec<Row> {
 /// killing the table.
 pub fn run_with(workers: usize) -> Vec<Row> {
     let suite = microbenchmarks();
-    crate::parallel::par_map_isolated(&suite, workers, measure)
+    parallel::par_map_isolated(&suite, workers, measure)
         .into_iter()
         .zip(&suite)
         .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))

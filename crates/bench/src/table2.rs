@@ -12,6 +12,7 @@ use crate::{percent_improvement, try_compile_and_count, try_compile_and_time};
 use chf_core::pipeline::{CompileConfig, PhaseOrdering};
 use chf_core::tournament::{run_tournament, ScoreMetric, TournamentConfig};
 use chf_core::{FormationStats, PolicyKind};
+use chf_service::parallel;
 use chf_workloads::{microbenchmarks, spec_suite, Workload};
 
 /// The five heuristic configurations of Table 2, in column order (the
@@ -116,14 +117,14 @@ pub fn measure(w: &Workload) -> Row {
 /// Run the full Table 2 experiment (parallel across benchmarks, results in
 /// deterministic suite order).
 pub fn run() -> Vec<Row> {
-    run_with(crate::parallel::workers())
+    run_with(parallel::workers())
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
 /// Panic-isolated: see [`crate::table1::run_with`].
 pub fn run_with(workers: usize) -> Vec<Row> {
     let suite = microbenchmarks();
-    crate::parallel::par_map_isolated(&suite, workers, measure)
+    parallel::par_map_isolated(&suite, workers, measure)
         .into_iter()
         .zip(&suite)
         .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))
@@ -248,14 +249,14 @@ pub fn measure_budget(w: &Workload, budget: usize) -> BudgetRow {
 /// Run the budget ablation at [`DEFAULT_TRIAL_BUDGET`] over the SPEC-like
 /// composites (parallel, results in deterministic suite order).
 pub fn run_budget() -> Vec<BudgetRow> {
-    run_budget_with(crate::parallel::workers(), DEFAULT_TRIAL_BUDGET)
+    run_budget_with(parallel::workers(), DEFAULT_TRIAL_BUDGET)
 }
 
 /// [`run_budget`] with an explicit worker count and budget. Panic-isolated:
 /// see [`crate::table1::run_with`].
 pub fn run_budget_with(workers: usize, budget: usize) -> Vec<BudgetRow> {
     let suite = spec_suite();
-    crate::parallel::par_map_isolated(&suite, workers, |w| measure_budget(w, budget))
+    parallel::par_map_isolated(&suite, workers, |w| measure_budget(w, budget))
         .into_iter()
         .zip(&suite)
         .map(|(res, w)| res.unwrap_or_else(|msg| BudgetRow::poisoned(w.name.clone(), msg)))

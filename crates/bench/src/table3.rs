@@ -6,6 +6,7 @@
 use crate::render::{pct, render_table};
 use crate::{percent_improvement, try_compile_and_count};
 use chf_core::pipeline::{CompileConfig, PhaseOrdering};
+use chf_service::parallel;
 use chf_workloads::{spec_suite, Workload};
 
 /// One composite's measurements.
@@ -63,14 +64,14 @@ pub fn measure(w: &Workload) -> Row {
 /// Run the full Table 3 experiment (parallel across composites, results in
 /// deterministic suite order).
 pub fn run() -> Vec<Row> {
-    run_with(crate::parallel::workers())
+    run_with(parallel::workers())
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
 /// Panic-isolated: see [`crate::table1::run_with`].
 pub fn run_with(workers: usize) -> Vec<Row> {
     let suite = spec_suite();
-    crate::parallel::par_map_isolated(&suite, workers, measure)
+    parallel::par_map_isolated(&suite, workers, measure)
         .into_iter()
         .zip(&suite)
         .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))

@@ -20,9 +20,10 @@
 use crate::fig7::{linear_fit, Fit, Point};
 use crate::render::{pct, render_table};
 use chf_core::pipeline::{try_compile, CompileConfig, PhaseOrdering};
+use chf_service::parallel;
 use chf_sim::functional::{run_lowered, RunConfig};
-use chf_sim::timing::TimingConfig;
-use chf_sim::{simulate_timing_sharded_seq, LoweredProgram, ShardConfig};
+use chf_sim::timing::{simulate_timing_lowered, TimingConfig};
+use chf_sim::LoweredProgram;
 use chf_workloads::{spec_suite, Workload};
 
 /// End-to-end measurements of one composite: both program forms, both
@@ -41,11 +42,6 @@ pub struct Row {
     pub hb_cycles: u64,
     /// Instructions executed in the convergent form (work check).
     pub hb_insts: u64,
-    /// Shards the convergent form's timing run was split into.
-    pub hb_shards: u64,
-    /// `true` when both forms' sharded runs stitched without falling back
-    /// to sequential re-simulation.
-    pub stitched: bool,
     /// Failure marker; a poisoned row carries no measurements.
     pub error: Option<String>,
 }
@@ -60,8 +56,6 @@ impl Row {
             bb_cycles: 0,
             hb_cycles: 0,
             hb_insts: 0,
-            hb_shards: 0,
-            stitched: false,
             error: Some(error),
         }
     }
@@ -78,21 +72,15 @@ impl Row {
     }
 }
 
-/// One form's measurements: blocks, cycles, insts, shards, stitched.
+/// One form's measurements: blocks, cycles, insts.
 struct FormMeasure {
     blocks: u64,
     cycles: u64,
     insts: u64,
-    shards: u64,
-    stitched: bool,
 }
 
 /// Compile one form of `w`, lower it once, and run both simulators over
-/// the shared handle, cross-checking their digests. The timing run goes
-/// through the sharded simulator (checkpoint plan + per-shard replay +
-/// validating stitch, on the calling thread — the harness parallelizes
-/// across composites, so the shards of one composite stay sequential),
-/// which is observably identical to the plain sequential engine.
+/// the shared handle, cross-checking their digests.
 fn measure_form(w: &Workload, config: &CompileConfig) -> Result<FormMeasure, String> {
     let compiled = try_compile(&w.function, &w.profile, config)
         .map_err(|e| format!("{}: compilation failed: {e}", w.name))?;
@@ -103,15 +91,8 @@ fn measure_form(w: &Workload, config: &CompileConfig) -> Result<FormMeasure, Str
     };
     let f = run_lowered(&lowered, &w.args, &w.memory, &run_cfg)
         .map_err(|e| format!("{}: functional simulation failed: {e}", w.name))?;
-    let sh = simulate_timing_sharded_seq(
-        &lowered,
-        &w.args,
-        &w.memory,
-        &TimingConfig::trips(),
-        &ShardConfig::default(),
-    )
-    .map_err(|e| format!("{}: timing simulation failed: {e}", w.name))?;
-    let t = &sh.result;
+    let t = simulate_timing_lowered(&lowered, &w.args, &w.memory, &TimingConfig::trips())
+        .map_err(|e| format!("{}: timing simulation failed: {e}", w.name))?;
     if t.ret != Some(w.expected) || f.digest() != t.digest() {
         return Err(format!(
             "{}: simulators disagree (functional {:?}, timing {:?}, expected {})",
@@ -122,8 +103,6 @@ fn measure_form(w: &Workload, config: &CompileConfig) -> Result<FormMeasure, Str
         blocks: f.blocks_executed,
         cycles: t.cycles,
         insts: t.insts_executed,
-        shards: sh.shards as u64,
-        stitched: sh.fallback.is_none(),
     })
 }
 
@@ -144,8 +123,6 @@ pub fn measure(w: &Workload) -> Row {
         bb_cycles: bb.cycles,
         hb_cycles: hb.cycles,
         hb_insts: hb.insts,
-        hb_shards: hb.shards,
-        stitched: bb.stitched && hb.stitched,
         error: None,
     }
 }
@@ -166,7 +143,7 @@ pub fn points(rows: &[Row]) -> Vec<Point> {
 /// Run the whole-program experiment over the full SPEC-like suite
 /// (parallel across composites, deterministic suite order).
 pub fn run() -> (Vec<Row>, Fit) {
-    run_with(crate::parallel::workers(), usize::MAX)
+    run_with(parallel::workers(), usize::MAX)
 }
 
 /// [`run`] with an explicit worker count and a cap on the number of
@@ -175,7 +152,7 @@ pub fn run() -> (Vec<Row>, Fit) {
 pub fn run_with(workers: usize, limit: usize) -> (Vec<Row>, Fit) {
     let mut suite = spec_suite();
     suite.truncate(limit);
-    let rows: Vec<Row> = crate::parallel::par_map_isolated(&suite, workers, measure)
+    let rows: Vec<Row> = parallel::par_map_isolated(&suite, workers, measure)
         .into_iter()
         .zip(&suite)
         .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))
@@ -240,10 +217,6 @@ mod tests {
         for r in &rows {
             assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
             assert!(r.bb_cycles > 0 && r.hb_cycles > 0, "{}", r.name);
-            // The sharded runner must validate its stitch on every
-            // composite — a fallback here means warm-up stopped converging.
-            assert!(r.stitched, "{}: sharded run fell back", r.name);
-            assert!(r.hb_shards >= 1, "{}", r.name);
             // Formation must not make a composite slower end-to-end.
             assert!(
                 r.hb_cycles <= r.bb_cycles,

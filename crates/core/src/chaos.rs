@@ -102,12 +102,6 @@ pub enum FaultKind {
     /// `merge_blocks` corrupts the merged block *mid-formation*, which the
     /// verify-and-rollback net must contain.
     MidTrial,
-    /// A recorded shard checkpoint of the sharded whole-program simulator
-    /// is corrupted (a register slot, a memory cell, or a predictor entry)
-    /// between planning and replay. The stitch validators must detect the
-    /// divergence and degrade to sequential re-simulation — the returned
-    /// result must still equal the sequential engine's exactly.
-    CorruptedCheckpoint,
 }
 
 impl FaultKind {
@@ -120,7 +114,7 @@ impl FaultKind {
     }
 
     /// Every member of the registry, for seeded selection and reporting.
-    pub const ALL: [FaultKind; 9] = [
+    pub const ALL: [FaultKind; 8] = [
         FaultKind::DanglingExit,
         FaultKind::PredicatedDefault,
         FaultKind::RegisterOutOfRange,
@@ -129,7 +123,6 @@ impl FaultKind {
         FaultKind::TruncatedEdgeProfile,
         FaultKind::ScrambledEdgeProfile,
         FaultKind::MidTrial,
-        FaultKind::CorruptedCheckpoint,
     ];
 }
 
@@ -144,7 +137,6 @@ impl fmt::Display for FaultKind {
             FaultKind::TruncatedEdgeProfile => "truncated-edge-profile",
             FaultKind::ScrambledEdgeProfile => "scrambled-edge-profile",
             FaultKind::MidTrial => "mid-trial",
-            FaultKind::CorruptedCheckpoint => "corrupted-checkpoint",
         };
         f.write_str(s)
     }
@@ -243,89 +235,6 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
             }
         }
         FaultKind::MidTrial => {}
-        // Armed downstream of planning, not on the IR; see
-        // `checkpoint_fault_outcome`.
-        FaultKind::CorruptedCheckpoint => {}
-    }
-}
-
-/// Exercise the sharded simulator's checkpoint-corruption net on `f`: plan
-/// with deliberately tiny shards, corrupt one recorded checkpoint chosen
-/// from the seeded stream, replay and stitch, and compare against the
-/// sequential engine. Divergence in the *returned result* is a miscompile
-/// (must never happen); a detected corruption shows up as the stitch
-/// degrading to sequential re-simulation. Public so the service-level
-/// campaign (`chf-service`) can run the same exercise against compiled
-/// responses.
-pub fn checkpoint_fault_outcome(f: &Function, args: &[i64], rng: &mut ChaosRng) -> FaultOutcome {
-    use chf_sim::timing::{simulate_timing_lowered, TimingConfig};
-    use chf_sim::{
-        corrupt_checkpoint, plan_shards, simulate_shard, stitch, CheckpointFault, LoweredProgram,
-        ShardConfig,
-    };
-    let p = LoweredProgram::lower(f);
-    let cfg = TimingConfig {
-        max_blocks: 500_000,
-        ..TimingConfig::trips()
-    };
-    // Tiny shards so even short generated programs split and every
-    // validator (architectural probe, boundary digests, counter expects)
-    // gets pressure.
-    let scfg = ShardConfig {
-        shard_blocks: 8,
-        warmup_blocks: 3,
-    };
-    let seq = match simulate_timing_lowered(&p, args, &[], &cfg) {
-        Ok(r) => r,
-        // The timing model rejects this program; there is nothing to
-        // shard or corrupt.
-        Err(_) => return FaultOutcome::Survived,
-    };
-    let mut plan = match plan_shards(&p, args, &[], &cfg, &scfg) {
-        Ok(pl) => pl,
-        Err(_) => return FaultOutcome::Survived,
-    };
-    if plan.n_shards() < 2 {
-        return FaultOutcome::Survived;
-    }
-    let shard_idx = rng.next_range(plan.n_shards() as u64) as usize;
-    let fault = match rng.next_range(3) {
-        0 => CheckpointFault::RegisterSlot {
-            reg: rng.next_u64(),
-            xor: (rng.next_u64() | 1) as i64,
-        },
-        1 => CheckpointFault::MemoryCell {
-            idx: rng.next_u64(),
-            xor: (rng.next_u64() | 1) as i64,
-        },
-        _ => CheckpointFault::PredictorEntry {
-            seed: rng.next_u64(),
-        },
-    };
-    if !corrupt_checkpoint(&mut plan, shard_idx, &fault) {
-        // Nothing corruptible at that site (empty memory image, untrained
-        // predictor): the injection was a no-op.
-        return FaultOutcome::Survived;
-    }
-    let runs = (0..plan.n_shards())
-        .map(|k| simulate_shard(&p, &cfg, &plan, k))
-        .collect();
-    let Ok(sh) = stitch(&p, args, &[], &cfg, &plan, runs) else {
-        // The fallback re-simulation errored even though the sequential
-        // run succeeded — a divergence, i.e. a miscompile.
-        return FaultOutcome::Miscompiled;
-    };
-    let equal = sh.result.cycles == seq.cycles
-        && sh.result.mispredictions == seq.mispredictions
-        && sh.result.insts_executed == seq.insts_executed
-        && sh.result.ret == seq.ret
-        && sh.result.digest() == seq.digest();
-    match (equal, sh.fallback.is_some()) {
-        (false, _) => FaultOutcome::Miscompiled,
-        (true, true) => FaultOutcome::RolledBack,
-        // The corrupted state was dead (overwritten before any read):
-        // replay legitimately reproduced the plan.
-        (true, false) => FaultOutcome::Survived,
     }
 }
 
@@ -541,12 +450,6 @@ fn run_one_fault(
 
         let kind = FaultKind::ALL[rng.next_range(FaultKind::ALL.len() as u64) as usize];
         kind_out.set(Some(kind));
-        if kind == FaultKind::CorruptedCheckpoint {
-            // This kind pressures the simulator subsystem, not formation:
-            // corrupt a recorded checkpoint and demand the stitch detects
-            // it and degrades without changing the result.
-            return (checkpoint_fault_outcome(&f, &train, &mut rng), Vec::new());
-        }
         let oracle_cfg = OracleConfig {
             seed: fault_seed,
             inputs: 3,
@@ -710,35 +613,6 @@ mod tests {
                 "trial corruption under seed {seed} escaped the verifier:\n{f}"
             );
         }
-    }
-
-    #[test]
-    fn corrupted_checkpoints_are_contained() {
-        // Drive the checkpoint-fault exercise directly across many seeds:
-        // a live corruption must be detected by the stitch (rolled back to
-        // sequential re-simulation), a dead one may survive, and the
-        // returned result must never diverge — Miscompiled is fatal.
-        let mut rolled_back = 0;
-        for seed in 0..48u64 {
-            let mut rng = ChaosRng::new(seed);
-            let f = generate(seed, &GenConfig::default());
-            let train: Vec<i64> = (0..f.params)
-                .map(|_| rng.next_range(24) as i64 - 4)
-                .collect();
-            let outcome = checkpoint_fault_outcome(&f, &train, &mut rng);
-            assert_ne!(
-                outcome,
-                FaultOutcome::Miscompiled,
-                "seed {seed}: sharded result diverged from sequential under corruption"
-            );
-            if outcome == FaultOutcome::RolledBack {
-                rolled_back += 1;
-            }
-        }
-        assert!(
-            rolled_back > 0,
-            "no corruption was ever live — the exercise is vacuous"
-        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! * corrupted IR is `Failed` with a typed verifier error, never compiled;
 //! * corrupted profiles still compile to behaviourally correct output;
-//! * mid-trial and checkpoint corruption are contained exactly as in the
-//!   core campaign, now end-to-end through a service request;
+//! * mid-trial corruption is contained exactly as in the core campaign,
+//!   now end-to-end through a service request;
 //! * a corrupted cache entry is detected by integrity revalidation and
 //!   degraded to a cold compile whose result is **byte-identical** to the
 //!   original — never served corrupt;
@@ -23,9 +23,7 @@
 
 use crate::stats::ServiceStats;
 use crate::{CompileRequest, CompileService, RequestStatus, ServiceConfig};
-use chf_core::chaos::{
-    self, checkpoint_fault_outcome, ChaosRng, ChaosSpec, FaultKind, FaultOutcome,
-};
+use chf_core::chaos::{self, ChaosRng, ChaosSpec, FaultKind};
 use chf_core::policy::PolicyKind;
 use chf_ir::testgen::{generate, GenConfig};
 use chf_sim::functional::{profile_run, run, RunConfig};
@@ -51,7 +49,7 @@ pub enum ServiceFaultKind {
 
 impl ServiceFaultKind {
     /// Every service-injectable fault, for seeded selection and reporting.
-    pub const ALL: [ServiceFaultKind; 11] = [
+    pub const ALL: [ServiceFaultKind; 10] = [
         ServiceFaultKind::Core(FaultKind::DanglingExit),
         ServiceFaultKind::Core(FaultKind::PredicatedDefault),
         ServiceFaultKind::Core(FaultKind::RegisterOutOfRange),
@@ -60,7 +58,6 @@ impl ServiceFaultKind {
         ServiceFaultKind::Core(FaultKind::TruncatedEdgeProfile),
         ServiceFaultKind::Core(FaultKind::ScrambledEdgeProfile),
         ServiceFaultKind::Core(FaultKind::MidTrial),
-        ServiceFaultKind::Core(FaultKind::CorruptedCheckpoint),
         ServiceFaultKind::CorruptedCacheEntry,
         ServiceFaultKind::WorkerPanic,
     ];
@@ -90,8 +87,8 @@ enum ServiceOutcome {
     /// Refused or caught by a checking layer (verifier at the service
     /// door, cache integrity revalidation).
     Detected,
-    /// Contained by a recovery mechanism (mid-trial rollback, checkpoint
-    /// stitch fallback, worker-panic retry) and still correct.
+    /// Contained by a recovery mechanism (mid-trial rollback, worker-panic
+    /// retry) and still correct.
     RolledBack,
     /// The fault had no effect the service had to defend against; output
     /// correct.
@@ -268,7 +265,6 @@ fn run_one_service_fault(
                         period: 2,
                     });
                 }
-                FaultKind::CorruptedCheckpoint => {}
                 _ => {
                     chaos::inject(&mut f, &mut profile, core_kind, &mut rng);
                     if core_kind == FaultKind::ScrambledEdgeProfile {
@@ -308,32 +304,12 @@ fn run_one_service_fault(
                     let compiled = resp.compiled.expect("Done carries the artifact");
                     match behaviour_matches(&f, &compiled.function, &train) {
                         Some(false) => ServiceOutcome::Miscompiled,
-                        matched => {
-                            let checked = matched.is_some();
-                            match core_kind {
-                                // The mid-trial net reports containment
-                                // through the skip counter.
-                                FaultKind::MidTrial if compiled.stats.skipped > 0 => {
-                                    ServiceOutcome::RolledBack
-                                }
-                                // Corrupt a recorded simulator checkpoint
-                                // of the *compiled response* and demand the
-                                // stitch contains it.
-                                FaultKind::CorruptedCheckpoint if checked => {
-                                    match checkpoint_fault_outcome(
-                                        &compiled.function,
-                                        &train,
-                                        &mut rng,
-                                    ) {
-                                        FaultOutcome::Miscompiled => ServiceOutcome::Miscompiled,
-                                        FaultOutcome::RolledBack => ServiceOutcome::RolledBack,
-                                        FaultOutcome::Detected => ServiceOutcome::Detected,
-                                        FaultOutcome::Survived => ServiceOutcome::Survived,
-                                    }
-                                }
-                                _ => ServiceOutcome::Survived,
-                            }
+                        // The mid-trial net reports containment through
+                        // the skip counter.
+                        _ if core_kind == FaultKind::MidTrial && compiled.stats.skipped > 0 => {
+                            ServiceOutcome::RolledBack
                         }
+                        _ => ServiceOutcome::Survived,
                     }
                 }
             }

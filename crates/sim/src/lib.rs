@@ -19,7 +19,8 @@
 //!   over the lowered form: per-block fetch/map overhead, dataflow issue
 //!   with an operand wake-up calendar queue, issue-width contention and
 //!   operand-network latency, an 8-block in-flight window, next-block
-//!   prediction with misprediction flushes, and in-order block commit. It
+//!   prediction with misprediction flushes, and in-order block commit. One
+//!   sequential engine runs every program, whole composites included. It
 //!   reproduces the first-order effects the paper's analysis rests on, not
 //!   the authors' exact cycle counts (see DESIGN.md, substitution 1).
 //!
@@ -31,23 +32,16 @@
 //! The [`predictor`] module provides the next-block (exit) predictor shared
 //! by the timing model.
 
-pub mod checkpoint;
 pub mod functional;
 pub mod lower;
 pub mod predictor;
-pub mod shard;
 pub mod timing;
 #[cfg(feature = "legacy-sim")]
 pub mod timing_legacy;
 
-pub use checkpoint::{plan_shards, Checkpoint, ShardConfig, ShardPlan};
 pub use functional::{run, run_lowered, ExecError, FuncResult, RunConfig, SimError};
 pub use lower::LoweredProgram;
 pub use predictor::{ExitPredictor, PredictorConfig, PredictorKind};
-pub use shard::{
-    corrupt_checkpoint, simulate_shard, simulate_timing_sharded_seq, stitch, CheckpointFault,
-    ShardRun, StitchedTiming,
-};
 pub use timing::{
     simulate_timing, simulate_timing_lowered, simulate_timing_lowered_traced,
     simulate_timing_traced, BlockEvent, MemoryOrdering, TimingConfig, TimingResult, TimingTrace,

@@ -259,101 +259,6 @@ impl ExitPredictor {
             self.mispredictions as f64 / self.predictions as f64
         }
     }
-
-    /// Deterministic hash of the *predictive* state: the trained table and
-    /// the global history (not the prediction counters). Two predictors
-    /// with equal hashes make the same predictions forever after, so the
-    /// sharded simulator uses this to compare predictor state at shard
-    /// boundaries. Entries are visited in a canonical order (dense rows by
-    /// index; map entries sorted by key), so the hash is independent of
-    /// table variant internals and insertion order.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.history.hash(&mut h);
-        let entry = |h: &mut DefaultHasher, bi: u64, key: u64, e: &Entry| {
-            bi.hash(h);
-            key.hash(h);
-            e.target.hash(h);
-            e.confidence.hash(h);
-        };
-        match &self.table {
-            Table::Direct { blocks, .. } => {
-                for (bi, row) in blocks.iter().enumerate() {
-                    let Some(row) = row else { continue };
-                    for (key, slot) in row.iter().enumerate() {
-                        if let Some(e) = slot {
-                            entry(&mut h, bi as u64, key as u64, e);
-                        }
-                    }
-                }
-            }
-            Table::Map(m) => {
-                let mut keys: Vec<(BlockId, u64)> = m.keys().copied().collect();
-                keys.sort_unstable_by_key(|(b, k)| (b.0, *k));
-                for (b, k) in keys {
-                    entry(&mut h, u64::from(b.0), k, &m[&(b, k)]);
-                }
-            }
-        }
-        h.finish()
-    }
-
-    /// Approximate heap footprint of the trained table, for checkpoint
-    /// accounting.
-    pub fn state_bytes(&self) -> usize {
-        let entry_size = std::mem::size_of::<Option<Entry>>();
-        match &self.table {
-            Table::Direct { blocks, row_len } => {
-                blocks.len() * std::mem::size_of::<Option<Box<[Option<Entry>]>>>()
-                    + blocks.iter().flatten().count() * row_len * entry_size
-            }
-            Table::Map(m) => m.len() * (std::mem::size_of::<(BlockId, u64)>() + entry_size),
-        }
-    }
-
-    /// Fault-injection hook: flip one trained entry, chosen by `seed`, to
-    /// a bogus target with saturated confidence (so retraining is slow and
-    /// the corruption stays observable). Returns `false` when the table
-    /// has no trained entries to corrupt. Used by the chaos harness to
-    /// verify the sharded stitcher detects checkpoint corruption.
-    pub fn corrupt_entry(&mut self, seed: u64) -> bool {
-        let bogus = ExitTarget::Block(BlockId(u32::MAX - 1));
-        let max_conf = self.max_confidence;
-        match &mut self.table {
-            Table::Direct { blocks, .. } => {
-                let mut trained: Vec<&mut Entry> = blocks
-                    .iter_mut()
-                    .flatten()
-                    .flat_map(|row| row.iter_mut().flatten())
-                    .collect();
-                if trained.is_empty() {
-                    return false;
-                }
-                let pick = (seed % trained.len() as u64) as usize;
-                *trained[pick] = Entry {
-                    target: bogus,
-                    confidence: max_conf,
-                };
-                true
-            }
-            Table::Map(m) => {
-                if m.is_empty() {
-                    return false;
-                }
-                let mut keys: Vec<(BlockId, u64)> = m.keys().copied().collect();
-                keys.sort_unstable_by_key(|(b, k)| (b.0, *k));
-                let pick = keys[(seed % keys.len() as u64) as usize];
-                m.insert(
-                    pick,
-                    Entry {
-                        target: bogus,
-                        confidence: max_conf,
-                    },
-                );
-                true
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -195,98 +195,34 @@ impl TimingResult {
 /// single (bounds-checked) array access and pulls value + timestamp in the
 /// same cache line.
 #[derive(Copy, Clone)]
-pub(crate) struct RegSlot<C: Cycle> {
-    pub(crate) val: i64,
-    pub(crate) t: C,
+struct RegSlot {
+    val: i64,
+    t: u64,
 }
 
 thread_local! {
-    /// Recycled register-file backing for the (dominant) `u64` engine: the
-    /// benchmark harness simulates thousands of short programs per thread,
-    /// and the register file is the one per-call allocation left on that
-    /// path. Reused like [`MEM_SCRATCH`]/[`LSQ_SCRATCH`]; slots are
-    /// re-zeroed on take, so recycling is never observable.
-    static RF_SCRATCH: std::cell::RefCell<Option<Vec<RegSlot<u64>>>> =
+    /// Recycled register-file backing: the benchmark harness simulates
+    /// thousands of short programs per thread, and the register file is
+    /// the one per-call allocation left on that path. Reused like
+    /// [`MEM_SCRATCH`]/[`LSQ_SCRATCH`]; slots are re-zeroed on take, so
+    /// recycling is never observable.
+    static RF_SCRATCH: std::cell::RefCell<Option<Vec<RegSlot>>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Width of the engine's cycle timestamps.
-///
-/// The sequential entry points instantiate the engine at `u64` (cycle
-/// counts on whole-program runs exceed 2^32). Bounded shard runs whose
-/// conservative cycle bound fits comfortably instantiate at `u32`, halving
-/// the timestamp footprint of the in-flight state. All arithmetic the
-/// engine performs is `max` and `+ small-constant`, so the two widths
-/// compute identical values whenever the `u32` run stays below the wrap
-/// point — and the shard planner only selects `u32` under a conservative
-/// bound ([`crate::shard`]). Even a bound violation is safe: a wrapped
-/// timestamp desynchronizes the boundary state digest and the stitcher
-/// falls back to the sequential engine.
-pub(crate) trait Cycle: Copy + Ord + std::fmt::Debug + 'static {
-    /// Cycle zero.
-    const ZERO: Self;
-    /// Narrow from `u64` (the planner guarantees the value fits).
-    fn of(x: u64) -> Self;
-    /// Widen to `u64`.
-    fn get(self) -> u64;
-    /// `self + d`.
-    #[inline]
-    fn plus(self, d: u64) -> Self {
-        Self::of(self.get().wrapping_add(d))
-    }
-    /// `self + 1`.
-    #[inline]
-    fn inc(self) -> Self {
-        self.plus(1)
-    }
-    /// A zeroed register file of `n` slots, possibly recycled.
-    fn take_rf(n: usize) -> Vec<RegSlot<Self>> {
-        vec![
-            RegSlot {
-                val: 0,
-                t: Self::ZERO
-            };
-            n
-        ]
-    }
-    /// Return a register file to the scratch pool (no-op by default).
-    fn recycle_rf(_rf: Vec<RegSlot<Self>>) {}
+/// A zeroed register file of `n` slots, recycled when possible.
+fn take_rf(n: usize) -> Vec<RegSlot> {
+    let mut rf = RF_SCRATCH
+        .with(|s| s.borrow_mut().take())
+        .unwrap_or_default();
+    rf.clear();
+    rf.resize(n, RegSlot { val: 0, t: 0 });
+    rf
 }
 
-impl Cycle for u64 {
-    const ZERO: Self = 0;
-    #[inline]
-    fn of(x: u64) -> Self {
-        x
-    }
-    #[inline]
-    fn get(self) -> u64 {
-        self
-    }
-    fn take_rf(n: usize) -> Vec<RegSlot<u64>> {
-        let mut rf = RF_SCRATCH
-            .with(|s| s.borrow_mut().take())
-            .unwrap_or_default();
-        rf.clear();
-        rf.resize(n, RegSlot { val: 0, t: 0 });
-        rf
-    }
-    fn recycle_rf(rf: Vec<RegSlot<u64>>) {
-        RF_SCRATCH.with(|s| *s.borrow_mut() = Some(rf));
-    }
-}
-
-impl Cycle for u32 {
-    const ZERO: Self = 0;
-    #[inline]
-    fn of(x: u64) -> Self {
-        debug_assert!(x <= u64::from(u32::MAX), "u32 cycle bound violated");
-        x as u32
-    }
-    #[inline]
-    fn get(self) -> u64 {
-        u64::from(self)
-    }
+/// Return a register file to the scratch pool.
+fn recycle_rf(rf: Vec<RegSlot>) {
+    RF_SCRATCH.with(|s| *s.borrow_mut() = Some(rf));
 }
 
 /// Calendar bucket queue of issue-slot occupancy: one counter per cycle in
@@ -372,25 +308,6 @@ impl IssueRing {
             }
             t += 1;
         }
-    }
-
-    /// The claims that can still influence a future issue probe: buckets
-    /// stamped at a cycle `≥ max(base, threshold)`, as `(cycle, count)`
-    /// sorted by cycle. Claims below the threshold are dead — every future
-    /// probe starts at `ready ≥ threshold` — and are dropped so that
-    /// independently-reached ring states compare equal.
-    fn live_claims(&self, threshold: u64) -> Vec<(u64, u32)> {
-        let floor = threshold.max(self.base);
-        let mut out: Vec<(u64, u32)> = self
-            .slots
-            .iter()
-            .filter_map(|&s| {
-                let (c, n) = (s >> 8, (s & 0xff) as u32);
-                (n > 0 && c >= floor).then_some((c, n))
-            })
-            .collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -544,7 +461,7 @@ fn boxed_zeroed<T: Copy + Default, const N: usize>() -> Box<[T; N]> {
 /// written zeros. Dense cells are only valid under their touched bit, so
 /// the buffers can be recycled across runs (see [`MEM_SCRATCH`]) without
 /// zeroing the window.
-pub(crate) struct SimMemory {
+struct SimMemory {
     dense: Box<[i64; DENSE_WORDS]>,
     /// Bitmap of dense cells written (or initialized) *this run*: the
     /// final memory image distinguishes "wrote 0" from "never wrote", and
@@ -554,7 +471,7 @@ pub(crate) struct SimMemory {
 }
 
 impl SimMemory {
-    pub(crate) fn new(init: &[(i64, i64)]) -> Self {
+    fn new(init: &[(i64, i64)]) -> Self {
         let (dense, mut touched) = MEM_SCRATCH
             .with(|s| s.borrow_mut().take())
             .unwrap_or_else(|| (boxed_zeroed(), boxed_zeroed()));
@@ -573,7 +490,7 @@ impl SimMemory {
     /// Read `addr` (zero when unwritten). The `as u64` compare folds the
     /// negative-address case into the spill path.
     #[inline]
-    pub(crate) fn load(&self, addr: i64) -> i64 {
+    fn load(&self, addr: i64) -> i64 {
         if (addr as u64) < DENSE_WORDS as u64 {
             let a = addr as usize;
             if self.touched[a >> 6] & (1u64 << (a & 63)) != 0 {
@@ -587,7 +504,7 @@ impl SimMemory {
     }
 
     #[inline]
-    pub(crate) fn store(&mut self, addr: i64, v: i64) {
+    fn store(&mut self, addr: i64, v: i64) {
         if (addr as u64) < DENSE_WORDS as u64 {
             let a = addr as usize;
             self.dense[a] = v;
@@ -597,31 +514,10 @@ impl SimMemory {
         }
     }
 
-    /// The full memory image as a sorted list — every written cell,
-    /// including written zeros. This is the canonical form checkpoints
-    /// store and boundary probes compare: two `SimMemory`s that performed
-    /// the same writes produce identical images regardless of how they
-    /// were seeded.
-    pub(crate) fn image(&self) -> Vec<(i64, i64)> {
-        let dense_cells: usize = self.touched.iter().map(|w| w.count_ones() as usize).sum();
-        let mut out = Vec::with_capacity(dense_cells + self.spill.len());
-        for (w, &word) in self.touched.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let a = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push((a as i64, self.dense[a]));
-            }
-        }
-        out.extend(self.spill.iter().map(|(&a, &v)| (a, v)));
-        out.sort_unstable();
-        out
-    }
-
     /// The final memory image, exactly as a map-backed simulation would
     /// have produced it. Sized up front (popcount of the touched bitmap)
     /// so the build never rehashes.
-    pub(crate) fn to_map(&self) -> FxHashMap<i64, i64> {
+    fn to_map(&self) -> FxHashMap<i64, i64> {
         let dense_cells: usize = self.touched.iter().map(|w| w.count_ones() as usize).sum();
         let mut out =
             FxHashMap::with_capacity_and_hasher(dense_cells + self.spill.len(), Default::default());
@@ -641,7 +537,7 @@ impl SimMemory {
     /// on the successful simulation path; error paths simply drop (and the
     /// next run allocates fresh zeroed buffers — rare, and a fresh zeroed
     /// buffer is always valid).
-    pub(crate) fn recycle(self) {
+    fn recycle(self) {
         let SimMemory { dense, touched, .. } = self;
         MEM_SCRATCH.with(|s| *s.borrow_mut() = Some((dense, touched)));
     }
@@ -757,120 +653,34 @@ impl Lsq {
 /// into a single word.
 const LIVE_OUT_BIT: u32 = 1 << 31;
 
-/// Seed of the per-range prediction-outcome accumulator (FNV-1a offset).
-pub(crate) const OUTCOME_HASH_INIT: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One prediction outcome folded into the accumulator (FNV-style). The
-/// plan pass and the timing engine must fold identically — the sharded
-/// stitcher compares the two streams to detect any divergence in the
-/// control-flow/predictor interaction over a shard range.
-#[inline]
-pub(crate) fn outcome_hash_step(h: u64, correct: bool) -> u64 {
-    h.wrapping_mul(0x0000_0100_0000_01b3) ^ (0x9e + u64::from(correct))
-}
-
-/// How an [`Engine`]'s register file is initialized.
-pub(crate) enum RegInit<'a> {
-    /// Program entry: argument values land in the parameter registers.
-    Args(&'a [i64]),
-    /// Mid-program resume: a full architectural register file recorded by
-    /// the checkpoint plan pass ([`crate::checkpoint`]).
-    Full(&'a [i64]),
-}
-
-/// Initial state for an [`Engine`] — either program entry or a recorded
-/// checkpoint.
-pub(crate) struct EngineStart<'a> {
-    /// Dense index of the first block to execute.
-    pub(crate) cur: u32,
-    pub(crate) regs: RegInit<'a>,
-    /// Initial memory image, applied in order.
-    pub(crate) mem_init: &'a [(i64, i64)],
-    /// Predictor state at the start point (fresh at program entry; cloned
-    /// from the plan pass for a shard).
-    pub(crate) predictor: ExitPredictor,
-    /// Block budget for this engine instance.
-    pub(crate) max_blocks: u64,
-}
-
 /// Outcome of one [`Engine::step`].
-pub(crate) enum EngineStep {
+enum EngineStep {
     /// The block committed and control transferred to `engine.cur`.
     Continue,
     /// The block committed by returning from the program.
     Done(Option<i64>),
 }
 
-/// Counter snapshot used to form per-shard deltas.
-#[derive(Copy, Clone, Debug, Default)]
-pub(crate) struct EngineCounters {
-    pub(crate) last_commit: u64,
-    pub(crate) predictions: u64,
-    pub(crate) mispredictions: u64,
-    pub(crate) insts_executed: u64,
-    pub(crate) insts_nullified: u64,
-    pub(crate) insts_fetched: u64,
-}
-
-/// Normalized timing state at a block-commit boundary, expressed relative
-/// to the commit cycle of the block just committed.
-///
-/// The engine's cycle arithmetic is built from `max` and `+ constant`
-/// only, so its evolution is invariant under a uniform time shift — two
-/// engine states that agree on this *relative* digest produce identical
-/// cycle *deltas* forever after. That is the exactness argument of the
-/// sharded simulator ([`crate::shard`]): if a warmed-up shard's entry
-/// digest equals the previous shard's exit digest, their stitched deltas
-/// reproduce the sequential run's cycle count exactly.
-///
-/// Dead state is normalized away so that independently-reached states
-/// compare equal:
-///
-/// * register timestamps are clamped to `fetch_ready − operand_latency` —
-///   every future use of a register timestamp is `max`ed against a value
-///   `≥ fetch_ready − operand_latency` (all future dispatches are
-///   `≥ fetch_ready`), so anything older is indistinguishable from the
-///   clamp floor;
-/// * issue-ring claims strictly below `fetch_ready + 1` are dropped —
-///   future issue probes start at `ready ≥ dispatch + 1 ≥ fetch_ready + 1`;
-/// * the LSQ and the per-block `written` set reset every block and carry
-///   nothing across a boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct TimingDigest {
-    /// `fetch_ready − last_commit`.
-    rel_fetch_ready: i64,
-    /// In-flight commit events, relative to `last_commit`.
-    inflight: Vec<i64>,
-    /// `(value, clamped availability − last_commit)` per register.
-    rf: Vec<(i64, i64)>,
-    /// Live issue-ring claims `(cycle − last_commit, count)`, sorted.
-    ring: Vec<(i64, u32)>,
-    /// Exit-predictor state hash (tables + global history).
-    predictor: u64,
-}
-
 /// The event-driven timing core, reified as a steppable engine.
 ///
-/// [`simulate_timing_lowered`] drives it from program entry to return; the
-/// sharded simulator ([`crate::shard`]) drives one instance per shard from
-/// a recorded checkpoint and stitches the per-shard deltas. `C` selects
-/// the cycle-timestamp width (see [`Cycle`]); `ZERO_OPLAT` specializes the
-/// wake-up arithmetic for the default free operand network.
-pub(crate) struct Engine<'p, C: Cycle, const ZERO_OPLAT: bool> {
+/// [`simulate_timing_lowered`] drives it from program entry to return.
+/// `ZERO_OPLAT` specializes the wake-up arithmetic for the default free
+/// operand network.
+struct Engine<'p, const ZERO_OPLAT: bool> {
     p: &'p LoweredProgram,
     config: &'p TimingConfig,
-    rf: Vec<RegSlot<C>>,
+    rf: Vec<RegSlot>,
     mem: SimMemory,
     predictor: ExitPredictor,
     ring: IssueRing,
     /// Pending commit events of in-flight blocks (in order).
-    inflight: VecDeque<C>,
-    last_commit: C,
-    fetch_ready: C,
-    pub(crate) blocks_executed: u64,
-    pub(crate) insts_executed: u64,
-    pub(crate) insts_nullified: u64,
-    pub(crate) insts_fetched: u64,
+    inflight: VecDeque<u64>,
+    last_commit: u64,
+    fetch_ready: u64,
+    blocks_executed: u64,
+    insts_executed: u64,
+    insts_nullified: u64,
+    insts_fetched: u64,
     /// Registers written (or null-forwarded) this block, each packed with
     /// its def-is-live-out bit ([`LIVE_OUT_BIT`]) for the commit rule.
     written: Vec<u32>,
@@ -884,19 +694,17 @@ pub(crate) struct Engine<'p, C: Cycle, const ZERO_OPLAT: bool> {
     /// divides.
     map_cycles: Vec<u64>,
     /// Dense index of the next block to execute.
-    pub(crate) cur: u32,
-    /// Running hash of prediction outcomes since the last
-    /// [`Engine::reset_outcome_hash`] — a cheap fingerprint of the
-    /// control-flow/predictor interaction over a shard range.
-    pub(crate) outcome_hash: u64,
-    max_blocks: u64,
+    cur: u32,
 }
 
-impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
-    pub(crate) fn new(
+impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
+    /// An engine at program entry: `args` in the parameter registers,
+    /// `mem_init` applied in order, and a fresh predictor.
+    fn new(
         p: &'p LoweredProgram,
         config: &'p TimingConfig,
-        start: EngineStart<'_>,
+        args: &[i64],
+        mem_init: &[(i64, i64)],
     ) -> Result<Self, SimError> {
         // The legacy model's eager out-of-range sweep, precomputed at
         // lowering in the same scan order: reject before executing
@@ -910,18 +718,9 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
         // `regs`/`avail` vectors. Padded to at least one slot so the
         // clamped (branchless) operand reads always have a valid index to
         // land on, even for register-free functions.
-        let mut rf = C::take_rf(p.nregs.max(1));
-        match start.regs {
-            RegInit::Args(args) => {
-                for (i, a) in args.iter().enumerate().take(p.params as usize) {
-                    rf[i].val = *a;
-                }
-            }
-            RegInit::Full(vals) => {
-                for (s, v) in rf.iter_mut().zip(vals) {
-                    s.val = *v;
-                }
-            }
+        let mut rf = take_rf(p.nregs.max(1));
+        for (i, a) in args.iter().enumerate().take(p.params as usize) {
+            rf[i].val = *a;
         }
         let map_cycles = p
             .blocks
@@ -934,12 +733,12 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             p,
             config,
             rf,
-            mem: SimMemory::new(start.mem_init),
-            predictor: start.predictor,
+            mem: SimMemory::new(mem_init),
+            predictor: ExitPredictor::new(&config.predictor),
             ring: IssueRing::new(config.issue_width),
             inflight: VecDeque::with_capacity(config.window_blocks + 1),
-            last_commit: C::ZERO,
-            fetch_ready: C::ZERO,
+            last_commit: 0,
+            fetch_ready: 0,
             blocks_executed: 0,
             insts_executed: 0,
             insts_nullified: 0,
@@ -949,16 +748,14 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             exact: config.memory_ordering == MemoryOrdering::Exact,
             op_lat: config.operand_latency,
             map_cycles,
-            cur: start.cur,
-            outcome_hash: OUTCOME_HASH_INIT,
-            max_blocks: start.max_blocks,
+            cur: p.entry,
         })
     }
 
     /// Execute one dynamic block: dispatch, operand wake-up, exit
     /// resolution, prediction, and in-order commit.
-    pub(crate) fn step(&mut self, trace: Option<&mut TimingTrace>) -> Result<EngineStep, SimError> {
-        if self.blocks_executed >= self.max_blocks {
+    fn step(&mut self, trace: Option<&mut TimingTrace>) -> Result<EngineStep, SimError> {
+        if self.blocks_executed >= self.config.max_blocks {
             return Err(SimError::OutOfFuel {
                 executed: self.blocks_executed,
             });
@@ -980,10 +777,10 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
                 dispatch = dispatch.max(oldest);
             }
         }
-        self.ring.advance_to(dispatch.get());
+        self.ring.advance_to(dispatch);
 
         // Fetch/map of the *next* block is serialized behind this one.
-        self.fetch_ready = dispatch.plus(self.map_cycles[self.cur as usize]);
+        self.fetch_ready = dispatch + self.map_cycles[self.cur as usize];
 
         // --- Operand wake-up: one pass in program order, enqueueing each
         // instruction at its last-operand-arrival cycle and claiming its
@@ -992,7 +789,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
         let ring = &mut self.ring;
         let written = &mut self.written;
         written.clear();
-        let mut any_store_done = C::ZERO;
+        let mut any_store_done = 0;
         let mut outputs_done = dispatch;
         // `rf` is never resized, so the clamp bound is loop-invariant.
         let last = rf.len() - 1;
@@ -1008,7 +805,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             } else {
                 (
                     (sp.val != 0) == inst.pred_if_true,
-                    sp.t.plus(op_lat).max(dispatch),
+                    (sp.t + op_lat).max(dispatch),
                 )
             };
 
@@ -1034,22 +831,21 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             // a data-dependent branch per operand.
             let sa = rf[(inst.a_reg as usize).min(last)];
             let (a, ta) = if inst.a_reg != NONE {
-                (sa.val, sa.t.plus(op_lat))
+                (sa.val, sa.t + op_lat)
             } else {
-                (inst.a_imm, C::ZERO)
+                (inst.a_imm, 0)
             };
             let sb = rf[(inst.b_reg as usize).min(last)];
             let (b, tb) = if inst.b_reg != NONE {
-                (sb.val, sb.t.plus(op_lat))
+                (sb.val, sb.t + op_lat)
             } else {
-                (inst.b_imm, C::ZERO)
+                (inst.b_imm, 0)
             };
-            let mut ready = pred_ready.max(dispatch.inc()).max(ta).max(tb);
+            let mut ready = pred_ready.max(dispatch + 1).max(ta).max(tb);
 
             match inst.kind {
                 LKind::Alu => {
-                    let issue = C::of(ring.issue_at(ready.get()));
-                    let done = issue.plus(u64::from(inst.latency));
+                    let done = ring.issue_at(ready) + u64::from(inst.latency);
                     rf[(inst.dst as usize).min(last)] = RegSlot {
                         val: eval(inst.op, a, b),
                         t: done,
@@ -1064,7 +860,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
                         MemoryOrdering::Exact => {
                             if inst.stores_before > 0 {
                                 if let Some(t) = self.lsq.wait_for(a, tok) {
-                                    ready = ready.max(C::of(t));
+                                    ready = ready.max(t);
                                 }
                             }
                         }
@@ -1072,8 +868,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
                             ready = ready.max(any_store_done);
                         }
                     }
-                    let issue = C::of(ring.issue_at(ready.get()));
-                    let done = issue.plus(u64::from(inst.latency));
+                    let done = ring.issue_at(ready) + u64::from(inst.latency);
                     rf[(inst.dst as usize).min(last)] = RegSlot {
                         val: self.mem.load(a),
                         t: done,
@@ -1081,12 +876,11 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
                     written.push(inst.dst | (u32::from(inst.def_live_out) << 31));
                 }
                 LKind::Store => {
-                    let issue = C::of(ring.issue_at(ready.get()));
-                    let done = issue.plus(u64::from(inst.latency));
+                    let done = ring.issue_at(ready) + u64::from(inst.latency);
                     outputs_done = outputs_done.max(done);
                     self.mem.store(a, b);
                     if self.exact {
-                        self.lsq.record(a, tok, done.get());
+                        self.lsq.record(a, tok, done);
                     }
                     any_store_done = any_store_done.max(done);
                 }
@@ -1105,7 +899,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
 
         // --- Resolve exits: find the fired exit and its resolve time. ---
         let exits = &p.exits[lb.exit_start as usize..lb.exit_end as usize];
-        let mut resolve = dispatch.inc();
+        let mut resolve = dispatch + 1;
         let fe = if lb.single_uncond_exit {
             // Batched fast path: a lone unpredicated exit fires
             // unconditionally and resolves at `dispatch + 1` — no predicate
@@ -1130,7 +924,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
                     break;
                 }
                 let s = rf[e.pred_reg as usize];
-                resolve = resolve.max(s.t.plus(op_lat));
+                resolve = resolve.max(s.t + op_lat);
                 if (s.val != 0) == e.pred_if_true {
                     fired = Some(e);
                     break;
@@ -1159,13 +953,12 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
         let correct = self
             .predictor
             .update_tagged(lb.id, fallback, fe.orig, fe.hist_tag);
-        self.outcome_hash = outcome_hash_step(self.outcome_hash, correct);
         if !correct {
             // Flush event: the next block cannot even begin fetching until
             // the exit resolves, plus the flush penalty.
             self.fetch_ready = self
                 .fetch_ready
-                .max(resolve.plus(self.config.mispredict_penalty));
+                .max(resolve + self.config.mispredict_penalty);
         }
 
         // --- Commit event (in order): branch decision, stores, and
@@ -1176,7 +969,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             }
         }
         let block_done = outputs_done.max(resolve);
-        let commit = block_done.max(self.last_commit.plus(self.config.commit_overhead));
+        let commit = block_done.max(self.last_commit + self.config.commit_overhead);
         self.last_commit = commit;
         self.inflight.push_back(commit);
 
@@ -1185,15 +978,15 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
         let register_latency = self.config.register_latency;
         for w in written.drain(..) {
             let s = &mut rf[((w & !LIVE_OUT_BIT) as usize).min(last)];
-            s.t = s.t.plus(register_latency);
+            s.t += register_latency;
         }
 
         if let Some(t) = trace {
             t.events.push(BlockEvent {
                 block: lb.id,
-                dispatch: dispatch.get(),
-                resolve: resolve.get(),
-                commit: commit.get(),
+                dispatch,
+                resolve,
+                commit,
                 predicted: correct,
                 executed: (self.insts_executed - exec_before) as u32,
                 nullified: (self.insts_nullified - null_before) as u32,
@@ -1208,7 +1001,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             LExitKind::Dangling(target) => {
                 // The legacy model only discovers a dangling target at the
                 // top of the next iteration, after the fuel check.
-                if self.blocks_executed >= self.max_blocks {
+                if self.blocks_executed >= self.config.max_blocks {
                     return Err(SimError::OutOfFuel {
                         executed: self.blocks_executed,
                     });
@@ -1224,7 +1017,7 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
 
     /// Finish a run: build the [`TimingResult`] and return the scratch
     /// buffers to their pools.
-    pub(crate) fn into_result(self, ret: Option<i64>) -> TimingResult {
+    fn into_result(self, ret: Option<i64>) -> TimingResult {
         let Engine {
             rf,
             mem,
@@ -1240,9 +1033,9 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
         let memory = mem.to_map();
         mem.recycle();
         lsq.recycle();
-        C::recycle_rf(rf);
+        recycle_rf(rf);
         TimingResult {
-            cycles: last_commit.get(),
+            cycles: last_commit,
             blocks_executed,
             predictions: predictor.predictions(),
             mispredictions: predictor.mispredictions(),
@@ -1252,69 +1045,6 @@ impl<'p, C: Cycle, const ZERO_OPLAT: bool> Engine<'p, C, ZERO_OPLAT> {
             ret,
             memory,
         }
-    }
-
-    /// Counter snapshot (for forming per-shard deltas).
-    pub(crate) fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            last_commit: self.last_commit.get(),
-            predictions: self.predictor.predictions(),
-            mispredictions: self.predictor.mispredictions(),
-            insts_executed: self.insts_executed,
-            insts_nullified: self.insts_nullified,
-            insts_fetched: self.insts_fetched,
-        }
-    }
-
-    /// Restart the prediction-outcome accumulator (at a shard-range entry).
-    pub(crate) fn reset_outcome_hash(&mut self) {
-        self.outcome_hash = OUTCOME_HASH_INIT;
-    }
-
-    /// The normalized boundary digest; see [`TimingDigest`]. Call only
-    /// between blocks (after a [`EngineStep::Continue`]).
-    pub(crate) fn state_digest(&self) -> TimingDigest {
-        let l = self.last_commit.get() as i64;
-        let f = self.fetch_ready.get();
-        let op_lat = if ZERO_OPLAT { 0 } else { self.op_lat };
-        let floor = C::of(f.saturating_sub(op_lat));
-        TimingDigest {
-            rel_fetch_ready: f as i64 - l,
-            inflight: self.inflight.iter().map(|c| c.get() as i64 - l).collect(),
-            rf: self
-                .rf
-                .iter()
-                .map(|s| (s.val, s.t.max(floor).get() as i64 - l))
-                .collect(),
-            ring: self
-                .ring
-                .live_claims(f + 1)
-                .into_iter()
-                .map(|(c, n)| (c as i64 - l, n))
-                .collect(),
-            predictor: self.predictor.state_hash(),
-        }
-    }
-
-    /// Does the engine's *architectural* state (next block, register
-    /// values, memory image, predictor state) match checkpoint `ck`? Used
-    /// mid-shard to cross-validate against the plan pass's ground truth.
-    pub(crate) fn arch_matches(&self, ck: &crate::checkpoint::Checkpoint) -> bool {
-        self.cur == ck.cur
-            && self.rf.len() == ck.regs.len()
-            && self.rf.iter().zip(&ck.regs).all(|(s, v)| s.val == *v)
-            && self.predictor.state_hash() == ck.pred_hash
-            && self.mem.image() == ck.mem
-    }
-
-    /// Return the engine's scratch buffers to the thread-local pools
-    /// without building a result (non-final shards discard their state
-    /// after digesting it).
-    pub(crate) fn recycle(self) {
-        let Engine { rf, mem, lsq, .. } = self;
-        mem.recycle();
-        lsq.recycle();
-        C::recycle_rf(rf);
     }
 }
 
@@ -1343,17 +1073,7 @@ fn simulate_lowered_generic<const ZERO_OPLAT: bool>(
     config: &TimingConfig,
     mut trace: Option<&mut TimingTrace>,
 ) -> Result<TimingResult, SimError> {
-    let mut eng: Engine<'_, u64, ZERO_OPLAT> = Engine::new(
-        p,
-        config,
-        EngineStart {
-            cur: p.entry,
-            regs: RegInit::Args(args),
-            mem_init,
-            predictor: ExitPredictor::new(&config.predictor),
-            max_blocks: config.max_blocks,
-        },
-    )?;
+    let mut eng: Engine<'_, ZERO_OPLAT> = Engine::new(p, config, args, mem_init)?;
     let ret = loop {
         match eng.step(trace.as_deref_mut())? {
             EngineStep::Continue => {}

@@ -4,16 +4,14 @@
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
 #   scripts/verify.sh all        # fmt, build, lint, test, perf, smoke,
-#                                # sim-shard, tournament, corpus, chaos,
-#                                # service
+#                                # tournament, corpus, chaos, service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace -- -D warnings
-#   scripts/verify.sh test       # cargo test -q (tier-1 suite)
+#   scripts/verify.sh test       # cargo test -q --workspace (every crate's
+#                                # unit, property and integration tests)
 #   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
 #   scripts/verify.sh smoke      # whole_program --smoke
-#   scripts/verify.sh sim-shard  # whole_program --shard-smoke (sharded
-#                                # simulation: stitch + scaling probe)
 #   scripts/verify.sh tournament # policy-tournament gate: portfolio
 #                                # dominance over every fixed column,
 #                                # winner determinism at 1/2/8 workers,
@@ -40,16 +38,8 @@
 #   CHF_BENCH_SIM_FLOOR_MCPS Per-call simulator throughput floor in
 #                            Mcycles/s for `perf` (default 23.8). Lower on
 #                            slow machines.
-#   CHF_SHARD_OVERHEAD_CEILING Max allowed unsharded/1-worker-sharded
-#                            throughput ratio in `perf` (default 2.5):
-#                            bounds the fixed cost of shard bookkeeping.
-#                            Raise on noisy machines.
 #   CHF_JOBS                 Worker count for the parallel evaluation
 #                            harness (default: available parallelism).
-#   CHF_SIM_SCALE_FLOOR      Minimum multi-worker / single-worker
-#                            throughput ratio for `sim-shard` (default 0,
-#                            i.e. disabled — set it on machines with
-#                            enough cores to make a speedup meaningful).
 #   CHF_FAULT_SEED           Pins the `chaos` campaign's fault stream so a
 #                            CI failure is replayable locally.
 #   CHF_CORPUS_REPLAY_CEILING_S  Wall-time budget for the `corpus` replay
@@ -79,9 +69,11 @@ run_lint() {
     cargo clippy --workspace -- -D warnings
 }
 
+# The whole workspace, not just the root package: the simulator property
+# suites, the chaos unit tests and the service tests live in crates/*.
 run_test() {
-    echo "==> cargo test -q"
-    cargo test -q
+    echo "==> cargo test -q --workspace"
+    cargo test -q --workspace
 }
 
 # Asserts the end-to-end Table 1 regeneration stays under a generous
@@ -99,16 +91,6 @@ run_perf() {
 run_smoke() {
     echo "==> whole_program --smoke (whole-program cycle-simulation smoke)"
     cargo run --release -p chf-bench --bin whole_program -- --smoke
-}
-
-# Cycle-simulates the convergent form of every composite through the
-# sharded simulator at several worker counts, cross-checks every stitched
-# cycle count against the sequential engine, archives
-# results/sim_scaling.csv, and fails on any stitch fallback (or, when
-# CHF_SIM_SCALE_FLOOR is set, on insufficient multi-worker speedup).
-run_sim_shard() {
-    echo "==> whole_program --shard-smoke (sharded simulation gate)"
-    cargo run --release -p chf-bench --bin whole_program -- --shard-smoke
 }
 
 # Runs the per-function policy-tournament gate over the 19 composites:
@@ -164,7 +146,6 @@ run_all() {
     run_test
     run_perf
     run_smoke
-    run_sim_shard
     run_tournament
     run_corpus
     run_chaos "${1:-500}"
@@ -187,7 +168,6 @@ while [ "$#" -gt 0 ]; do
         test) run_test ;;
         perf) run_perf ;;
         smoke) run_smoke ;;
-        sim-shard) run_sim_shard ;;
         tournament) run_tournament ;;
         corpus) run_corpus ;;
         chaos)
@@ -213,7 +193,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|smoke|sim-shard|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac

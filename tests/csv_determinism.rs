@@ -16,7 +16,7 @@
 //! archives with `cargo run --release -p chf-bench --bin summary` and commit
 //! the new CSVs alongside the change.
 
-use chf_bench::{csv, fig7, table1, table2, table3};
+use chf_bench::{csv, fig7, table1, table2, table3, whole_program};
 
 fn committed(name: &str) -> String {
     let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -74,4 +74,22 @@ fn table2_budget_csv_is_reproducible() {
 fn table3_csv_is_reproducible() {
     let rows = table3::run_with(4);
     assert_eq!(csv::table3_csv(&rows), committed("table3.csv"));
+}
+
+/// Regenerate the whole-program sweep at three worker counts and diff —
+/// worker scheduling must not leak into the measured cycle counts.
+#[test]
+fn whole_program_csv_is_reproducible() {
+    let expected = committed("whole_program.csv");
+    for workers in [1, 2, 8] {
+        let (rows, fit) = whole_program::run_with(workers, usize::MAX);
+        for r in &rows {
+            assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
+        }
+        assert_eq!(
+            csv::whole_program_csv(&rows, &fit),
+            expected,
+            "whole_program.csv drifted (workers={workers})"
+        );
+    }
 }
