@@ -1,34 +1,42 @@
-//! Seeded fault-injection campaigns.
+//! Seeded fault-injection campaigns: one engine
+//! (`chf_core::chaos::run_campaign`), two targets.
 //!
-//! Two targets share one binary:
+//! * **Formation** (default): generates random programs, injects one fault
+//!   each from the 8 kinds of `chf_core::chaos::FaultKind` (IR corruption,
+//!   profile corruption, or a mid-trial corruption inside the merge
+//!   window), runs convergent formation under the differential oracle, and
+//!   requires every fault to be detected, rolled back, or survived — zero
+//!   process aborts, zero undetected miscompiles.
+//! * **Service** (`--service`): 10 kinds — the same fault registry plus
+//!   `corrupted-cache-entry` and `worker-panic`, delivered through a live
+//!   `chf-service` instance. Adds two hard requirements: zero hung
+//!   requests, and the service's accounting closed (every submission
+//!   terminal). `--fault-percent P` (default 100) turns the other
+//!   `100 - P`% of requests into clean compiles of a small hot set of
+//!   programs, reported under a `clean` row — the mostly-clean traffic of
+//!   a long-lived daemon.
 //!
-//! * **Formation campaign** (default): generates random programs, injects
-//!   one fault each from the 8 kinds of `chf_core::chaos::FaultKind` (IR
-//!   corruption, profile corruption, or a mid-trial corruption inside the
-//!   merge window), runs convergent formation under the differential
-//!   oracle, and requires every fault to be detected, rolled back, or
-//!   survived — zero process aborts, zero undetected miscompiles.
-//! * **Service campaign** (`--service`): 10 kinds — the same fault registry
-//!   plus `corrupted-cache-entry` and `worker-panic`, delivered through a live
-//!   `chf-service` instance from concurrent client threads. Adds a third
-//!   hard requirement: zero hung requests. The service's own stats
-//!   snapshot is written to `results/service_stats.json`.
-//!
-//! * **Service soak** (`--service-soak`): N concurrent requests of which
-//!   ~5% carry an injected fault (`--fault-percent` to change) — the
-//!   traffic shape of the `verify.sh service` CI gate. Every request must
-//!   reach a terminal state and the service's accounting must close.
-//!
-//! Usage: `chaos [--service|--service-soak] [N] [--clients C]
-//! [--fault-percent P]` (default 500 faults / 200 soak requests,
-//! 4 clients). Environment: `CHF_FAULT_SEED` pins the campaign seed
-//! (default 1). Any oracle-mismatch reproducers are written to
-//! `results/repros/`. The last line on stdout is always a one-line JSON
-//! summary with per-kind counts, for CI consumption; service modes also
-//! write the stats snapshot to `results/service_stats.json`. Exits
+//! Usage: `chaos [--service] [N] [--clients C] [--fault-percent P]`
+//! (default 500 faults over 4 client threads; `--fault-percent` needs
+//! `--service`). Environment: `CHF_FAULT_SEED` pins the campaign seed
+//! (default 1); a value that is set but not a decimal `u64` exits 2.
+//! Oracle-mismatch reproducers are written to `results/repros/`; the
+//! service target also writes its stats snapshot to
+//! `results/service_stats.json`. The last line on stdout is always a
+//! one-line JSON summary with per-kind counts, for CI consumption. Exits
 //! non-zero if the campaign fails, for use as a CI gate.
 
+use chf_core::chaos::{run_campaign, seed_from_env, FormationTarget};
+use chf_service::chaos::ServiceTarget;
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: chaos [--service] [N] [--clients C] [--fault-percent P]";
+
+/// Print `msg` and the usage line, then exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
 
 /// Silence backtraces from *injected* worker panics (they are the point of
 /// the worker-panic fault kind, and every one is caught at the service's
@@ -61,109 +69,85 @@ fn write_service_stats(stats_json: &str) {
 }
 
 fn main() {
-    let mut count: Option<usize> = None;
+    let mut faults: usize = 500;
     let mut service = false;
-    let mut soak = false;
     let mut clients: usize = 4;
-    let mut fault_percent: u32 = 5;
-    let mut args = std::env::args().skip(1);
+    let mut fault_percent: Option<u32> = None;
+    let cli: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = cli.iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--service" => service = true,
-            "--service-soak" => soak = true,
             "--clients" => {
-                clients = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--clients needs a positive integer");
-                    std::process::exit(2);
-                });
+                clients = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&c| c > 0)
+                    .unwrap_or_else(|| usage_error("--clients needs a positive integer"));
             }
             "--fault-percent" => {
-                fault_percent = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--fault-percent needs an integer 0..=100");
-                    std::process::exit(2);
-                });
+                fault_percent = Some(
+                    args.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&p| p <= 100)
+                        .unwrap_or_else(|| usage_error("--fault-percent needs an integer 0..=100")),
+                );
             }
             n => {
-                count = Some(n.parse().unwrap_or_else(|_| {
-                    eprintln!(
-                        "unrecognized argument `{n}` (usage: chaos [--service|--service-soak] \
-                         [N] [--clients C] [--fault-percent P])"
-                    );
-                    std::process::exit(2);
-                }));
+                faults = n
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("unrecognized argument `{n}`")));
             }
         }
     }
-    let seed = chf_core::chaos::seed_from_env().unwrap_or(1);
-
-    if soak {
-        quiet_injected_panics();
-        let requests = count.unwrap_or(200);
-        println!(
-            "service soak: {requests} requests, {clients} clients, ~{fault_percent}% faults, \
-             seed {seed} (set CHF_FAULT_SEED to replay)"
-        );
-        let report = chf_service::chaos::soak(seed, requests, clients, fault_percent);
-        println!(
-            "{} requests ({} faulty): {} hung, {} wrong; cache hit rate {:.2}, \
-             p50 compile {} us, p99 {} us",
-            report.requests,
-            report.faults,
-            report.hung,
-            report.wrong,
-            report.stats.cache_hit_rate(),
-            report.stats.p50_compile_us,
-            report.stats.p99_compile_us
-        );
-        write_service_stats(&report.stats.json());
-        let ok = report.ok();
-        if ok {
-            println!("PASS: every request terminal, none hung, none wrong");
-        } else {
-            println!("FAIL: re-run with CHF_FAULT_SEED={seed} chaos --service-soak {requests}");
-        }
-        println!("{}", report.json());
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
+    if fault_percent.is_some() && !service {
+        usage_error("--fault-percent applies to --service only");
     }
+    let seed = match seed_from_env() {
+        Ok(seed) => seed.unwrap_or(1),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
 
-    let faults = count.unwrap_or(500);
-    if service {
+    let report = if service {
         quiet_injected_panics();
+        let fault_percent = fault_percent.unwrap_or(100);
         println!(
-            "service chaos campaign: {faults} faults, {clients} clients, seed {seed} \
+            "service chaos campaign: {faults} requests ({fault_percent}% faulty), \
+             {clients} clients, seed {seed} (set CHF_FAULT_SEED to replay)"
+        );
+        let target = ServiceTarget::new(faults, fault_percent);
+        let report = run_campaign(seed, faults, clients, &target);
+        let stats = target.stats();
+        println!(
+            "  cache hit rate {:.2}, p50 compile {} us, p99 {} us",
+            stats.cache_hit_rate(),
+            stats.p50_compile_us,
+            stats.p99_compile_us
+        );
+        write_service_stats(&stats.json());
+        report
+    } else {
+        println!(
+            "chaos campaign: {faults} faults, {clients} clients, seed {seed} \
              (set CHF_FAULT_SEED to replay)"
         );
-        let report = chf_service::chaos::service_campaign(seed, faults, clients);
-        println!("{report}");
-        write_service_stats(&report.stats.json());
-        let ok = report.ok();
-        if ok {
-            println!("PASS: no aborts, no miscompiles, no hung requests");
-        } else {
-            println!("FAIL: re-run with CHF_FAULT_SEED={seed} chaos --service {faults}");
-        }
-        println!("{}", report.json());
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let repro_dir = PathBuf::from("results/repros");
-    println!("chaos campaign: {faults} faults, seed {seed} (set CHF_FAULT_SEED to replay)");
-    let report = chf_core::chaos::campaign(seed, faults, Some(repro_dir));
+        let target = FormationTarget {
+            repro_dir: Some(PathBuf::from("results/repros")),
+        };
+        run_campaign(seed, faults, clients, &target)
+    };
     println!("{report}");
-    for r in &report.repros {
-        println!("  repro: {}", r.display());
-    }
     let ok = report.ok();
     if ok {
-        println!("PASS: no aborts, no undetected miscompiles");
+        println!("PASS: no aborts, no miscompiles, no hung requests");
     } else {
-        println!("FAIL: re-run with CHF_FAULT_SEED={seed} chaos {faults}");
+        println!(
+            "FAIL: re-run with CHF_FAULT_SEED={seed} chaos {}",
+            cli.join(" ")
+        );
     }
     println!("{}", report.json());
     if !ok {

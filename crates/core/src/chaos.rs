@@ -1,4 +1,5 @@
-//! Deterministic, seeded fault injection for the formation pipeline.
+//! Deterministic, seeded fault injection and the one campaign engine that
+//! drives it.
 //!
 //! The crash-safety claim of this crate — a mid-trial verifier violation is
 //! *contained* (rolled back + skipped), never a process abort — is only as
@@ -8,16 +9,17 @@
 //! and the profile corruptions adversarial training data can produce
 //! (zeroed or overflowed trip counts, truncated edge profiles), an
 //! [`inject`] entry point that applies one deterministically, and a
-//! [`campaign`] driver that generates random programs, injects faults, runs
-//! full formation under the differential oracle, and classifies every fault
-//! as **detected** (verifier refused the input), **rolled back** (the
-//! mid-trial net fired), or **survived** (formation produced a correct
-//! function anyway). Any process abort or undetected miscompile fails the
-//! campaign.
+//! campaign engine ([`run_campaign`]) that runs seeded faults against a
+//! [`Target`] and classifies every one as **detected** (a checking layer
+//! refused it), **rolled back** (a recovery mechanism contained it), or
+//! **survived** (the output is correct anyway). Any abort, undetected
+//! miscompile or hung request fails the campaign.
 //!
-//! Everything is seeded: `CHF_FAULT_SEED` (see [`seed_from_env`]) pins the
-//! whole campaign, so a failure reported by CI is replayable locally with
-//! one environment variable.
+//! Two targets plug into the engine: [`FormationTarget`] here (formation
+//! in process, under the differential oracle) and the live compile service
+//! in `chf-service`. Everything is seeded: `CHF_FAULT_SEED` (see
+//! [`seed_from_env`]) pins the whole campaign, so a failure reported by CI
+//! is replayable locally with one environment variable.
 
 use crate::convergent::{form_hyperblocks_with_profile, FormationConfig, SeedOrder};
 use crate::oracle::{self, OracleConfig};
@@ -27,38 +29,12 @@ use chf_ir::function::Function;
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::Pred;
 use chf_ir::profile::ProfileData;
-use chf_ir::testgen::{generate, GenConfig};
+use chf_ir::testgen::{generate, GenConfig, SplitMix64};
 use chf_sim::functional::profile_run;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-
-/// SplitMix64 — the same tiny, high-quality generator testgen uses. Kept
-/// private to this crate so fault sequences are stable regardless of what
-/// the rest of the workspace does with its RNGs.
-#[derive(Clone, Debug)]
-pub struct ChaosRng(u64);
-
-impl ChaosRng {
-    /// A generator whose entire output is determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        ChaosRng(seed)
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish value in `0..n` (`n > 0`).
-    pub fn next_range(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
 
 /// When and from what seed the mid-trial injection point in
 /// [`crate::convergent`] fires: roughly one fault per `period` merge
@@ -149,20 +125,20 @@ fn dangling_target(f: &Function) -> BlockId {
 }
 
 /// Pick a live block of `f` deterministically.
-fn pick_block(f: &Function, rng: &mut ChaosRng) -> BlockId {
+fn pick_block(f: &Function, rng: &mut SplitMix64) -> BlockId {
     let ids: Vec<BlockId> = f.block_ids().collect();
-    ids[rng.next_range(ids.len() as u64) as usize]
+    ids[rng.below(ids.len() as u64) as usize]
 }
 
 /// Apply `kind` to the function/profile pair. [`FaultKind::MidTrial`] is a
 /// no-op here — it is armed through [`FormationConfig::chaos`] instead.
-pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng: &mut ChaosRng) {
+pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng: &mut SplitMix64) {
     match kind {
         FaultKind::DanglingExit => {
             let target = dangling_target(f);
             let b = pick_block(f, rng);
             let blk = f.block_mut(b);
-            let i = rng.next_range(blk.exits.len() as u64) as usize;
+            let i = rng.below(blk.exits.len() as u64) as usize;
             blk.exits[i].target = ExitTarget::Block(target);
         }
         FaultKind::PredicatedDefault => {
@@ -207,7 +183,7 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
         FaultKind::TruncatedEdgeProfile => {
             // Drop roughly half the edge counts, keyed on the seeded stream
             // so the truncation pattern is reproducible.
-            let keep = rng.next_u64();
+            let keep = rng.next();
             let mut i = 0u64;
             profile.exit_counts.retain(|_, _| {
                 i = i.wrapping_add(1);
@@ -223,15 +199,15 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
             keys.sort_unstable();
             if !keys.is_empty() {
                 let mut vals: Vec<u64> = keys.iter().map(|k| profile.exit_counts[k]).collect();
-                let rot = rng.next_range(vals.len() as u64) as usize;
+                let rot = rng.below(vals.len() as u64) as usize;
                 vals.rotate_left(rot);
                 for (k, v) in keys.iter().zip(vals) {
-                    let scale = 1 + rng.next_range(1_000_000);
+                    let scale = 1 + rng.below(1_000_000);
                     profile.exit_counts.insert(*k, v.saturating_mul(scale));
                 }
             }
             for n in profile.block_counts.values_mut() {
-                *n = if rng.next_range(2) == 0 { 0 } else { u64::MAX };
+                *n = if rng.below(2) == 0 { 0 } else { u64::MAX };
             }
         }
         FaultKind::MidTrial => {}
@@ -242,14 +218,14 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
 /// callback armed by [`FormationConfig::chaos`]. Every corruption mutates
 /// only `hb` (which the trial snapshot covers, so rollback stays exact) and
 /// is guaranteed detectable by the plain structural verifier.
-pub fn corrupt_trial_block(f: &mut Function, hb: BlockId, rng: &mut ChaosRng) {
-    let choice = rng.next_range(4);
+pub fn corrupt_trial_block(f: &mut Function, hb: BlockId, rng: &mut SplitMix64) {
+    let choice = rng.below(4);
     let target = dangling_target(f);
     let blk = f.block_mut(hb);
     match choice {
         0 => {
             // Dangling edge.
-            let i = rng.next_range(blk.exits.len().max(1) as u64) as usize;
+            let i = rng.below(blk.exits.len().max(1) as u64) as usize;
             if let Some(e) = blk.exits.get_mut(i) {
                 e.target = ExitTarget::Block(target);
             }
@@ -285,106 +261,170 @@ pub fn corrupt_trial_block(f: &mut Function, hb: BlockId, rng: &mut ChaosRng) {
     }
 }
 
-/// The campaign seed from `CHF_FAULT_SEED`, if set and parseable.
-pub fn seed_from_env() -> Option<u64> {
-    std::env::var("CHF_FAULT_SEED").ok()?.trim().parse().ok()
+/// Parse a `CHF_FAULT_SEED` value: a decimal `u64`, surrounding whitespace
+/// allowed.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("CHF_FAULT_SEED={value:?} is not a decimal u64"))
 }
 
-/// How one injected fault was handled.
+/// The campaign seed from `CHF_FAULT_SEED`: `Ok(None)` when unset, an error
+/// when set but unparseable — a mistyped replay seed must not silently run
+/// a different fault stream.
+pub fn seed_from_env() -> Result<Option<u64>, String> {
+    match std::env::var("CHF_FAULT_SEED") {
+        Ok(v) => parse_seed(&v).map(Some),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(format!("CHF_FAULT_SEED: {e}")),
+    }
+}
+
+/// How one injected fault resolved. A panic that escapes the target is not
+/// an outcome: the engine counts it as an abort.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FaultOutcome {
-    /// The verifier refused the corrupted input up front.
+pub enum Outcome {
+    /// A checking layer (the verifier, cache revalidation) refused the
+    /// fault up front.
     Detected,
-    /// Formation ran; at least one trial was contained by the
-    /// verify-and-rollback net (or the oracle undid a commit).
+    /// A recovery mechanism (mid-trial rollback, worker-panic retry)
+    /// contained the fault and the output is still correct.
     RolledBack,
-    /// Formation ran to completion and the output matched the input
-    /// behaviourally.
+    /// The fault needed no defence; the output is correct.
     Survived,
-    /// Formation completed but the output diverges — an undetected
-    /// miscompile. Campaign failure.
+    /// A wrong answer escaped — behaviour divergence, a corrupt cache entry
+    /// served, or an unexpected terminal state. Campaign failure.
     Miscompiled,
+    /// A request never reached a terminal state. Campaign failure.
+    Hung,
 }
 
-/// Outcome counts for one [`FaultKind`] within a campaign.
+/// Outcome counts for one kind within a campaign (or, summed, for all).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct KindTally {
+pub struct Tally {
     /// Faults of this kind injected.
     pub injected: usize,
-    /// Refused by the verifier up front.
+    /// Refused by a checking layer.
     pub detected: usize,
-    /// Contained mid-formation by rollback.
+    /// Contained by a recovery mechanism.
     pub rolled_back: usize,
-    /// Output correct despite the fault.
+    /// No defence needed; output correct.
     pub survived: usize,
-    /// Panics that escaped to the isolation boundary. Must be 0.
+    /// Panics that escaped to the engine's isolation. Must be 0.
     pub aborts: usize,
-    /// Undetected behaviour changes. Must be 0.
+    /// Wrong answers escaped. Must be 0.
     pub miscompiles: usize,
+    /// Requests that never terminated. Must be 0.
+    pub hung: usize,
 }
 
-/// Aggregate result of a [`campaign`] run.
+impl Tally {
+    /// Count one fault; `None` is an abort.
+    fn record(&mut self, outcome: Option<Outcome>) {
+        self.injected += 1;
+        match outcome {
+            Some(Outcome::Detected) => self.detected += 1,
+            Some(Outcome::RolledBack) => self.rolled_back += 1,
+            Some(Outcome::Survived) => self.survived += 1,
+            Some(Outcome::Miscompiled) => self.miscompiles += 1,
+            Some(Outcome::Hung) => self.hung += 1,
+            None => self.aborts += 1,
+        }
+    }
+
+    /// Faults accounted for as detected, rolled back or survived.
+    fn contained(&self) -> usize {
+        self.detected + self.rolled_back + self.survived
+    }
+}
+
+/// Something a campaign injects faults into.
+pub trait Target: Sync {
+    /// The campaign label in the JSON summary.
+    fn name(&self) -> &'static str;
+
+    /// Labels of the rows this target reports, indexed like the kind index
+    /// [`Target::run_fault`] publishes.
+    fn kinds(&self) -> Vec<String>;
+
+    /// Run the fault drawn from `fault_seed` end to end. The target
+    /// publishes the index of its kind through `kind` as soon as it is
+    /// drawn, so a panic after that point is charged to the right row.
+    fn run_fault(&self, fault_seed: u64, kind: &Cell<Option<usize>>) -> Outcome;
+
+    /// The target's own health counters after the campaign, as a JSON
+    /// object embedded in the summary under `"stats"`.
+    fn stats_json(&self) -> Option<String> {
+        None
+    }
+
+    /// Whether the target's own accounting closed (every request it took
+    /// in reached a terminal state).
+    fn accounting_closed(&self) -> bool {
+        true
+    }
+}
+
+/// The result of one [`run_campaign`]: one row per target kind, every
+/// total summed from the rows.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
-    /// Faults injected.
+    /// The target's campaign label.
+    pub campaign: &'static str,
+    /// Faults run.
     pub total: usize,
-    /// Faults refused by the verifier before formation started.
-    pub detected: usize,
-    /// Faults contained mid-formation by rollback.
-    pub rolled_back: usize,
-    /// Faults formation simply survived (output still correct).
-    pub survived: usize,
-    /// Process-level panics caught by the per-fault isolation. Must be 0.
-    pub aborts: usize,
-    /// Undetected behaviour changes. Must be 0.
-    pub miscompiles: usize,
-    /// Per-kind breakdown, indexed like [`FaultKind::ALL`]. An abort that
-    /// escaped before its fault kind was drawn is counted only in
-    /// [`CampaignReport::aborts`].
-    pub by_kind: Vec<KindTally>,
-    /// Reproducers written by the oracle's reducer.
-    pub repros: Vec<PathBuf>,
+    /// Row labels, from [`Target::kinds`].
+    pub kinds: Vec<String>,
+    /// Per-kind rows, indexed like `kinds`.
+    pub by_kind: Vec<Tally>,
+    /// Aborts that escaped before the target published a kind; counted
+    /// only in the totals.
+    pub unattributed_aborts: usize,
+    /// [`Target::stats_json`] at campaign end.
+    pub stats: Option<String>,
+    /// [`Target::accounting_closed`] at campaign end.
+    pub accounting_closed: bool,
 }
 
 impl CampaignReport {
-    /// Every nonzero `(fault kind, outcome label, count)` classification
-    /// cell, in registry order — the export the trace-corpus coverage map
-    /// consumes. Labels are stable (`detected`, `rolled-back`, `survived`,
-    /// `abort`, `miscompile`); a `(kind, label)` pair is one coverage cell,
-    /// the count is informational.
-    pub fn classification_cells(&self) -> Vec<(FaultKind, &'static str, usize)> {
-        let mut cells = Vec::new();
-        for (kind, t) in FaultKind::ALL.iter().zip(&self.by_kind) {
-            for (label, n) in [
-                ("detected", t.detected),
-                ("rolled-back", t.rolled_back),
-                ("survived", t.survived),
-                ("abort", t.aborts),
-                ("miscompile", t.miscompiles),
-            ] {
-                if n > 0 {
-                    cells.push((*kind, label, n));
-                }
-            }
+    /// Column sums over every row, plus the unattributed aborts.
+    pub fn totals(&self) -> Tally {
+        let mut t = Tally {
+            injected: self.unattributed_aborts,
+            aborts: self.unattributed_aborts,
+            ..Tally::default()
+        };
+        for r in &self.by_kind {
+            t.injected += r.injected;
+            t.detected += r.detected;
+            t.rolled_back += r.rolled_back;
+            t.survived += r.survived;
+            t.aborts += r.aborts;
+            t.miscompiles += r.miscompiles;
+            t.hung += r.hung;
         }
-        cells
+        t
     }
 
-    /// The campaign's pass criterion: no aborts, no undetected miscompiles,
-    /// and every fault accounted for.
+    /// The pass criterion: no aborts, miscompiles or hung requests, every
+    /// fault accounted for, and the target's accounting closed.
     pub fn ok(&self) -> bool {
-        self.aborts == 0
-            && self.miscompiles == 0
-            && self.detected + self.rolled_back + self.survived == self.total
+        let t = self.totals();
+        t.aborts == 0
+            && t.miscompiles == 0
+            && t.hung == 0
+            && t.contained() == self.total
+            && self.accounting_closed
     }
 
-    /// One-line machine-readable summary, for CI consumption (stable keys,
-    /// no trailing newline). Kinds that were never injected are omitted.
+    /// One-line machine-readable summary for CI (stable keys, no trailing
+    /// newline). Rows with nothing injected are omitted.
     pub fn json(&self) -> String {
         use std::fmt::Write;
         let mut kinds = String::new();
-        for (kind, t) in FaultKind::ALL.iter().zip(&self.by_kind) {
-            if t.injected == 0 {
+        for (kind, r) in self.kinds.iter().zip(&self.by_kind) {
+            if r.injected == 0 {
                 continue;
             }
             if !kinds.is_empty() {
@@ -393,22 +433,29 @@ impl CampaignReport {
             let _ = write!(
                 kinds,
                 "\"{kind}\":{{\"injected\":{},\"detected\":{},\"rolled_back\":{},\
-                 \"survived\":{},\"aborts\":{},\"miscompiles\":{}}}",
-                t.injected, t.detected, t.rolled_back, t.survived, t.aborts, t.miscompiles
+                 \"survived\":{},\"aborts\":{},\"miscompiles\":{},\"hung\":{}}}",
+                r.injected, r.detected, r.rolled_back, r.survived, r.aborts, r.miscompiles, r.hung
             );
         }
+        let t = self.totals();
+        let stats = self
+            .stats
+            .as_ref()
+            .map(|s| format!(",\"stats\":{s}"))
+            .unwrap_or_default();
         format!(
-            "{{\"campaign\":\"formation\",\"faults\":{},\"detected\":{},\
-             \"rolled_back\":{},\"survived\":{},\"contained\":{},\"aborts\":{},\
-             \"miscompiles\":{},\"repros\":{},\"ok\":{},\"by_kind\":{{{kinds}}}}}",
+            "{{\"campaign\":\"{}\",\"faults\":{},\"detected\":{},\"rolled_back\":{},\
+             \"survived\":{},\"contained\":{},\"aborts\":{},\"miscompiles\":{},\"hung\":{},\
+             \"ok\":{},\"by_kind\":{{{kinds}}}{stats}}}",
+            self.campaign,
             self.total,
-            self.detected,
-            self.rolled_back,
-            self.survived,
-            self.detected + self.rolled_back + self.survived,
-            self.aborts,
-            self.miscompiles,
-            self.repros.len(),
+            t.detected,
+            t.rolled_back,
+            t.survived,
+            t.contained(),
+            t.aborts,
+            t.miscompiles,
+            t.hung,
             self.ok()
         )
     }
@@ -416,45 +463,107 @@ impl CampaignReport {
 
 impl fmt::Display for CampaignReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = self.totals();
         write!(
             f,
-            "{} faults: {} detected, {} rolled back, {} survived, {} aborts, {} miscompiles",
-            self.total,
-            self.detected,
-            self.rolled_back,
-            self.survived,
-            self.aborts,
-            self.miscompiles
+            "{} faults: {} detected, {} rolled back, {} survived, {} aborts, \
+             {} miscompiles, {} hung",
+            self.total, t.detected, t.rolled_back, t.survived, t.aborts, t.miscompiles, t.hung
         )
     }
 }
 
-/// Run one seeded fault end to end; `None` means the fault escaped as a
-/// panic (counted as an abort by the caller). The drawn fault kind is
-/// published through `kind_out` as soon as it is known, so even an abort
-/// can be attributed in the per-kind tallies.
-fn run_one_fault(
-    fault_seed: u64,
-    repro_dir: Option<&PathBuf>,
-    kind_out: &std::cell::Cell<Option<FaultKind>>,
-) -> Option<(FaultOutcome, Vec<PathBuf>)> {
-    let dir = repro_dir.cloned();
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut rng = ChaosRng::new(fault_seed);
-        let prog_seed = rng.next_u64();
-        let mut f = generate(prog_seed, &GenConfig::default());
-        let train: Vec<i64> = (0..f.params)
-            .map(|_| rng.next_range(24) as i64 - 4)
+/// Run a seeded campaign of `faults` injections against `target`. The
+/// fault seeds are drawn up front from the master stream and split into
+/// contiguous chunks over `clients` scoped threads; each fault runs in its
+/// own `catch_unwind` scope, so an escape is tallied as an abort (which
+/// fails [`CampaignReport::ok`]) instead of killing the campaign. Each
+/// fault's outcome depends only on its own seed, so the rows are identical
+/// at any client count.
+pub fn run_campaign(
+    seed: u64,
+    faults: usize,
+    clients: usize,
+    target: &dyn Target,
+) -> CampaignReport {
+    let mut master = SplitMix64::new(seed);
+    let seeds: Vec<u64> = (0..faults).map(|_| master.next()).collect();
+    let chunk = faults.div_ceil(clients.max(1)).max(1);
+    // Per fault: the kind it published (if any) and its outcome (`None`
+    // for an abort).
+    let results: Vec<Vec<(Option<usize>, Option<Outcome>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = seeds
+            .chunks(chunk)
+            .map(|chunk_seeds| {
+                s.spawn(move || {
+                    let run_one = |&fault_seed: &u64| {
+                        let kind = Cell::new(None);
+                        let result =
+                            catch_unwind(AssertUnwindSafe(|| target.run_fault(fault_seed, &kind)));
+                        (kind.get(), result.ok())
+                    };
+                    chunk_seeds.iter().map(run_one).collect()
+                })
+            })
             .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign client thread panicked"))
+            .collect()
+    });
+    let kinds = target.kinds();
+    let mut report = CampaignReport {
+        campaign: target.name(),
+        total: faults,
+        by_kind: vec![Tally::default(); kinds.len()],
+        kinds,
+        stats: target.stats_json(),
+        accounting_closed: target.accounting_closed(),
+        ..CampaignReport::default()
+    };
+    for (kind, outcome) in results.into_iter().flatten() {
+        match kind {
+            Some(i) => report.by_kind[i].record(outcome),
+            // A fault returns only after publishing its kind, so a missing
+            // kind means an early escape.
+            None => report.unattributed_aborts += 1,
+        }
+    }
+    report
+}
+
+/// The in-process target: each fault generates a random program, injects
+/// one [`FaultKind`] (or arms the mid-trial injection point), and runs full
+/// formation under the differential oracle. Rows follow [`FaultKind::ALL`].
+#[derive(Clone, Debug, Default)]
+pub struct FormationTarget {
+    /// Where the oracle's reducer writes reproducers, if anywhere.
+    pub repro_dir: Option<PathBuf>,
+}
+
+impl Target for FormationTarget {
+    fn name(&self) -> &'static str {
+        "formation"
+    }
+
+    fn kinds(&self) -> Vec<String> {
+        FaultKind::ALL.iter().map(ToString::to_string).collect()
+    }
+
+    fn run_fault(&self, fault_seed: u64, kind_out: &Cell<Option<usize>>) -> Outcome {
+        let mut rng = SplitMix64::new(fault_seed);
+        let prog_seed = rng.next();
+        let mut f = generate(prog_seed, &GenConfig::default());
+        let train: Vec<i64> = (0..f.params).map(|_| rng.below(24) as i64 - 4).collect();
         let mut profile = profile_run(&f, &train, &[]).unwrap_or_default();
 
-        let kind = FaultKind::ALL[rng.next_range(FaultKind::ALL.len() as u64) as usize];
-        kind_out.set(Some(kind));
+        let kind = FaultKind::ALL[rng.below(FaultKind::ALL.len() as u64) as usize];
+        kind_out.set(Some(kind.index()));
         let oracle_cfg = OracleConfig {
             seed: fault_seed,
             inputs: 3,
             max_blocks: 500_000,
-            repro_dir: dir,
+            repro_dir: self.repro_dir.clone(),
         };
         let mut config = FormationConfig {
             verify_trials: true,
@@ -482,7 +591,7 @@ fn run_one_fault(
         // Gate 1: the full verifier. IR corruptions must be refused here —
         // a compiler front end is entitled to reject garbage outright.
         if chf_ir::verify::verify_full(&f).is_err() {
-            return (FaultOutcome::Detected, Vec::new());
+            return Outcome::Detected;
         }
 
         // Gate 2: formation under the safety net.
@@ -491,79 +600,19 @@ fn run_one_fault(
         let stats = form_hyperblocks_with_profile(&mut f, policy.as_mut(), &config, Some(&profile));
 
         // Gate 3: whole-pipeline differential check.
-        let repros: Vec<PathBuf> = Vec::new();
         if oracle::first_mismatch(&orig, &f, &oracle_cfg).is_some() {
-            return (FaultOutcome::Miscompiled, repros);
-        }
-        if stats.skipped > 0 {
-            (FaultOutcome::RolledBack, repros)
+            Outcome::Miscompiled
+        } else if stats.skipped > 0 {
+            Outcome::RolledBack
         } else {
-            (FaultOutcome::Survived, repros)
-        }
-    }))
-    .ok()
-}
-
-/// Run a seeded campaign of `faults` injections. Each fault is isolated in
-/// its own `catch_unwind` scope so a single escape cannot kill the
-/// campaign; escapes are tallied as aborts (which fail [`CampaignReport::ok`]).
-pub fn campaign(seed: u64, faults: usize, repro_dir: Option<PathBuf>) -> CampaignReport {
-    let mut master = ChaosRng::new(seed);
-    let mut report = CampaignReport {
-        total: faults,
-        by_kind: vec![KindTally::default(); FaultKind::ALL.len()],
-        ..CampaignReport::default()
-    };
-    for _ in 0..faults {
-        let fault_seed = master.next_u64();
-        let kind_cell = std::cell::Cell::new(None);
-        let result = run_one_fault(fault_seed, repro_dir.as_ref(), &kind_cell);
-        let tally = kind_cell.get().map(|k| k.index());
-        if let Some(i) = tally {
-            report.by_kind[i].injected += 1;
-        }
-        match result {
-            Some((outcome, mut repros)) => {
-                match outcome {
-                    FaultOutcome::Detected => report.detected += 1,
-                    FaultOutcome::RolledBack => report.rolled_back += 1,
-                    FaultOutcome::Survived => report.survived += 1,
-                    FaultOutcome::Miscompiled => report.miscompiles += 1,
-                }
-                if let Some(i) = tally {
-                    let t = &mut report.by_kind[i];
-                    match outcome {
-                        FaultOutcome::Detected => t.detected += 1,
-                        FaultOutcome::RolledBack => t.rolled_back += 1,
-                        FaultOutcome::Survived => t.survived += 1,
-                        FaultOutcome::Miscompiled => t.miscompiles += 1,
-                    }
-                }
-                report.repros.append(&mut repros);
-            }
-            None => {
-                report.aborts += 1;
-                if let Some(i) = tally {
-                    report.by_kind[i].aborts += 1;
-                }
-            }
+            Outcome::Survived
         }
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = ChaosRng::new(42);
-        let mut b = ChaosRng::new(42);
-        for _ in 0..16 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
 
     #[test]
     fn ir_faults_are_verifier_detectable() {
@@ -573,7 +622,7 @@ mod tests {
             FaultKind::RegisterOutOfRange,
         ] {
             for seed in 0..8 {
-                let mut rng = ChaosRng::new(seed);
+                let mut rng = SplitMix64::new(seed);
                 let mut f = generate(seed, &GenConfig::default());
                 let mut p = ProfileData::default();
                 inject(&mut f, &mut p, kind, &mut rng);
@@ -593,7 +642,7 @@ mod tests {
             FaultKind::TruncatedEdgeProfile,
             FaultKind::ScrambledEdgeProfile,
         ] {
-            let mut rng = ChaosRng::new(9);
+            let mut rng = SplitMix64::new(9);
             let mut f = generate(9, &GenConfig::default());
             let mut p = profile_run(&f, &[3, 7], &[]).unwrap();
             inject(&mut f, &mut p, kind, &mut rng);
@@ -604,7 +653,7 @@ mod tests {
     #[test]
     fn trial_corruptions_are_always_detected() {
         for seed in 0..32 {
-            let mut rng = ChaosRng::new(seed);
+            let mut rng = SplitMix64::new(seed);
             let mut f = generate(seed % 5, &GenConfig::default());
             let hb = f.entry;
             corrupt_trial_block(&mut f, hb, &mut rng);
@@ -616,47 +665,92 @@ mod tests {
     }
 
     #[test]
-    fn small_campaign_is_clean_and_deterministic() {
-        let a = campaign(0xC4A5, 40, None);
+    fn formation_campaign_is_clean_and_client_count_invariant() {
+        let target = FormationTarget::default();
+        let a = run_campaign(0xC4A5, 40, 1, &target);
         assert!(a.ok(), "campaign failed: {a}");
-        let b = campaign(0xC4A5, 40, None);
-        assert_eq!(
-            (a.detected, a.rolled_back, a.survived),
-            (b.detected, b.rolled_back, b.survived),
-            "campaign must be seed-deterministic"
-        );
-        assert_eq!(a.by_kind, b.by_kind, "per-kind tallies must be stable");
+        let b = run_campaign(0xC4A5, 40, 4, &target);
+        assert_eq!(a.by_kind, b.by_kind, "rows must not depend on clients");
     }
 
     #[test]
     fn per_kind_tallies_account_for_every_fault() {
-        let r = campaign(7, 60, None);
+        let r = run_campaign(7, 60, 2, &FormationTarget::default());
         let attributed: usize = r.by_kind.iter().map(|t| t.injected).sum();
-        // Every fault that got far enough to draw a kind is attributed;
-        // only a pre-draw abort could fall outside (and this campaign has
-        // no aborts at all).
-        assert_eq!(attributed + r.aborts, r.total);
+        assert_eq!(attributed + r.unattributed_aborts, r.total);
         let outcomes: usize = r
             .by_kind
             .iter()
-            .map(|t| t.detected + t.rolled_back + t.survived + t.aborts + t.miscompiles)
+            .map(|t| t.contained() + t.aborts + t.miscompiles + t.hung)
             .sum();
         assert_eq!(outcomes, attributed);
-        let cells = r.classification_cells();
-        assert!(!cells.is_empty());
-        let cell_total: usize = cells.iter().map(|(_, _, n)| n).sum();
-        assert_eq!(cell_total, outcomes, "cells must cover every outcome");
         let j = r.json();
         assert!(j.starts_with('{') && j.ends_with('}'));
+        assert!(j.contains("\"campaign\":\"formation\""), "{j}");
         assert!(j.contains("\"ok\":true"), "{j}");
         assert!(j.contains("\"by_kind\""), "{j}");
+        assert!(!j.contains("\"stats\""), "{j}");
         assert!(!j.contains('\n'));
     }
 
+    /// Panics on chosen seeds: `seed % 5 == 0` escapes before drawing a
+    /// kind, `seed % 5 == 1` escapes after publishing kind 1; every other
+    /// seed survives as kind `seed % 2`.
+    struct Panicky;
+
+    impl Target for Panicky {
+        fn name(&self) -> &'static str {
+            "panicky"
+        }
+
+        fn kinds(&self) -> Vec<String> {
+            vec!["even".into(), "odd".into()]
+        }
+
+        fn run_fault(&self, seed: u64, kind: &Cell<Option<usize>>) -> Outcome {
+            match seed % 5 {
+                0 => panic!("escape before the kind draw"),
+                1 => {
+                    kind.set(Some(1));
+                    panic!("escape after the kind draw");
+                }
+                _ => {
+                    kind.set(Some((seed % 2) as usize));
+                    Outcome::Survived
+                }
+            }
+        }
+    }
+
     #[test]
-    fn seed_env_parses() {
-        // Only exercises the parser, not the environment (std::env is
-        // process-global; tests must not set vars).
-        assert_eq!("123".trim().parse::<u64>().ok(), Some(123));
+    fn aborts_are_charged_to_the_published_kind_only() {
+        let (seed, faults) = (0xAB07, 60);
+        let mut master = SplitMix64::new(seed);
+        let seeds: Vec<u64> = (0..faults).map(|_| master.next()).collect();
+        let early = seeds.iter().filter(|s| *s % 5 == 0).count();
+        let late = seeds.iter().filter(|s| *s % 5 == 1).count();
+        let even = seeds.iter().filter(|s| *s % 5 > 1 && *s % 2 == 0).count();
+        assert!(
+            early > 0 && late > 0,
+            "the seeds must exercise both escapes"
+        );
+
+        let r = run_campaign(seed, faults, 3, &Panicky);
+        assert!(!r.ok(), "aborts must fail the campaign: {r}");
+        assert_eq!(r.totals().aborts, early + late);
+        assert_eq!(r.unattributed_aborts, early);
+        assert_eq!(r.by_kind[1].aborts, late);
+        // No phantom row: the early escapes inflate no kind's injections.
+        assert_eq!(r.by_kind[0].aborts, 0);
+        assert_eq!(r.by_kind[0].injected, even);
+        let attributed: usize = r.by_kind.iter().map(|t| t.injected).sum();
+        assert_eq!(attributed + r.unattributed_aborts, r.total);
+    }
+
+    #[test]
+    fn fault_seed_parser_accepts_decimal_only() {
+        assert_eq!(parse_seed("42"), Ok(42));
+        assert_eq!(parse_seed(" 42 "), Ok(42));
+        assert!(parse_seed("0x1f").is_err());
     }
 }

@@ -20,7 +20,7 @@
 //! rolled-back trial leaves the CFG bit-identical, so the cache stays
 //! valid).
 
-use crate::chaos::{ChaosRng, ChaosSpec};
+use crate::chaos::ChaosSpec;
 use crate::constraints::BlockConstraints;
 use crate::duplication::{classify, duplicate_for_merge, DuplicationKind};
 use crate::error::ChfError;
@@ -32,6 +32,7 @@ use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
+use chf_ir::testgen::SplitMix64;
 
 /// Configuration of the formation loop.
 #[derive(Clone, Debug)]
@@ -290,7 +291,7 @@ struct FormationCtx {
     /// [`FormationConfig::chaos`]. Lives in the context so a formation run
     /// draws one reproducible fault sequence regardless of how trials are
     /// batched.
-    chaos: Option<ChaosRng>,
+    chaos: Option<SplitMix64>,
     /// Trial-budget ledger: merge trials spent so far in this formation
     /// run. Lives in the context (not per-seed stats) so the cap in
     /// [`FormationConfig::trial_budget`] is a *function-level* budget that
@@ -317,15 +318,15 @@ impl FormationCtx {
     }
 
     /// The fault-injection PRNG, created on first use from the spec's seed.
-    fn chaos_rng(&mut self, spec: ChaosSpec) -> &mut ChaosRng {
-        self.chaos.get_or_insert_with(|| ChaosRng::new(spec.seed))
+    fn chaos_rng(&mut self, spec: ChaosSpec) -> &mut SplitMix64 {
+        self.chaos.get_or_insert_with(|| SplitMix64::new(spec.seed))
     }
 
     /// Whether the next injection point fires: one fault per `spec.period`
     /// trials on average, drawn deterministically from the seeded stream.
     fn chaos_fire(&mut self, spec: ChaosSpec) -> bool {
         let period = u64::from(spec.period.max(1));
-        self.chaos_rng(spec).next_u64().is_multiple_of(period)
+        self.chaos_rng(spec).next().is_multiple_of(period)
     }
 
     /// The loop forest of the current CFG, computed at most once between
@@ -521,7 +522,7 @@ fn merge_blocks_in_ctx(
         // Fault-injection hook: with `config.chaos` set, periodically
         // corrupt the merged block inside the trial window — every injected
         // fault must be caught right here and survived via rollback, which
-        // is what `chaos::campaign` asserts.
+        // is what the chaos campaigns assert.
         if let Some(spec) = config.chaos {
             if ctx.chaos_fire(spec) {
                 let rng = ctx.chaos_rng(spec);

@@ -28,7 +28,7 @@
 //! Robustness layer (not in the paper, required to trust its numbers):
 //!
 //! * [`error`] — the typed error carried by contained formation failures;
-//! * [`chaos`] — seeded fault injection and the campaign driver
+//! * [`chaos`] — seeded fault injection and the one campaign engine
 //!   (`CHF_FAULT_SEED`);
 //! * [`oracle`] — the per-commit differential oracle and its greedy
 //!   reproducer-writing reducer.
@@ -49,7 +49,7 @@ pub mod reverse;
 pub mod tournament;
 pub mod unroll;
 
-pub use chaos::{campaign, CampaignReport, ChaosSpec, FaultKind, KindTally};
+pub use chaos::{ChaosSpec, FaultKind};
 pub use constraints::BlockConstraints;
 pub use convergent::{
     form_hyperblocks, form_hyperblocks_with_profile, FormationConfig, FormationStats, SeedOrder,

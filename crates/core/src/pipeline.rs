@@ -100,7 +100,7 @@ pub struct CompileConfig {
     /// [`FormationConfig::chaos`]: periodically corrupts the merged block
     /// inside the trial window so the verify-and-rollback net is exercised
     /// end-to-end through the pipeline. `None` (the default) injects
-    /// nothing; only the chaos harness and the service soak set it.
+    /// nothing; only the chaos campaign targets set it.
     pub chaos: Option<crate::chaos::ChaosSpec>,
 }
 

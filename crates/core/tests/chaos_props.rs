@@ -1,9 +1,10 @@
 //! Property: fault injection never aborts the process. For arbitrary
-//! seeds, a campaign of injected faults (IR corruption, profile
+//! seeds, a formation campaign of injected faults (IR corruption, profile
 //! corruption, mid-trial corruption) must classify every fault as
 //! detected, rolled back, or survived — with zero escapes (panics) and
 //! zero undetected miscompiles.
 
+use chf_core::chaos::{run_campaign, FormationTarget};
 use proptest::prelude::*;
 
 proptest! {
@@ -11,7 +12,7 @@ proptest! {
 
     #[test]
     fn injected_faults_are_contained(seed in any::<u64>()) {
-        let report = chf_core::chaos::campaign(seed, 5, None);
+        let report = run_campaign(seed, 5, 1, &FormationTarget::default());
         prop_assert!(
             report.ok(),
             "campaign under seed {seed} escaped containment: {report}"
@@ -23,11 +24,10 @@ proptest! {
     /// makes `CHF_FAULT_SEED` a usable bug report).
     #[test]
     fn campaigns_are_replayable(seed in any::<u64>()) {
-        let a = chf_core::chaos::campaign(seed, 3, None);
-        let b = chf_core::chaos::campaign(seed, 3, None);
-        prop_assert_eq!(
-            (a.detected, a.rolled_back, a.survived, a.aborts, a.miscompiles),
-            (b.detected, b.rolled_back, b.survived, b.aborts, b.miscompiles)
-        );
+        let target = FormationTarget::default();
+        let a = run_campaign(seed, 3, 1, &target);
+        let b = run_campaign(seed, 3, 1, &target);
+        prop_assert_eq!(a.by_kind, b.by_kind);
+        prop_assert_eq!(a.unattributed_aborts, b.unattributed_aborts);
     }
 }

@@ -6,16 +6,14 @@
 //! and keeps only candidates that light up an unseen coverage cell. Kept
 //! candidates are shrunk with the oracle's greedy reducer under a
 //! cell-preserving predicate, re-measured in full, and admitted to the
-//! corpus with their manifest. A chaos fault campaign runs alongside to
-//! feed the fault-classification rows of the same coverage map.
+//! corpus with their manifest.
 //!
 //! Everything is derived from [`FuzzConfig::seed`]: the same seed over the
 //! same corpus produces the same report, byte for byte.
 
 use crate::manifest::{Expect, Manifest};
-use crate::measure::{cheap_cell_fueled, fault_key, fxh_str, measure, outcome_key, MEASURE_FUEL};
+use crate::measure::{cheap_cell_fueled, fxh_str, measure, outcome_key, MEASURE_FUEL};
 use crate::store::{admit, load_corpus, Class, CorpusEntry};
-use chf_core::chaos::campaign;
 use chf_core::oracle::greedy_reduce;
 use chf_ir::function::Function;
 use chf_ir::testgen::{mutate, CoverageCategory, CoverageMap, GenPlan, SplitMix64};
@@ -43,12 +41,10 @@ pub const MAX_CANDIDATE_BLOCKS: usize = 40;
 /// Campaign knobs.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
-    /// Master seed for generation, mutation, and fault injection.
+    /// Master seed for generation and mutation.
     pub seed: u64,
     /// Coverage-guided candidates to evaluate.
     pub iters: usize,
-    /// Chaos faults to inject for the fault-classification coverage rows.
-    pub faults: usize,
     /// The `tests/corpus` directory.
     pub corpus_root: PathBuf,
     /// Whether to write newly-covered entries into the corpus. Campaigns
@@ -64,12 +60,11 @@ pub struct FuzzConfig {
 }
 
 impl FuzzConfig {
-    /// The CI-blocking smoke profile: 500 faults plus a short guided loop.
+    /// The CI-blocking smoke profile: a short guided loop.
     pub fn smoke(corpus_root: PathBuf, seed: u64) -> FuzzConfig {
         FuzzConfig {
             seed,
             iters: 120,
-            faults: 500,
             corpus_root,
             admit_new: true,
             max_rejected: 2,
@@ -77,13 +72,11 @@ impl FuzzConfig {
         }
     }
 
-    /// The nightly profile: `faults` chaos injections and a long loop
-    /// scaled to the same budget.
-    pub fn long(corpus_root: PathBuf, seed: u64, faults: usize) -> FuzzConfig {
+    /// The nightly profile: `iters` guided iterations.
+    pub fn long(corpus_root: PathBuf, seed: u64, iters: usize) -> FuzzConfig {
         FuzzConfig {
             seed,
-            iters: (faults / 10).max(200),
-            faults,
+            iters,
             corpus_root,
             admit_new: true,
             max_rejected: 4,
@@ -100,16 +93,12 @@ pub struct FuzzReport {
     /// Candidates filtered before coverage (baseline failure, no mutation
     /// applied, duplicate cell).
     pub filtered: usize,
-    /// The full coverage map (corpus seed + chaos + guided loop).
+    /// The full coverage map (corpus seed + guided loop).
     pub coverage: CoverageMap,
     /// Cells first reached by this run's guided loop.
     pub new_cells: usize,
     /// Corpus-relative paths of entries admitted this run.
     pub admitted: Vec<String>,
-    /// Whether the chaos campaign was free of aborts and miscompiles.
-    pub chaos_ok: bool,
-    /// Faults injected.
-    pub faults: usize,
 }
 
 impl FuzzReport {
@@ -117,14 +106,12 @@ impl FuzzReport {
     /// field is a pure function of (seed, corpus contents).
     pub fn json_fragment(&self) -> String {
         format!(
-            "\"evaluated\":{},\"filtered\":{},\"cells\":{{{}}},\"new_cells\":{},\"admitted\":{},\"faults\":{},\"chaos_ok\":{}",
+            "\"evaluated\":{},\"filtered\":{},\"cells\":{{{}}},\"new_cells\":{},\"admitted\":{}",
             self.evaluated,
             self.filtered,
             self.coverage.json_counts(),
             self.new_cells,
-            self.admitted.len(),
-            self.faults,
-            self.chaos_ok
+            self.admitted.len()
         )
     }
 }
@@ -256,19 +243,6 @@ pub fn run_fuzz(config: &FuzzConfig) -> Result<FuzzReport, String> {
     let mut report = FuzzReport::default();
     let mut seen_cells: Vec<u64> = Vec::new();
     seed_coverage(&entries, &mut report.coverage, &mut seen_cells);
-
-    // Fault-classification coverage rows from a chaos campaign.
-    report.faults = config.faults;
-    report.chaos_ok = true;
-    if config.faults > 0 {
-        let chaos = campaign(config.seed ^ 0xC4A0_5C4A_05C4_A05C, config.faults, None);
-        report.chaos_ok = chaos.ok();
-        for (kind, label, _count) in chaos.classification_cells() {
-            report
-                .coverage
-                .insert(CoverageCategory::Fault, fault_key(kind.index(), label));
-        }
-    }
 
     // Mutation pool: every passing entry, plus its plan when recorded.
     let pool: Vec<(Function, Vec<i64>, Option<GenPlan>)> = entries
@@ -452,13 +426,9 @@ mod tests {
     fn fresh_campaign_admits_and_replays_clean() {
         let root = tmpdir("fresh");
         let config = FuzzConfig {
-            seed: 0xF00D,
             iters: 8,
-            faults: 0,
-            corpus_root: root.clone(),
-            admit_new: true,
             max_rejected: 1,
-            max_admit: 12,
+            ..FuzzConfig::smoke(root.clone(), 0xF00D)
         };
         let report = run_fuzz(&config).unwrap();
         assert!(report.evaluated > 0);
@@ -480,13 +450,9 @@ mod tests {
         let root_a = tmpdir("det-a");
         let root_b = tmpdir("det-b");
         let mk = |root: &Path| FuzzConfig {
-            seed: 0xBEEF,
             iters: 8,
-            faults: 25,
-            corpus_root: root.to_path_buf(),
-            admit_new: true,
             max_rejected: 1,
-            max_admit: 12,
+            ..FuzzConfig::smoke(root.to_path_buf(), 0xBEEF)
         };
         let a = run_fuzz(&mk(&root_a)).unwrap();
         let b = run_fuzz(&mk(&root_b)).unwrap();
@@ -521,13 +487,10 @@ mod tests {
     fn summary_off_mode_reports_without_writing() {
         let root = tmpdir("dry");
         let config = FuzzConfig {
-            seed: 0xF00D,
             iters: 6,
-            faults: 0,
-            corpus_root: root.clone(),
             admit_new: false,
             max_rejected: 0,
-            max_admit: 12,
+            ..FuzzConfig::smoke(root.clone(), 0xF00D)
         };
         let report = run_fuzz(&config).unwrap();
         assert!(report.admitted.is_empty());

@@ -77,7 +77,7 @@ pub fn fxh(parts: &[u64]) -> u64 {
     h.finish()
 }
 
-/// Hash a string (used for error-shaped digests and fault-cell labels).
+/// Hash a string (used for error-shaped digests and verifier-refusal cells).
 pub fn fxh_str(s: &str) -> u64 {
     let mut h = FxHasher::default();
     h.write(s.as_bytes());
@@ -95,11 +95,6 @@ pub fn outcome_key(stats: &FormationStats) -> u64 {
         | b(stats.unrolls) << 4
         | b(stats.peels) << 6
         | ((stats.skipped > 0) as u64) << 8
-}
-
-/// Coverage cell for one chaos classification (`kind × outcome label`).
-pub fn fault_key(kind_index: usize, outcome_label: &str) -> u64 {
-    fxh(&[kind_index as u64, fxh_str(outcome_label)])
 }
 
 /// The combined dedup/coverage cell of a formed measurement.
@@ -241,12 +236,6 @@ pub fn cheap_cell_fueled(
     ))
 }
 
-/// [`cheap_cell_fueled`] at the standard [`MEASURE_FUEL`], without the
-/// block count — the pair that must match [`measure`]'s cell inputs.
-pub fn cheap_cell(f: &Function, train: &[i64], profile_mut: Option<u64>) -> Option<(u64, u64)> {
-    cheap_cell_fueled(f, train, profile_mut, MEASURE_FUEL).map(|(o, s, _)| (o, s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +294,7 @@ mod tests {
     fn cheap_cell_matches_full_measurement() {
         let f = generate(19, &GenConfig::default());
         let full = measure(&f, &[2, 2], None).unwrap();
-        let (outcome, shape) = cheap_cell(&f, &[2, 2], None).unwrap();
+        let (outcome, shape, _) = cheap_cell_fueled(&f, &[2, 2], None, MEASURE_FUEL).unwrap();
         assert_eq!(shape, full.measured.shape);
         assert_eq!(
             combined_cell(outcome, shape, full.diverged),

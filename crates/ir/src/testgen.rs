@@ -22,15 +22,14 @@
 //!   plan-level ones (grow the loop-nest grammar) that move a program to a
 //!   structural neighborhood the grammar alone rarely reaches;
 //! * [`CoverageMap`] — a deterministic set of `(category, cell)` pairs over
-//!   merge outcomes, fault classifications, CFG-shape fingerprints, and
-//!   oracle verdicts, used to decide which mutants earn a corpus slot.
+//!   merge outcomes, CFG-shape fingerprints, and oracle verdicts, used to
+//!   decide which mutants earn a corpus slot.
 
 use crate::builder::FunctionBuilder;
 use crate::function::Function;
 use crate::ids::Reg;
 use crate::instr::{Opcode, Operand};
 use std::collections::BTreeSet;
-use std::fmt;
 
 /// Tunable knobs for [`generate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,8 +58,9 @@ impl Default for GenConfig {
     }
 }
 
-/// The SplitMix64 generator the grammar draws from, public so the corpus
-/// fuzzer's mutation operators share one seeded stream with generation.
+/// The SplitMix64 generator the grammar draws from — the workspace's only
+/// one, public so the corpus fuzzer's mutation operators, the chaos fault
+/// streams and the differential oracle's argument draws all share it.
 #[derive(Clone, Debug)]
 pub struct SplitMix64(u64);
 
@@ -532,25 +532,22 @@ pub mod mutate {
 /// The coverage dimensions the corpus fuzzer tracks. Every dimension is a
 /// small label over a 64-bit cell key; what the key *means* is the
 /// caller's contract (the corpus crate hashes merge-outcome buckets, shape
-/// fingerprints, fault classifications, and oracle verdicts into it).
+/// fingerprints, and oracle verdicts into it).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CoverageCategory {
     /// Bucketed committed-transformation counts (`m/t/u/p`).
     MergeOutcome,
     /// CFG-shape fingerprint ([`crate::fingerprint::CfgShape`]).
     Shape,
-    /// Chaos fault classification (kind × outcome).
-    Fault,
     /// Differential-oracle verdict.
     OracleVerdict,
 }
 
 impl CoverageCategory {
     /// Every category, in reporting order.
-    pub const ALL: [CoverageCategory; 4] = [
+    pub const ALL: [CoverageCategory; 3] = [
         CoverageCategory::MergeOutcome,
         CoverageCategory::Shape,
-        CoverageCategory::Fault,
         CoverageCategory::OracleVerdict,
     ];
 
@@ -559,34 +556,21 @@ impl CoverageCategory {
         match self {
             CoverageCategory::MergeOutcome => "outcome",
             CoverageCategory::Shape => "shape",
-            CoverageCategory::Fault => "fault",
             CoverageCategory::OracleVerdict => "verdict",
         }
-    }
-}
-
-impl fmt::Display for CoverageCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
     }
 }
 
 /// A deterministic set of covered `(category, cell)` pairs.
 ///
 /// Backed by a `BTreeSet` so iteration, counts, and the derived JSON are
-/// byte-stable regardless of insertion order — the corpus replay fills the
-/// map in parallel and the summary must not depend on worker count.
+/// byte-stable regardless of insertion order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoverageMap {
     cells: BTreeSet<(CoverageCategory, u64)>,
 }
 
 impl CoverageMap {
-    /// An empty map.
-    pub fn new() -> Self {
-        CoverageMap::default()
-    }
-
     /// Record a cell; `true` when it was not already covered.
     pub fn insert(&mut self, category: CoverageCategory, cell: u64) -> bool {
         self.cells.insert((category, cell))
@@ -597,30 +581,13 @@ impl CoverageMap {
         self.cells.contains(&(category, cell))
     }
 
-    /// Total covered cells across all categories.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether nothing is covered yet.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Covered cells in one category.
     pub fn count(&self, category: CoverageCategory) -> usize {
         self.cells.iter().filter(|(c, _)| *c == category).count()
     }
 
-    /// Absorb another map; returns how many of `other`'s cells were new.
-    pub fn merge(&mut self, other: &CoverageMap) -> usize {
-        let before = self.cells.len();
-        self.cells.extend(other.cells.iter().copied());
-        self.cells.len() - before
-    }
-
     /// Per-category counts as a stable JSON fragment, e.g.
-    /// `"outcome":12,"shape":9,"fault":31,"verdict":2`.
+    /// `"outcome":12,"shape":9,"verdict":2`.
     pub fn json_counts(&self) -> String {
         CoverageCategory::ALL
             .iter()
@@ -740,20 +707,15 @@ mod tests {
     }
 
     #[test]
-    fn coverage_map_counts_and_merges() {
-        let mut m = CoverageMap::new();
+    fn coverage_map_dedups_and_counts() {
+        let mut m = CoverageMap::default();
         assert!(m.insert(CoverageCategory::Shape, 1));
         assert!(!m.insert(CoverageCategory::Shape, 1));
-        assert!(m.insert(CoverageCategory::Fault, 1));
-        assert_eq!(m.len(), 2);
+        assert!(m.insert(CoverageCategory::OracleVerdict, 1));
+        assert!(m.insert(CoverageCategory::OracleVerdict, 9));
+        assert!(m.contains(CoverageCategory::Shape, 1));
+        assert!(!m.contains(CoverageCategory::MergeOutcome, 1));
         assert_eq!(m.count(CoverageCategory::Shape), 1);
-        let mut other = CoverageMap::new();
-        other.insert(CoverageCategory::Shape, 1);
-        other.insert(CoverageCategory::OracleVerdict, 9);
-        assert_eq!(m.merge(&other), 1);
-        assert_eq!(
-            m.json_counts(),
-            "\"outcome\":0,\"shape\":1,\"fault\":1,\"verdict\":1"
-        );
+        assert_eq!(m.json_counts(), "\"outcome\":0,\"shape\":1,\"verdict\":2");
     }
 }

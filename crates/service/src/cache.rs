@@ -25,11 +25,11 @@
 //! dominated by a small hot set, and FIFO keeps the structure free of
 //! per-hit bookkeeping on the fast path.
 
-use chf_core::chaos::ChaosRng;
 use chf_core::pipeline::{CompileConfig, Compiled};
 use chf_ir::function::Function;
 use chf_ir::fxhash::{FxHashMap, FxHasher};
 use chf_ir::profile::ProfileData;
+use chf_ir::testgen::SplitMix64;
 use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::sync::Mutex;
@@ -257,12 +257,12 @@ impl FormationCache {
     /// if the key is absent. A subsequent [`FormationCache::get`] must
     /// report [`Lookup::Corrupt`], never serve the mutation.
     pub fn corrupt_entry(&self, key: &CacheKey, seed: u64) -> bool {
-        let mut rng = ChaosRng::new(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut store = self.store.lock().expect("cache lock");
         let Some(e) = store.map.get_mut(key) else {
             return false;
         };
-        match rng.next_range(3) {
+        match rng.below(3) {
             0 => e.compiled.stats.merges = e.compiled.stats.merges.wrapping_add(1),
             1 => {
                 // Retarget an exit of some block — the kind of scribble a
@@ -271,7 +271,7 @@ impl FormationCache {
                 // default exit).
                 let f = &mut e.compiled.function;
                 let ids: Vec<_> = f.block_ids().collect();
-                let b = ids[rng.next_range(ids.len() as u64) as usize];
+                let b = ids[rng.below(ids.len() as u64) as usize];
                 let blk = f.block_mut(b);
                 if let Some(exit) = blk.exits.last_mut() {
                     exit.target = chf_ir::block::ExitTarget::Return(None);

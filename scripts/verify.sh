@@ -7,7 +7,8 @@
 #                                # tournament, corpus, chaos, service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
-#   scripts/verify.sh lint       # cargo clippy --workspace -- -D warnings
+#   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
+#                                # -- -D warnings (tests, benches, bins)
 #   scripts/verify.sh test       # cargo test -q --workspace (every crate's
 #                                # unit, property and integration tests)
 #   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
@@ -19,14 +20,14 @@
 #                                # path
 #   scripts/verify.sh corpus     # trace-corpus gate: replay every entry
 #                                # under tests/corpus/ (zero drift, <10 s),
-#                                # then a 500-fault + coverage-guided fuzz
-#                                # smoke; summary at
-#                                # results/corpus_summary.json
+#                                # then a coverage-guided fuzz smoke;
+#                                # summary at results/corpus_summary.json
 #   scripts/verify.sh chaos [N]  # fault-injection campaign (default 500)
-#   scripts/verify.sh service [N] # compile-service gate: concurrent soak
-#                                # with ~5% injected faults (default 200
-#                                # requests), then a full service-level
-#                                # chaos campaign (500 faults, 4 clients)
+#   scripts/verify.sh service [N] # compile-service gate: N concurrent
+#                                # requests, ~5% carrying an injected
+#                                # fault (default 200), then a full
+#                                # service-level chaos campaign (500
+#                                # faults, 4 clients)
 #
 # Steps may be chained: `scripts/verify.sh fmt build lint`.
 #
@@ -65,8 +66,8 @@ run_build() {
 }
 
 run_lint() {
-    echo "==> cargo clippy --workspace -- -D warnings"
-    cargo clippy --workspace -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
 }
 
 # The whole workspace, not just the root package: the simulator property
@@ -108,9 +109,9 @@ run_tournament() {
 
 # Replays every persistent trace-corpus entry through compile → oracle →
 # event-sim and fails on any digest or outcome drift, then runs the
-# CI-blocking fuzz smoke (500 chaos faults feeding the coverage map plus a
-# short coverage-guided generation loop). The one-line JSON summary lands
-# in results/corpus_summary.json for CI failure artifacts.
+# CI-blocking fuzz smoke (a short coverage-guided generation loop). The
+# one-line JSON summary lands in results/corpus_summary.json for CI
+# failure artifacts.
 run_corpus() {
     echo "==> fuzz --smoke (trace-corpus replay + coverage-guided fuzz smoke)"
     cargo run --release -p chf-bench --bin fuzz -- --smoke
@@ -125,16 +126,17 @@ run_chaos() {
     cargo run --release -p chf-bench --bin chaos -- "${faults}"
 }
 
-# Soaks a live compile service with concurrent clients (~5% of requests
-# carry an injected fault), requiring every request to reach a terminal
-# state with sane stats, then runs the full service-level chaos campaign
-# (all fault kinds incl. corrupted-cache-entry, 4 concurrent clients,
-# zero aborts / miscompiles / hung requests). The service's stats snapshot
-# lands in results/service_stats.json for CI failure artifacts.
+# Drives a live compile service with concurrent clients, first with ~5%
+# of requests carrying an injected fault and the rest clean hot-set
+# compiles, then as a full service-level chaos campaign (all fault kinds
+# incl. corrupted-cache-entry, 4 concurrent clients). Both require zero
+# aborts / miscompiles / hung requests and closed service accounting. The
+# service's stats snapshot lands in results/service_stats.json for CI
+# failure artifacts.
 run_service() {
     requests="${1:-200}"
-    echo "==> chaos --service-soak ${requests} (compile-service soak smoke)"
-    cargo run --release -p chf-bench --bin chaos -- --service-soak "${requests}" --clients 8
+    echo "==> chaos --service ${requests} --fault-percent 5 (compile-service soak)"
+    cargo run --release -p chf-bench --bin chaos -- --service "${requests}" --clients 8 --fault-percent 5
     echo "==> chaos --service 500 (service-level fault campaign)"
     cargo run --release -p chf-bench --bin chaos -- --service 500 --clients 4
 }
@@ -170,22 +172,12 @@ while [ "$#" -gt 0 ]; do
         smoke) run_smoke ;;
         tournament) run_tournament ;;
         corpus) run_corpus ;;
-        chaos)
-            # Optional numeric fault count following `chaos`.
+        chaos | service)
+            # Optional numeric fault/request count following the step.
             case "${1:-}" in
-                '' | *[!0-9]*) run_chaos ;;
+                '' | *[!0-9]*) "run_${step}" ;;
                 *)
-                    run_chaos "$1"
-                    shift
-                    ;;
-            esac
-            ;;
-        service)
-            # Optional numeric soak-request count following `service`.
-            case "${1:-}" in
-                '' | *[!0-9]*) run_service ;;
-                *)
-                    run_service "$1"
+                    "run_${step}" "$1"
                     shift
                     ;;
             esac
