@@ -274,7 +274,8 @@ pub enum MergeOutcome {
     Skipped(ChfError),
 }
 
-/// Per-run formation state: CFG analyses cached across merge trials.
+/// Per-run formation state: CFG analyses cached across merge trials, and
+/// the clean-block memo of commit-time optimization.
 ///
 /// The loop forest is valid for the *current* CFG. Failed trials roll the
 /// CFG back to a bit-identical state, so the cache survives them; only a
@@ -297,6 +298,10 @@ struct FormationCtx {
     /// [`FormationConfig::trial_budget`] is a *function-level* budget that
     /// hot seeds, processed first, get first claim on.
     trials_spent: usize,
+    /// Blocks the commit-time [`chf_opt::optimize_quick`] already left
+    /// clean. Keyed by block content, so it needs no invalidation: a
+    /// commit touches a few blocks, and only those are optimized again.
+    clean: chf_opt::CleanBlocks,
 }
 
 impl FormationCtx {
@@ -307,6 +312,7 @@ impl FormationCtx {
             peel_budgets: chf_ir::fxhash::FxHashMap::default(),
             chaos: None,
             trials_spent: 0,
+            clean: chf_opt::CleanBlocks::new(),
         }
     }
 
@@ -448,8 +454,11 @@ pub fn merge_blocks_with_body(
 /// to the merged block ([`chf_opt::optimize_block_quick`]), which mutates
 /// nothing outside the snapshot. On success the scoped cleanup is rewound
 /// and the historical whole-function [`chf_opt::optimize_quick`] runs once
-/// at commit, reproducing the exact committed state of the scratch-space
-/// implementation.
+/// per committed merge, reproducing the exact committed state of the
+/// scratch-space implementation. It shares the context's clean-block memo,
+/// so the blocks earlier commits left clean and this merge did not touch
+/// skip the block-local kernels; its global parts (GVN over dominators,
+/// jump threading, DCE) still visit every block.
 fn merge_blocks_in_ctx(
     f: &mut Function,
     hb: BlockId,
@@ -555,7 +564,7 @@ fn merge_blocks_in_ctx(
         // whole-function quick optimization the scratch-space trial used to
         // run, so the committed state matches it exactly.
         *f.block_mut(hb) = merged;
-        chf_opt::optimize_quick(f);
+        chf_opt::optimize_quick(f, &mut ctx.clean);
         ctx.invalidate();
         if !f.contains_block(hb) {
             // Optimization proved the whole block unreachable (cannot

@@ -43,6 +43,13 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Register numbers, and the `params:` and `regs:` counts of the header,
+/// must stay below this. Register files are sized by the largest register,
+/// so an absurd count in hostile input would otherwise allocate gigabytes
+/// in the first liveness analysis. The largest counts in practice are in
+/// the low hundreds.
+pub const MAX_REGS: u32 = 1 << 16;
+
 fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError {
         line,
@@ -82,10 +89,23 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
         line,
         message: format!("expected register, got `{tok}`"),
     })?;
-    digits.parse::<u32>().map(Reg).map_err(|_| ParseError {
+    let n = digits.parse::<u32>().map_err(|_| ParseError {
         line,
         message: format!("bad register `{tok}`"),
-    })
+    })?;
+    if n >= MAX_REGS {
+        return err(line, format!("register `{tok}` is not below {MAX_REGS}"));
+    }
+    Ok(Reg(n))
+}
+
+/// A `params:` or `regs:` count of the header, below [`MAX_REGS`].
+fn parse_count(v: &str, what: &str, line: usize) -> Result<u32, ParseError> {
+    match v.trim().parse::<u32>() {
+        Ok(n) if n < MAX_REGS => Ok(n),
+        Ok(_) => err(line, format!("{what} count is not below {MAX_REGS}")),
+        Err(_) => err(line, format!("bad {what} count")),
+    }
 }
 
 fn parse_operand(tok: &str, line: usize) -> Result<Operand, ParseError> {
@@ -264,15 +284,9 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     for part in args.split(',') {
         let part = part.trim();
         if let Some(v) = part.strip_prefix("params:") {
-            params = v.trim().parse().map_err(|_| ParseError {
-                line: ln + 1,
-                message: "bad params count".into(),
-            })?;
+            params = parse_count(v, "params", ln + 1)?;
         } else if let Some(v) = part.strip_prefix("regs:") {
-            regs = v.trim().parse().map_err(|_| ParseError {
-                line: ln + 1,
-                message: "bad regs count".into(),
-            })?;
+            regs = parse_count(v, "regs", ln + 1)?;
         }
     }
 
@@ -474,6 +488,34 @@ mod tests {
                     B1:\n  exits:\n    -> ret\n";
         let f = parse_function(text).unwrap();
         assert_eq!(f.block_count(), 2);
+    }
+
+    #[test]
+    fn rejects_register_counts_at_or_above_the_limit() {
+        let hostile = "fn f(params: 1, regs: 4294967295)\nB0 (freq 1):\n  exits:\n    -> ret r0\n";
+        let e = parse_function(hostile).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("regs count"), "{e}");
+
+        let at = MAX_REGS;
+        let below = MAX_REGS - 1;
+        for (text, line) in [
+            (format!("fn f(params: {at}, regs: 0)\nB0:\n  exits:\n    -> ret\n"), 1),
+            (format!("fn f(params: 0, regs: {at})\nB0:\n  exits:\n    -> ret\n"), 1),
+            (format!("fn f(params: 0, regs: 0)\nB0:\n    r{at} = mov #1\n  exits:\n    -> ret\n"), 3),
+            (format!("fn f(params: 0, regs: 0)\nB0:\n  exits:\n    -> ret r{at}\n"), 4),
+            (format!("fn f(params: 1, regs: 1)\nB0:\n    [r{at}] r0 = mov #1\n  exits:\n    -> ret\n"), 3),
+        ] {
+            let e = parse_function(&text).unwrap_err();
+            assert_eq!(e.line, line, "{text}");
+            assert!(e.message.contains(&MAX_REGS.to_string()), "{e}");
+        }
+        let top = below - 1;
+        let f = parse_function(&format!(
+            "fn f(params: 1, regs: {below})\nB0:\n    r{top} = mov r0\n  exits:\n    -> ret r{top}\n"
+        ))
+        .unwrap();
+        assert_eq!(f.reg_count(), below);
     }
 
     #[test]

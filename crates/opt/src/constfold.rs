@@ -1,6 +1,7 @@
 //! Constant folding and algebraic simplification.
 
-use crate::Pass;
+use crate::clean::Kernel;
+use crate::{CleanBlocks, Pass};
 use chf_ir::function::Function;
 use chf_ir::instr::{Instr, Opcode, Operand};
 
@@ -236,12 +237,11 @@ impl Pass for ConstFold {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= fold_block(f.block_mut(b));
-        }
-        changed
+        Kernel::ConstFold.each_block(f)
+    }
+
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        clean.run(f, Kernel::ConstFold)
     }
 }
 

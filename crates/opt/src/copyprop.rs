@@ -6,7 +6,8 @@
 //! anything. Entries are invalidated when their destination, source, or
 //! predicate register is redefined.
 
-use crate::Pass;
+use crate::clean::Kernel;
+use crate::{CleanBlocks, Pass};
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::Reg;
@@ -122,12 +123,11 @@ impl Pass for CopyProp {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= propagate_block(f.block_mut(b));
-        }
-        changed
+        Kernel::CopyProp.each_block(f)
+    }
+
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        clean.run(f, Kernel::CopyProp)
     }
 }
 

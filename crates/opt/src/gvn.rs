@@ -16,7 +16,8 @@
 //!   is the classical dominator-based global value numbering the paper cites,
 //!   restricted to the cases that are sound without SSA.
 
-use crate::Pass;
+use crate::clean::Kernel;
+use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::dom::DomTree;
 use chf_ir::function::Function;
@@ -331,13 +332,13 @@ impl Pass for Gvn {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= value_number_block(f.block_mut(b));
-        }
-        changed |= run_global(f);
-        changed
+        Kernel::Gvn.each_block(f) | run_global(f)
+    }
+
+    /// Only the local half uses the memo: [`run_global`] reads facts from
+    /// other blocks.
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        clean.run(f, Kernel::Gvn) | run_global(f)
     }
 }
 

@@ -21,7 +21,9 @@
 //! * [`dce`] — liveness-based dead-code elimination.
 //!
 //! All passes implement [`Pass`]; [`optimize`] runs the standard fixpoint
-//! pipeline the convergent formation loop invokes after every merge.
+//! pipeline the convergent formation loop invokes after every merge. A
+//! [`CleanBlocks`] memo lets repeated runs skip the blocks the block-local
+//! kernels have already left unchanged.
 //!
 //! Every pass preserves observable behaviour (return value and final memory
 //! image); the test suite enforces this over thousands of generated
@@ -29,6 +31,7 @@
 
 use chf_ir::function::Function;
 
+mod clean;
 pub mod constfold;
 pub mod copyprop;
 pub mod dce;
@@ -37,6 +40,8 @@ pub mod jumpthread;
 pub mod predopt;
 pub mod strength;
 
+pub use clean::CleanBlocks;
+
 /// A scalar optimization pass.
 pub trait Pass {
     /// Diagnostic name of the pass.
@@ -44,6 +49,13 @@ pub trait Pass {
 
     /// Run over `f`; returns `true` if anything changed.
     fn run(&mut self, f: &mut Function) -> bool;
+
+    /// [`Pass::run`], skipping the blocks `clean` knows the pass's
+    /// block-local kernel leaves unchanged. Changes `f` exactly as `run`
+    /// does; the default ignores the memo.
+    fn run_cached(&mut self, f: &mut Function, _clean: &mut CleanBlocks) -> bool {
+        self.run(f)
+    }
 }
 
 /// Runs a sequence of passes to a fixpoint (bounded by `max_rounds`).
@@ -83,10 +95,16 @@ impl PassManager {
     /// Run all passes repeatedly until none changes anything (or the round
     /// budget is exhausted). Returns the number of rounds executed.
     pub fn run(&mut self, f: &mut Function) -> usize {
+        self.run_cached(f, &mut CleanBlocks::new())
+    }
+
+    /// [`PassManager::run`] with a caller-owned memo, which may carry what
+    /// it learned across calls on the same function.
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> usize {
         for round in 0..self.max_rounds {
             let mut changed = false;
             for p in &mut self.passes {
-                let c = p.run(f);
+                let c = p.run_cached(f, clean);
                 debug_assert!(
                     chf_ir::verify::verify(f).is_ok(),
                     "pass {} broke the IR:\n{f}",
@@ -111,10 +129,14 @@ pub fn optimize(f: &mut Function) {
 
 /// A cheaper variant for the inner loop of convergent formation: two rounds
 /// of the standard pipeline, which removes the redundancy a single merge
-/// introduces without iterating to a full fixpoint. The formation driver
-/// runs the full [`optimize`] once at the end.
-pub fn optimize_quick(f: &mut Function) {
-    PassManager::standard().with_max_rounds(2).run(f);
+/// introduces without iterating to a full fixpoint. Formation runs it once
+/// per committed merge, with one `clean` memo for the whole formation run,
+/// so the blocks the merge left untouched skip the block-local kernels.
+/// The compile pipeline runs the full [`optimize`] after formation.
+pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
+    PassManager::standard()
+        .with_max_rounds(2)
+        .run_cached(f, clean);
 }
 
 /// Block-scoped counterpart of [`optimize_quick`]: two rounds of the

@@ -16,7 +16,8 @@
 //!    (never taken) or become the new default (always taken, making later
 //!    exits unreachable). This implements branch removal inside hyperblocks.
 
-use crate::Pass;
+use crate::clean::Kernel;
+use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
@@ -182,11 +183,15 @@ impl Pass for PredOpt {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= optimize_block(f.block_mut(b));
+        let changed = Kernel::PredOpt.each_block(f);
+        if changed {
+            chf_ir::cfg::remove_unreachable(f);
         }
+        changed
+    }
+
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        let changed = clean.run(f, Kernel::PredOpt);
         if changed {
             chf_ir::cfg::remove_unreachable(f);
         }

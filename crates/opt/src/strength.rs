@@ -12,7 +12,8 @@
 //! * `x / 2^k` → `x >> k` when `x` is provably non-negative;
 //! * `x % 2^k` → `x & (2^k − 1)` when `x` is provably non-negative.
 
-use crate::Pass;
+use crate::clean::Kernel;
+use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::function::Function;
 use chf_ir::ids::Reg;
@@ -117,12 +118,11 @@ impl Pass for Strength {
     }
 
     fn run(&mut self, f: &mut Function) -> bool {
-        let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= reduce_block(f.block_mut(b));
-        }
-        changed
+        Kernel::Strength.each_block(f)
+    }
+
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        clean.run(f, Kernel::Strength)
     }
 }
 

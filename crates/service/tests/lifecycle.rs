@@ -203,3 +203,27 @@ fn statuses_progress_to_terminal() {
     assert_eq!(svc.status(id), Some(resp.status));
     assert_eq!(svc.stats().terminal(), 1);
 }
+
+#[test]
+fn hostile_register_counts_fail_as_parse_errors() {
+    let svc = CompileService::new(ServiceConfig::default());
+    for header in ["params: 1, regs: 4294967295", "params: 4294967295, regs: 1"] {
+        let text = format!("fn f({header})\nB0 (freq 1):\n  exits:\n    -> ret r0\n");
+        let resp = svc.wait(svc.submit(CompileRequest::source(text)));
+        assert_eq!(resp.status, RequestStatus::Failed, "{header}");
+        assert!(resp.compiled.is_none());
+        match resp.error {
+            Some(ChfError::Parse { error }) => assert_eq!(error.line, 1, "{header}"),
+            other => panic!("{header}: expected a parse error, got {other:?}"),
+        }
+    }
+    let max = chf_ir::parse::MAX_REGS;
+    let text =
+        format!("fn f(params: 1, regs: 2)\nB0:\n    r{max} = mov r0\n  exits:\n    -> ret r1\n");
+    let resp = svc.wait(svc.submit(CompileRequest::source(text)));
+    assert!(
+        matches!(resp.error, Some(ChfError::Parse { .. })),
+        "{resp:?}"
+    );
+    assert_eq!(svc.stats().failed, 3);
+}

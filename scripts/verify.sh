@@ -3,8 +3,9 @@
 # report) each one separately while local use stays one command:
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
-#   scripts/verify.sh all        # fmt, build, lint, test, perf, smoke,
-#                                # tournament, corpus, chaos, service
+#   scripts/verify.sh all        # fmt, build, lint, test, bench, perf,
+#                                # smoke, tournament, corpus, chaos,
+#                                # service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
@@ -28,6 +29,11 @@
 #                                # fault (default 200), then a full
 #                                # service-level chaos campaign (500
 #                                # faults, 4 clients)
+#   scripts/verify.sh bench      # the benchmark's own tests, with a
+#                                # one-round smoke of every workload whose
+#                                # replica guard proves the stage-by-stage
+#                                # replicas still equal the real
+#                                # `optimize` and `try_compile`
 #
 # Steps may be chained: `scripts/verify.sh fmt build lint`.
 #
@@ -141,11 +147,20 @@ run_service() {
     cargo run --release -p chf-bench --bin chaos -- --service 500 --clients 4
 }
 
+# The benchmark is a separate Cargo workspace under benchmark/, so the
+# workspace test step does not reach it. Its smoke test runs every
+# workload for one round, including the traced run's replica guard.
+run_bench() {
+    echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+    cargo test --manifest-path benchmark/Cargo.toml
+}
+
 run_all() {
     run_fmt
     run_build
     run_lint
     run_test
+    run_bench
     run_perf
     run_smoke
     run_tournament
@@ -172,6 +187,7 @@ while [ "$#" -gt 0 ]; do
         smoke) run_smoke ;;
         tournament) run_tournament ;;
         corpus) run_corpus ;;
+        bench) run_bench ;;
         chaos | service)
             # Optional numeric fault/request count following the step.
             case "${1:-}" in
@@ -185,7 +201,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|perf|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|test|bench|perf|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac
