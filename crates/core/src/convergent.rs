@@ -554,8 +554,16 @@ fn merge_blocks_in_ctx(
         // scalar pipeline, same two-round budget, but only `hb` is mutated
         // so the snapshot stays a complete undo record.
         let merged = f.block(hb).clone();
-        chf_opt::optimize_block_quick(f, hb);
-        if config.constraints.check(f, hb).is_err() {
+        // The trial optimizer's last liveness solution, when it still
+        // describes `f`, spares the fit check a recomputation.
+        let fits = match chf_opt::optimize_block_quick(f, hb) {
+            Some(lv) => {
+                debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
+                config.constraints.check_with(f, hb, &lv)
+            }
+            None => config.constraints.check(f, hb),
+        };
+        if fits.is_err() {
             f.restore_blocks(snap);
             ctx.liveness = cached_lv.take().or(ctx.liveness.take());
             return MergeOutcome::Failure;

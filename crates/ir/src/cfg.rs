@@ -58,31 +58,70 @@ pub fn reachable(f: &Function) -> FxHashSet<BlockId> {
     seen
 }
 
+/// Every block's deduplicated successor list, built once and flat-packed:
+/// the list of block slot `i` is `flat[off[i]..off[i + 1]]`, in
+/// first-appearance order, without removed targets. Holes have empty lists.
+pub(crate) struct SuccTable {
+    off: Vec<u32>,
+    flat: Vec<BlockId>,
+}
+
+impl SuccTable {
+    pub(crate) fn build(f: &Function) -> SuccTable {
+        let slots = f.block_slots();
+        let mut off = Vec::with_capacity(slots + 1);
+        let mut flat = Vec::new();
+        off.push(0);
+        for i in 0..slots {
+            let start = flat.len();
+            if let Some(blk) = f.try_block(BlockId(i as u32)) {
+                for s in blk.successors() {
+                    if f.contains_block(s) && !flat[start..].contains(&s) {
+                        flat.push(s);
+                    }
+                }
+            }
+            off.push(flat.len() as u32);
+        }
+        SuccTable { off, flat }
+    }
+
+    /// Successors of `b`.
+    #[inline]
+    pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.flat[self.off[b.index()] as usize..self.off[b.index() + 1] as usize]
+    }
+
+    /// Reverse postorder of the subgraph reachable from `entry`.
+    pub(crate) fn reverse_postorder(&self, entry: BlockId) -> Vec<BlockId> {
+        let mut visited = vec![false; self.off.len() - 1];
+        let mut post = Vec::new();
+        // Iterative DFS with explicit stack to avoid recursion depth limits
+        // on large unrolled CFGs.
+        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
+        visited[entry.index()] = true;
+        while let Some((b, i)) = stack.pop() {
+            if let Some(&s) = self.of(b).get(i) {
+                stack.push((b, i + 1));
+                if !visited[s.index()] {
+                    visited[s.index()] = true;
+                    stack.push((s, 0));
+                }
+            } else {
+                post.push(b);
+            }
+        }
+        post.reverse();
+        post
+    }
+}
+
 /// Reverse postorder of the reachable subgraph, starting at the entry.
 ///
 /// RPO is a valid iteration order for forward dataflow problems and the
 /// basis of the dominator computation.
 pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
-    let mut visited = FxHashSet::default();
-    let mut post = Vec::new();
-    // Iterative DFS with explicit stack to avoid recursion depth limits on
-    // large unrolled CFGs.
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
-    visited.insert(f.entry);
-    while let Some((b, i)) = stack.pop() {
-        let succs = successors(f, b);
-        if i < succs.len() {
-            stack.push((b, i + 1));
-            let s = succs[i];
-            if f.contains_block(s) && visited.insert(s) {
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(b);
-        }
-    }
-    post.reverse();
-    post
+    SuccTable::build(f).reverse_postorder(f.entry)
 }
 
 /// Remove blocks unreachable from the entry. Returns the number removed.

@@ -3,10 +3,14 @@
 //! Storage is dense: immediate dominators and RPO numbers live in flat
 //! vectors keyed by `BlockId::index()` (with a sentinel for unreachable
 //! blocks and holes), so the hot `dominates` chain walk is pure array
-//! indexing. Convergent formation recomputes the tree once per committed
-//! merge and queries it on every trial, so lookups dominate construction.
+//! indexing. Construction is dense too, because it is hot: global value
+//! numbering builds a tree on every merge trial of convergent formation and
+//! again in every commit-time optimization round. Successor lists are built
+//! once into flat arrays, the DFS marks a `Vec<bool>`, and the predecessor
+//! lists the solver and loop-membership walks need come from the same
+//! arrays.
 
-use crate::cfg::{reverse_postorder, successors};
+use crate::cfg::SuccTable;
 use crate::function::Function;
 use crate::ids::BlockId;
 
@@ -23,6 +27,10 @@ pub struct DomTree {
     rpo_index: Vec<u32>,
     /// Reachable blocks in reverse postorder.
     rpo: Vec<BlockId>,
+    /// Predecessors of `rpo[i]`, in RPO order of the predecessor:
+    /// `pred_flat[pred_off[i]..pred_off[i + 1]]`.
+    pred_off: Vec<u32>,
+    pred_flat: Vec<BlockId>,
     entry: BlockId,
 }
 
@@ -30,22 +38,19 @@ impl DomTree {
     /// Compute dominators for the reachable portion of `f`.
     pub fn compute(f: &Function) -> DomTree {
         let slots = f.block_slots();
-        let rpo = reverse_postorder(f);
+        let succs = SuccTable::build(f);
+        let rpo = succs.reverse_postorder(f.entry);
         let mut rpo_index = vec![ABSENT; slots];
         for (i, b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i as u32;
         }
 
-        // Predecessor lists restricted to reachable blocks, flat-packed in
-        // RPO order: preds of rpo[i] live at pred_flat[off[i]..off[i+1]].
+        // Every successor of a reachable block is reachable, so the
+        // predecessor lists need no filtering.
         let mut pred_off: Vec<u32> = vec![0; rpo.len() + 1];
         for &b in &rpo {
-            for s in successors(f, b) {
-                if let Some(&i) = rpo_index.get(s.index()) {
-                    if i != ABSENT {
-                        pred_off[i as usize + 1] += 1;
-                    }
-                }
+            for s in succs.of(b) {
+                pred_off[rpo_index[s.index()] as usize + 1] += 1;
             }
         }
         for i in 1..pred_off.len() {
@@ -54,12 +59,10 @@ impl DomTree {
         let mut cursor: Vec<u32> = pred_off[..rpo.len()].to_vec();
         let mut pred_flat: Vec<BlockId> = vec![BlockId(0); *pred_off.last().unwrap() as usize];
         for &b in &rpo {
-            for s in successors(f, b) {
-                let i = rpo_index[s.index()];
-                if i != ABSENT {
-                    pred_flat[cursor[i as usize] as usize] = b;
-                    cursor[i as usize] += 1;
-                }
+            for s in succs.of(b) {
+                let i = rpo_index[s.index()] as usize;
+                pred_flat[cursor[i] as usize] = b;
+                cursor[i] += 1;
             }
         }
 
@@ -106,8 +109,15 @@ impl DomTree {
             idom,
             rpo_index,
             rpo,
+            pred_off,
+            pred_flat,
             entry: f.entry,
         }
+    }
+
+    /// Number of block slots of the function the tree was computed for.
+    pub fn slots(&self) -> usize {
+        self.idom.len()
     }
 
     #[inline]
@@ -153,8 +163,20 @@ impl DomTree {
     }
 
     /// Blocks in reverse postorder (the order used during computation).
-    pub fn rpo(&self) -> Vec<BlockId> {
-        self.rpo.clone()
+    pub fn rpo(&self) -> &[BlockId] {
+        &self.rpo
+    }
+
+    /// Distinct predecessors of `b`, in reverse postorder; empty when `b`
+    /// is unreachable. Unreachable predecessors are not listed.
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        match self.rpo_index.get(b.index()) {
+            Some(&i) if i != ABSENT => {
+                let i = i as usize;
+                &self.pred_flat[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
+            }
+            _ => &[],
+        }
     }
 
     /// Children of `b` in the dominator tree.

@@ -11,8 +11,9 @@
 //! ## Representation
 //!
 //! Convergent formation calls [`Liveness::compute`] on every merge trial
-//! (once for the speculation-safety set, once for the structural-constraint
-//! check), so this is one of the hottest paths in the compiler. The solver
+//! (for the speculation-safety set and in the trial optimizer's DCE, whose
+//! last solution the structural-constraint check reuses when DCE removed
+//! nothing), so this is one of the hottest paths in the compiler. The solver
 //! therefore works on dense per-block register bitsets — one `u64` word per
 //! 64 registers — and the transfer function is three word-wide bit
 //! operations per word instead of per-register hash probes. The solution is
@@ -82,6 +83,13 @@ impl<'a> RegSet<'a> {
     pub fn to_set(&self) -> FxHashSet<Reg> {
         self.iter().collect()
     }
+
+    /// Copy into an owned bitset (for callers that mutate the result).
+    pub fn to_buf(&self) -> RegSetBuf {
+        RegSetBuf {
+            words: self.words.to_vec(),
+        }
+    }
 }
 
 /// An owned register set, as returned by the intersection accessors
@@ -101,6 +109,19 @@ impl RegSetBuf {
     #[inline]
     pub fn contains(&self, r: &Reg) -> bool {
         self.as_set().contains(r)
+    }
+
+    /// Add `r`, which must be below the function's `reg_count()`.
+    #[inline]
+    pub fn insert(&mut self, r: Reg) {
+        bit_set(&mut self.words, r);
+    }
+
+    /// Remove `r`, which must be below the function's `reg_count()`.
+    #[inline]
+    pub fn remove(&mut self, r: Reg) {
+        let i = r.index();
+        self.words[i / 64] &= !(1u64 << (i % 64));
     }
 
     /// Iterate the members in ascending register order.
@@ -223,7 +244,10 @@ const SECTIONS: usize = 5;
 /// live-in, live-out) live in **one** allocation; formation computes a
 /// `Liveness` per merge trial, so allocator traffic matters as much as the
 /// solve itself.
-#[derive(Clone, Debug)]
+///
+/// `PartialEq` lets a caller that holds a solution check it against a fresh
+/// [`Liveness::compute`] of the same function.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Liveness {
     /// Dense row index keyed by `BlockId::index()`; `NO_ROW` marks holes.
     index: Vec<u32>,

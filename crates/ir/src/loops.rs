@@ -180,6 +180,36 @@ impl LoopForest {
     }
 }
 
+/// Per block slot, whether the block lies in some natural loop: the same
+/// answer as `LoopForest::compute(f, dom).depth(b) > 0`, without building
+/// the forest's bodies, nesting or maps.
+///
+/// Each back edge `latch → header` (the header dominates the latch) marks
+/// the blocks that reach the latch without passing the header. A walk stops
+/// at blocks already marked: natural loops with different headers are
+/// disjoint or nested, and headers are taken in reverse postorder, so a
+/// marked block's loop was walked first and contains the rest of the walk.
+pub fn blocks_in_loops(dom: &DomTree) -> Vec<bool> {
+    let mut in_loop = vec![false; dom.slots()];
+    let mut stack: Vec<BlockId> = Vec::new();
+    for &header in dom.rpo() {
+        for &latch in dom.preds(header) {
+            if !dom.dominates(header, latch) {
+                continue;
+            }
+            in_loop[header.index()] = true;
+            stack.push(latch);
+            while let Some(b) = stack.pop() {
+                if !in_loop[b.index()] {
+                    in_loop[b.index()] = true;
+                    stack.extend_from_slice(dom.preds(b));
+                }
+            }
+        }
+    }
+    in_loop
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

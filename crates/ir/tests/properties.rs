@@ -1,7 +1,12 @@
 //! Property-based tests over the IR's core data structures and analyses.
 
+use chf_ir::block::Exit;
+use chf_ir::builder::FunctionBuilder;
 use chf_ir::cfg::{predecessors, reachable, reverse_postorder};
 use chf_ir::dom::DomTree;
+use chf_ir::function::Function;
+use chf_ir::ids::BlockId;
+use chf_ir::instr::{Operand, Pred};
 use chf_ir::liveness::Liveness;
 use chf_ir::loops::LoopForest;
 use chf_ir::parse::parse_function;
@@ -9,6 +14,7 @@ use chf_ir::testgen::{generate, GenConfig};
 use chf_ir::verify::verify;
 use chf_sim::functional::{run, RunConfig};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn gen_config() -> impl Strategy<Value = GenConfig> {
     (1u32..4, 2u32..8, 0u64..6, 3u32..8, any::<bool>()).prop_map(
@@ -20,6 +26,94 @@ fn gen_config() -> impl Strategy<Value = GenConfig> {
             memory_ops,
         },
     )
+}
+
+/// Immediate dominators from dominator *sets*, independent of
+/// [`DomTree`]: `Dom(entry) = {entry}` and `Dom(b) = {b} ∪ ⋂ Dom(p)` over
+/// the reachable predecessors `p`, iterated from "every block" until nothing
+/// changes. The idom of `b` is its strict dominator with the largest set.
+fn naive_idoms(f: &Function) -> BTreeMap<BlockId, BlockId> {
+    let all: BTreeSet<BlockId> = reachable(f).into_iter().collect();
+    let mut doms: BTreeMap<BlockId, BTreeSet<BlockId>> =
+        all.iter().map(|&b| (b, all.clone())).collect();
+    doms.insert(f.entry, [f.entry].into());
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &all {
+            if b == f.entry {
+                continue;
+            }
+            let mut meet: Option<BTreeSet<BlockId>> = None;
+            for &p in &all {
+                if f.block(p).successors().any(|s| s == b) {
+                    meet = Some(match meet {
+                        None => doms[&p].clone(),
+                        Some(m) => m.intersection(&doms[&p]).copied().collect(),
+                    });
+                }
+            }
+            let mut new = meet.expect("a reachable block has a reachable predecessor");
+            new.insert(b);
+            if new != doms[&b] {
+                doms.insert(b, new);
+                changed = true;
+            }
+        }
+    }
+    all.iter()
+        .map(|&b| {
+            let idom = doms[&b]
+                .iter()
+                .filter(|&&d| d != b)
+                .max_by_key(|d| doms[d].len())
+                .copied()
+                .unwrap_or(b);
+            (b, idom)
+        })
+        .collect()
+}
+
+/// A hand-built CFG with two exits to the same block and an exit to a
+/// removed block: the dedup and skip rules of the successor lists decide
+/// the DFS, so the reverse postorder is pinned.
+#[test]
+fn rpo_of_duplicate_and_dangling_exits_is_pinned() {
+    let mut fb = FunctionBuilder::new("f", 1);
+    let e = fb.create_block();
+    let a = fb.create_block();
+    let b = fb.create_block();
+    let gone = fb.create_block();
+    let j = fb.create_block();
+    fb.switch_to(e);
+    let c = fb.cmp_lt(Operand::Reg(fb.param(0)), Operand::Imm(0));
+    fb.branch(c, a, b);
+    fb.switch_to(a);
+    fb.jump(j);
+    fb.switch_to(b);
+    fb.jump(j);
+    fb.switch_to(gone);
+    fb.ret(None);
+    fb.switch_to(j);
+    fb.ret(None);
+    let mut f = fb.build().unwrap();
+    // a: [c] → j, [c] → gone, → j; then `gone` is removed.
+    f.block_mut(a).exits = vec![
+        Exit::when(Pred::on_true(c), j),
+        Exit::when(Pred::on_true(c), gone),
+        Exit::jump(j),
+    ];
+    f.remove_block(gone);
+
+    let dom = DomTree::compute(&f);
+    assert_eq!(dom.rpo(), &[e, b, a, j]);
+    assert_eq!(reverse_postorder(&f), vec![e, b, a, j]);
+    assert_eq!(dom.preds(j), &[b, a]);
+    assert!(!dom.is_reachable(gone));
+    for x in [a, b, j] {
+        assert_eq!(dom.idom(x), Some(e));
+    }
+    assert_eq!(naive_idoms(&f)[&j], e);
 }
 
 proptest! {
@@ -69,6 +163,21 @@ proptest! {
                 let idom = dom.idom(b).expect("reachable blocks have idoms");
                 prop_assert!(dom.strictly_dominates(idom, b));
             }
+        }
+    }
+
+    /// Immediate dominators equal the naive set-based solution on every
+    /// reachable block, and exactly the reachable blocks are in the tree.
+    #[test]
+    fn idoms_match_naive_dominator_sets(seed in any::<u64>(), cfg in gen_config()) {
+        let f = generate(seed, &cfg);
+        let dom = DomTree::compute(&f);
+        let naive = naive_idoms(&f);
+        for b in f.block_ids() {
+            prop_assert_eq!(dom.is_reachable(b), naive.contains_key(&b), "{}", b);
+        }
+        for (b, idom) in naive {
+            prop_assert_eq!(dom.idom(b), Some(idom), "idom of {}", b);
         }
     }
 

@@ -8,8 +8,7 @@
 use crate::Pass;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
-use chf_ir::fxhash::FxHashSet;
-use chf_ir::ids::Reg;
+use chf_ir::ids::BlockId;
 use chf_ir::liveness::Liveness;
 
 /// The dead-code-elimination pass.
@@ -18,11 +17,10 @@ pub struct Dce;
 
 /// Remove dead instructions from block `b`, given `live`, the function-wide
 /// liveness solution. Mutates only `b`.
-fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bool {
+fn sweep_block(f: &mut Function, b: BlockId, live: &Liveness) -> bool {
     // Live set at the end of the instruction list: successors'
     // needs plus this block's own exit uses.
-    let mut alive: FxHashSet<Reg> = live.live_out(b).to_set();
-    let mut changed = false;
+    let mut alive = live.live_out(b).to_buf();
     let blk = f.block_mut(b);
     for e in &blk.exits {
         if let Some(p) = e.pred {
@@ -35,8 +33,9 @@ fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bo
         }
     }
 
-    // Backward sweep.
-    let mut keep = vec![true; blk.insts.len()];
+    // Backward sweep. Most sweeps remove nothing, so the keep mask is
+    // allocated at the first dead instruction.
+    let mut keep: Option<Vec<bool>> = None;
     for (i, inst) in blk.insts.iter().enumerate().rev() {
         if inst.has_side_effect() {
             for u in inst.uses() {
@@ -46,36 +45,37 @@ fn sweep_block(f: &mut Function, b: chf_ir::ids::BlockId, live: &Liveness) -> bo
         }
         let d = inst.def().expect("non-store ops define a register");
         if !alive.contains(&d) {
-            keep[i] = false;
-            changed = true;
+            keep.get_or_insert_with(|| vec![true; blk.insts.len()])[i] = false;
             continue;
         }
         if inst.pred.is_none() {
-            alive.remove(&d);
+            alive.remove(d);
         }
         for u in inst.uses() {
             alive.insert(u);
         }
     }
 
-    if keep.iter().any(|k| !k) {
-        let mut idx = 0;
-        blk.insts.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
-    changed
+    let Some(keep) = keep else { return false };
+    let mut idx = 0;
+    blk.insts.retain(|_| {
+        let k = keep[idx];
+        idx += 1;
+        k
+    });
+    true
 }
 
 /// Run dead-code elimination on a single block, using a fresh function-wide
 /// liveness solution (dataflow must stay global — the block's `live_out`
 /// depends on its successors). Block-scoped entry point for formation's
 /// trial optimizer; mutates only `b`.
-pub fn eliminate_in_block(f: &mut Function, b: chf_ir::ids::BlockId) -> bool {
+///
+/// Returns whether `b` changed, and the solution the sweep used. When
+/// nothing was removed, `f` is exactly the state that solution describes.
+pub fn eliminate_in_block(f: &mut Function, b: BlockId) -> (bool, Liveness) {
     let live = Liveness::compute(f);
-    sweep_block(f, b, &live)
+    (sweep_block(f, b, &live), live)
 }
 
 impl Pass for Dce {

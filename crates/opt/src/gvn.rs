@@ -21,10 +21,10 @@ use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::dom::DomTree;
 use chf_ir::function::Function;
-use chf_ir::fxhash::{FxHashMap, FxHashSet};
+use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::{Instr, Opcode, Operand, Pred};
-use chf_ir::loops::LoopForest;
+use chf_ir::loops::blocks_in_loops;
 
 /// The value-numbering pass.
 #[derive(Debug, Default)]
@@ -218,46 +218,46 @@ pub fn value_number_block(blk: &mut Block) -> bool {
 
 /// Registers whose value is fixed for the whole execution: never-redefined
 /// parameters, and single-def unpredicated non-memory defs outside all loops
-/// whose operands are themselves invariant.
-fn invariant_regs(f: &Function, forest: &LoopForest) -> FxHashSet<Reg> {
-    let mut def_count: FxHashMap<Reg, u32> = FxHashMap::default();
+/// whose operands are themselves invariant. Indexed by register; the
+/// verifier guarantees every register is below `reg_count()`.
+fn invariant_regs(f: &Function, in_loop: &[bool]) -> Vec<bool> {
+    let nregs = f.reg_count() as usize;
+    let mut def_count = vec![0u32; nregs];
     for (_, blk) in f.blocks() {
         for inst in &blk.insts {
             if let Some(d) = inst.def() {
-                *def_count.entry(d).or_insert(0) += 1;
+                def_count[d.index()] += 1;
             }
         }
     }
     // A parameter's implicit entry definition counts as a def: a parameter
     // that is also written by an instruction is not single-def.
-    for p in 0..f.params {
-        *def_count.entry(Reg(p)).or_insert(0) += 1;
+    let params = f.params as usize;
+    let mut invariant = vec![false; nregs];
+    for p in 0..params {
+        def_count[p] += 1;
+        invariant[p] = def_count[p] == 1;
     }
-
-    let mut invariant: FxHashSet<Reg> = (0..f.params)
-        .map(Reg)
-        .filter(|r| def_count.get(r) == Some(&1))
-        .collect();
 
     // Fixpoint over the def chain.
     let mut changed = true;
     while changed {
         changed = false;
         for (b, blk) in f.blocks() {
-            if forest.depth(b) > 0 {
+            if in_loop[b.index()] {
                 continue; // defs inside loops may execute repeatedly
             }
             for inst in &blk.insts {
                 let Some(d) = inst.def() else { continue };
-                if invariant.contains(&d)
+                if invariant[d.index()]
                     || inst.pred.is_some()
                     || inst.op == Opcode::Load
-                    || def_count.get(&d) != Some(&1)
+                    || def_count[d.index()] != 1
                 {
                     continue;
                 }
-                if inst.uses().all(|u| invariant.contains(&u)) {
-                    invariant.insert(d);
+                if inst.uses().all(|u| invariant[u.index()]) {
+                    invariant[d.index()] = true;
                     changed = true;
                 }
             }
@@ -277,11 +277,10 @@ fn run_global(f: &mut Function) -> bool {
 /// block-scoped trial optimizer needs — global facts, local edits.
 pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
     let dom = DomTree::compute(f);
-    let forest = LoopForest::compute(f, &dom);
-    let invariant = invariant_regs(f, &forest);
+    let invariant = invariant_regs(f, &blocks_in_loops(&dom));
     let is_inv_operand = |o: Operand| match o {
         Operand::Imm(_) => true,
-        Operand::Reg(r) => invariant.contains(&r),
+        Operand::Reg(r) => invariant[r.index()],
     };
 
     // Collect invariant expressions keyed syntactically.
@@ -290,12 +289,11 @@ pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
     let mut table: FxHashMap<Key, (BlockId, usize, Reg)> = FxHashMap::default();
     let mut rewrites: Vec<(BlockId, usize, Reg)> = Vec::new();
 
-    let order = dom.rpo();
-    for &b in &order {
+    for &b in dom.rpo() {
         let blk = f.block(b);
         for (i, inst) in blk.insts.iter().enumerate() {
             let Some(d) = inst.def() else { continue };
-            if !invariant.contains(&d) || inst.op == Opcode::Mov {
+            if !invariant[d.index()] || inst.op == Opcode::Mov {
                 continue;
             }
             if !(inst.a.map(is_inv_operand).unwrap_or(true)

@@ -150,13 +150,19 @@ pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
 /// not disturb any block outside the trial's snapshot (rollback restores
 /// only the snapshot). The whole-function [`optimize_quick`] then runs once
 /// per *committed* merge, not once per trial.
-pub fn optimize_block_quick(f: &mut Function, b: chf_ir::ids::BlockId) {
+///
+/// Returns the liveness solution of the final DCE sweep when that sweep
+/// removed nothing, so it describes `f` as returned exactly and the caller's
+/// constraint check need not compute it again; `None` otherwise.
+pub fn optimize_block_quick(
+    f: &mut Function,
+    b: chf_ir::ids::BlockId,
+) -> Option<chf_ir::liveness::Liveness> {
     // Purely local rounds first (no whole-function analyses), then one
     // global round: scoped global value numbering, exit threading, and
-    // liveness-based DCE, followed by a final local cleanup of whatever
-    // the global round exposed. This mirrors what two full pipeline rounds
-    // achieve on the merged block while computing the expensive global
-    // analyses (dominators, loop forest, liveness) once instead of twice.
+    // liveness-based DCE, followed by a final local cleanup and DCE of
+    // whatever the global round exposed. Dominators and loop membership are
+    // computed once per call, liveness once or twice.
     let local = |f: &mut Function| {
         let mut changed = false;
         changed |= constfold::fold_block(f.block_mut(b));
@@ -174,15 +180,16 @@ pub fn optimize_block_quick(f: &mut Function, b: chf_ir::ids::BlockId) {
     let mut changed = false;
     changed |= gvn::run_global_scoped(f, Some(b));
     changed |= jumpthread::thread_block_exits(f, b);
-    changed |= dce::eliminate_in_block(f, b);
-    if changed {
+    let (mut removed, mut live) = dce::eliminate_in_block(f, b);
+    if changed || removed {
         local(f);
-        dce::eliminate_in_block(f, b);
+        (removed, live) = dce::eliminate_in_block(f, b);
     }
     debug_assert!(
         chf_ir::verify::verify(f).is_ok(),
         "block-scoped optimization broke the IR:\n{f}"
     );
+    (!removed).then_some(live)
 }
 
 #[cfg(test)]

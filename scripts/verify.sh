@@ -11,7 +11,8 @@
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
 #                                # -- -D warnings (tests, benches, bins)
 #   scripts/verify.sh test       # cargo test -q --workspace (every crate's
-#                                # unit, property and integration tests)
+#                                # unit, property and integration tests),
+#                                # then prints the suite's wall seconds
 #   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
 #   scripts/verify.sh smoke      # whole_program --smoke
 #   scripts/verify.sh tournament # policy-tournament gate: portfolio
@@ -78,9 +79,14 @@ run_lint() {
 
 # The whole workspace, not just the root package: the simulator property
 # suites, the chaos unit tests and the service tests live in crates/*.
+# The test binaries are built first, so the printed wall time is the
+# suite's own run, not compilation; CI records it in the job summary.
 run_test() {
     echo "==> cargo test -q --workspace"
+    cargo test -q --workspace --no-run
+    start=$(date +%s)
     cargo test -q --workspace
+    echo "test suite wall seconds: $(($(date +%s) - start))"
 }
 
 # Asserts the end-to-end Table 1 regeneration stays under a generous
