@@ -280,13 +280,10 @@ pub enum MergeOutcome {
 /// The loop forest is valid for the *current* CFG. Failed trials roll the
 /// CFG back to a bit-identical state, so the cache survives them; only a
 /// committed merge invalidates it. Peel budgets depend only on the training
-/// profile (fixed for the run) and are memoized forever.
+/// profile (fixed for the run) and are memoized forever. Liveness needs no
+/// invalidation: the memo's solution is refreshed by block version.
 struct FormationCtx {
     forest: Option<LoopForest>,
-    /// Liveness of the current CFG, reused for the speculation-safety set
-    /// of plain (duplication-free) merge trials. Taken out for the trial
-    /// and put back only if the trial rolled back.
-    liveness: Option<chf_ir::liveness::Liveness>,
     peel_budgets: chf_ir::fxhash::FxHashMap<BlockId, usize>,
     /// Deterministic PRNG for mid-trial fault injection, seeded lazily from
     /// [`FormationConfig::chaos`]. Lives in the context so a formation run
@@ -301,6 +298,7 @@ struct FormationCtx {
     /// Blocks the commit-time [`chf_opt::optimize_quick`] already left
     /// clean. Keyed by block content, so it needs no invalidation: a
     /// commit touches a few blocks, and only those are optimized again.
+    /// Its liveness solution, refreshed, starts every trial's.
     clean: chf_opt::CleanBlocks,
 }
 
@@ -308,7 +306,6 @@ impl FormationCtx {
     fn new() -> Self {
         FormationCtx {
             forest: None,
-            liveness: None,
             peel_budgets: chf_ir::fxhash::FxHashMap::default(),
             chaos: None,
             trials_spent: 0,
@@ -347,7 +344,6 @@ impl FormationCtx {
     /// Invalidate CFG-shape caches after a committed merge.
     fn invalidate(&mut self) {
         self.forest = None;
-        self.liveness = None;
     }
 
     /// Memoized [`peel_budget`] (profile-only, never invalidated).
@@ -457,8 +453,16 @@ pub fn merge_blocks_with_body(
 /// per committed merge, reproducing the exact committed state of the
 /// scratch-space implementation. It shares the context's clean-block memo,
 /// so the blocks earlier commits left clean and this merge did not touch
-/// skip the block-local kernels; its global parts (GVN over dominators,
-/// jump threading, DCE) still visit every block.
+/// skip the block-local kernels, and DCE skips the blocks whose content and
+/// `live_out` its last clean sweep saw; global GVN and jump threading still
+/// visit every block.
+///
+/// Liveness is never solved from scratch per trial. The trial clones the
+/// memo's solution after [refreshing](chf_ir::liveness::Liveness::refresh)
+/// it — a rolled-back trial restores block versions, so that refresh only
+/// re-solves what the last commit changed — and refreshes its clone after
+/// each edit: for the speculation set after duplication, in the trial
+/// optimizer's DCE, and for the fit check.
 fn merge_blocks_in_ctx(
     f: &mut Function,
     hb: BlockId,
@@ -490,18 +494,7 @@ fn merge_blocks_in_ctx(
     // In-place trial: snapshot the touched blocks, transform, check, then
     // keep or roll back.
     let snap = f.snapshot_blocks([hb, s]);
-    // Plain merges touch nothing before `combine_with`, so the cached
-    // pre-trial liveness solution (still exact — failed trials roll back
-    // bit-identically) supplies the speculation-safety set. Duplication
-    // trials mutate `f` first and must recompute.
-    let mut cached_lv = match kind {
-        DuplicationKind::None => Some(
-            ctx.liveness
-                .take()
-                .unwrap_or_else(|| chf_ir::liveness::Liveness::compute(f)),
-        ),
-        _ => None,
-    };
+    let mut lv = ctx.clean.liveness(f).clone();
     let s_eff = match kind {
         DuplicationKind::None => s,
         DuplicationKind::Unroll if s == hb && saved_body.is_some() => {
@@ -512,9 +505,10 @@ fn merge_blocks_in_ctx(
         }
         _ => duplicate_for_merge(f, hb, s),
     };
-    if combine_with_liveness(f, hb, s_eff, config.speculation, cached_lv.as_ref()).is_err() {
+    // The speculation-safety set reads liveness after any duplication.
+    lv.refresh(f);
+    if combine_with_liveness(f, hb, s_eff, config.speculation, Some(&lv)).is_err() {
         f.restore_blocks(snap);
-        ctx.liveness = cached_lv.take().or(ctx.liveness.take());
         return MergeOutcome::Failure;
     }
     // Canonicalize the exit list: merging both arms of a diamond leaves two
@@ -540,7 +534,6 @@ fn merge_blocks_in_ctx(
         }
         if let Err(error) = chf_ir::verify::verify(f) {
             f.restore_blocks(snap);
-            ctx.liveness = cached_lv.take().or(ctx.liveness.take());
             return MergeOutcome::Skipped(ChfError::Verify {
                 context: "merge trial",
                 error,
@@ -554,18 +547,11 @@ fn merge_blocks_in_ctx(
         // scalar pipeline, same two-round budget, but only `hb` is mutated
         // so the snapshot stays a complete undo record.
         let merged = f.block(hb).clone();
-        // The trial optimizer's last liveness solution, when it still
-        // describes `f`, spares the fit check a recomputation.
-        let fits = match chf_opt::optimize_block_quick(f, hb) {
-            Some(lv) => {
-                debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-                config.constraints.check_with(f, hb, &lv)
-            }
-            None => config.constraints.check(f, hb),
-        };
-        if fits.is_err() {
+        chf_opt::optimize_block_quick(f, hb, &mut lv);
+        lv.refresh(f);
+        debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
+        if config.constraints.check_with(f, hb, &lv).is_err() {
             f.restore_blocks(snap);
-            ctx.liveness = cached_lv.take().or(ctx.liveness.take());
             return MergeOutcome::Failure;
         }
         // Commit: rewind the decision's scoped cleanup, then run the
@@ -582,9 +568,10 @@ fn merge_blocks_in_ctx(
         }
         return commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind);
     }
-    if config.constraints.check(f, hb).is_err() {
+    lv.refresh(f);
+    debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
+    if config.constraints.check_with(f, hb, &lv).is_err() {
         f.restore_blocks(snap);
-        ctx.liveness = cached_lv.take().or(ctx.liveness.take());
         return MergeOutcome::Failure;
     }
     ctx.invalidate();

@@ -239,10 +239,9 @@ pub fn combine_with(
 }
 
 /// [`combine_with`] with an optionally pre-computed liveness solution for
-/// the *current* state of `f`. The convergent formation driver passes the
-/// solution it caches across rolled-back trials (the CFG is bit-identical
-/// between failed trials, so the cached solution stays exact); `None`
-/// computes liveness here.
+/// the *current* state of `f`. The convergent formation driver passes its
+/// trial's solution, refreshed after any duplication; `None` computes
+/// liveness here.
 pub(crate) fn combine_with_liveness(
     f: &mut Function,
     hb: BlockId,

@@ -10,20 +10,44 @@
 //!
 //! ## Representation
 //!
-//! Convergent formation calls [`Liveness::compute`] on every merge trial
-//! (for the speculation-safety set and in the trial optimizer's DCE, whose
-//! last solution the structural-constraint check reuses when DCE removed
-//! nothing), so this is one of the hottest paths in the compiler. The solver
-//! therefore works on dense per-block register bitsets — one `u64` word per
-//! 64 registers — and the transfer function is three word-wide bit
-//! operations per word instead of per-register hash probes. The solution is
-//! *kept* in that form: accessors hand out [`RegSet`] views over the rows
-//! (and [`RegSetBuf`] for the read/write intersections) rather than
-//! materializing hash sets nobody asked for. Iteration order over a
-//! [`RegSet`] is ascending register number, which is deterministic across
-//! runs and platforms.
+//! Convergent formation needs liveness on every merge trial (for the
+//! speculation-safety set, the trial optimizer's DCE and the
+//! structural-constraint check), so this is one of the hottest paths in the
+//! compiler. The solver therefore works on dense register bitsets — one
+//! `u64` word per 64 registers — and the transfer function is three
+//! word-wide bit operations per word instead of per-register hash probes.
+//! The solution is *kept* in that form: accessors hand out [`RegSet`] views
+//! over the rows (and [`RegSetBuf`] for the read/write intersections)
+//! rather than materializing hash sets nobody asked for. Iteration order
+//! over a [`RegSet`] is ascending register number, which is deterministic
+//! across runs and platforms.
+//!
+//! Rows are looked up by block *slot* ([`BlockId::index`]). Each live slot
+//! points at an entry of five rows (upward-exposed uses, kills, defs,
+//! live-in, live-out) in one allocation; every hole points at entry 0,
+//! which is all zero. Formed functions have many more holes than live
+//! blocks, so a hole costs one index, not five rows. Entries a slot gives
+//! up (its block removed or truncated) are reused.
+//!
+//! ## Incremental refresh
+//!
+//! A solution records the [version](crate::function::Function::block_version)
+//! of every slot it summarised. [`Liveness::refresh`] brings it up to date
+//! with a function whose blocks have since changed: it re-summarises only
+//! the slots whose version differs (removed slots and slots truncated by a
+//! rollback included), then resets to empty and solves again exactly the
+//! blocks from which a changed slot is reachable; an edge to a hole counts
+//! as an edge. Every other block reaches only unchanged blocks, so its old
+//! rows are still the least fixpoint and are kept. Solving the region from
+//! empty rather than from its old values matters: liveness is the *least*
+//! fixpoint, and old values would keep a loop-carried register live after
+//! its last use is deleted. A change in the row width (the register count
+//! crossing a multiple of 64) solves everything.
+//!
+//! [`Liveness::compute`] is a refresh of an empty solution, so there is one
+//! solver: the same function state always gives the same solution.
 
-use crate::block::ExitTarget;
+use crate::block::{Block, ExitTarget};
 use crate::function::Function;
 use crate::fxhash::FxHashSet;
 use crate::ids::{BlockId, Reg};
@@ -47,8 +71,9 @@ fn iter_words(words: &[u64]) -> impl Iterator<Item = Reg> + '_ {
 ///
 /// Supports the operations the clients actually need — membership, count,
 /// deterministic ascending iteration, and conversion to a hash set for
-/// callers that go on to mutate the set.
-#[derive(Clone, Copy, Debug)]
+/// callers that go on to mutate the set. Two views are equal when they
+/// hold the same registers over the same row width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RegSet<'a> {
     words: &'a [u64],
 }
@@ -94,12 +119,18 @@ impl<'a> RegSet<'a> {
 
 /// An owned register set, as returned by the intersection accessors
 /// ([`Liveness::register_reads`] / [`Liveness::register_writes`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RegSetBuf {
     words: Vec<u64>,
 }
 
 impl RegSetBuf {
+    /// Make this set a copy of `s`, reusing the allocation.
+    pub fn assign(&mut self, s: RegSet<'_>) {
+        self.words.clear();
+        self.words.extend_from_slice(s.words);
+    }
+
     /// A borrowed view of this set.
     pub fn as_set(&self) -> RegSet<'_> {
         RegSet { words: &self.words }
@@ -187,21 +218,20 @@ fn bit_set(row: &mut [u64], reg: Reg) {
     row[i / 64] |= 1u64 << (i % 64);
 }
 
+/// Add `r` to `gens` unless `kills` holds it: a use is upward-exposed
+/// unless an unconditional def came first.
 #[inline]
-fn bit_get(row: &[u64], reg: Reg) -> bool {
-    let i = reg.index();
-    row[i / 64] >> (i % 64) & 1 != 0
+fn gen_use(gens: &mut [u64], kills: &[u64], r: Reg) {
+    let i = r.index();
+    gens[i / 64] |= (1u64 << (i % 64)) & !kills[i / 64];
 }
 
 /// Per-block `(upward-exposed uses, unconditional kills, all defs)` of
-/// block `b`, written into the given bit rows.
-fn block_summary(f: &Function, b: BlockId, gens: &mut [u64], kills: &mut [u64], defs: &mut [u64]) {
-    let blk = f.block(b);
+/// `blk`, written into the given (zeroed) bit rows.
+fn block_summary(blk: &Block, gens: &mut [u64], kills: &mut [u64], defs: &mut [u64]) {
     for inst in &blk.insts {
         for u in inst.uses() {
-            if !bit_get(kills, u) {
-                bit_set(gens, u);
-            }
+            gen_use(gens, kills, u);
         }
         if let Some(d) = inst.def() {
             bit_set(defs, d);
@@ -212,25 +242,17 @@ fn block_summary(f: &Function, b: BlockId, gens: &mut [u64], kills: &mut [u64], 
     }
     for e in &blk.exits {
         if let Some(p) = e.pred {
-            if !bit_get(kills, p.reg) {
-                bit_set(gens, p.reg);
-            }
+            gen_use(gens, kills, p.reg);
         }
         if let ExitTarget::Return(Some(op)) = e.target {
             if let Some(r) = op.as_reg() {
-                if !bit_get(kills, r) {
-                    bit_set(gens, r);
-                }
+                gen_use(gens, kills, r);
             }
         }
     }
 }
 
-/// Sentinel for "no dense row" (hole or unknown block) in [`Liveness::index`].
-const NO_ROW: u32 = u32::MAX;
-
-// Section indices into the single bit buffer: `bits` holds five dense
-// row-major matrices back to back, each `rows × words` u64s.
+// Sections of one block's entry in the bit buffer: five rows of `words` u64s.
 const SEC_GENS: usize = 0;
 const SEC_KILLS: usize = 1;
 const SEC_DEFS: usize = 2;
@@ -238,112 +260,277 @@ const SEC_IN: usize = 3;
 const SEC_OUT: usize = 4;
 const SECTIONS: usize = 5;
 
+/// The buffers of one [`Liveness::refresh`]. Each thread keeps one set
+/// between calls, so a refresh allocates only when a function outgrows
+/// every earlier one.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Slots whose version changed since the last refresh, ascending;
+    /// slots added or truncated since then included.
+    changed: Vec<u32>,
+    /// Per slot (truncated ones included): a changed slot is reachable
+    /// from it.
+    region: Vec<bool>,
+    /// Successor lists of the live slots, flat: slot `s` owns
+    /// `succ[succ_off[s]..succ_off[s + 1]]`.
+    succ_off: Vec<u32>,
+    succ: Vec<u32>,
+    /// Predecessor lists in the same layout, built from `succ`.
+    pred_off: Vec<u32>,
+    pred: Vec<u32>,
+    /// Work list of the reachability walk, then the live slots to solve.
+    work: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+}
+
+impl Scratch {
+    /// Mark in `region` every slot from which a changed slot is reachable,
+    /// walking predecessors built from `succ`. Edges to holes are kept: a
+    /// removed or truncated slot is a change its predecessors must see.
+    fn mark_region(&mut self, slots: usize, span: usize) {
+        self.region.resize(span, false);
+        for &s in &self.changed {
+            self.region[s as usize] = true;
+        }
+        self.pred_off.resize(span + 2, 0);
+        for &t in &self.succ {
+            if (t as usize) < span {
+                self.pred_off[t as usize + 2] += 1;
+            }
+        }
+        for t in 2..self.pred_off.len() {
+            self.pred_off[t] += self.pred_off[t - 1];
+        }
+        // `pred_off[t + 1]` is now the start of `t`'s list; filling advances
+        // it to the end, which is `pred_off[t + 1]` of the finished layout.
+        self.pred.resize(self.succ.len(), 0);
+        for s in 0..slots {
+            for i in self.succ_off[s]..self.succ_off[s + 1] {
+                let t = self.succ[i as usize] as usize;
+                if t < span {
+                    let at = &mut self.pred_off[t + 1];
+                    self.pred[*at as usize] = s as u32;
+                    *at += 1;
+                }
+            }
+        }
+        self.work.extend_from_slice(&self.changed);
+        while let Some(t) = self.work.pop() {
+            let t = t as usize;
+            for i in self.pred_off[t]..self.pred_off[t + 1] {
+                let p = self.pred[i as usize] as usize;
+                if !self.region[p] {
+                    self.region[p] = true;
+                    self.work.push(p as u32);
+                }
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.changed.clear();
+        self.region.clear();
+        self.succ_off.clear();
+        self.succ.clear();
+        self.pred_off.clear();
+        self.pred.clear();
+        self.work.clear();
+    }
+}
+
 /// Per-block liveness sets.
 ///
-/// All five per-block bit matrices (upward-exposed uses, kills, defs,
-/// live-in, live-out) live in **one** allocation; formation computes a
-/// `Liveness` per merge trial, so allocator traffic matters as much as the
-/// solve itself.
+/// All five per-block bit rows (upward-exposed uses, kills, defs, live-in,
+/// live-out) live in **one** allocation; see the module docs for
+/// [`Liveness::refresh`].
 ///
-/// `PartialEq` lets a caller that holds a solution check it against a fresh
-/// [`Liveness::compute`] of the same function.
-#[derive(Clone, Debug, PartialEq)]
+/// `PartialEq` compares the versions and every slot's rows, not where the
+/// entries sit, so a caller that holds a refreshed solution can check it
+/// against a fresh [`Liveness::compute`] of the same function.
+#[derive(Clone, Debug, Default)]
 pub struct Liveness {
-    /// Dense row index keyed by `BlockId::index()`; `NO_ROW` marks holes.
-    index: Vec<u32>,
+    /// Words per row.
     words: usize,
-    rows: usize,
+    /// Per slot: the version summarised into its rows (0: none yet).
+    versions: Vec<u64>,
+    /// Per slot: its entry in `bits`. Every hole points at entry 0, which
+    /// stays all zero.
+    entry: Vec<u32>,
+    /// Entries of `SECTIONS` rows each: entry `e`, row `k` starts at
+    /// `(e * SECTIONS + k) * words`.
     bits: Vec<u64>,
+    /// Entries no slot points at, for reuse.
+    free: Vec<u32>,
+}
+
+impl PartialEq for Liveness {
+    fn eq(&self, other: &Self) -> bool {
+        let size = SECTIONS * self.words;
+        self.words == other.words
+            && self.versions == other.versions
+            && self.entry.iter().zip(&other.entry).all(|(&a, &b)| {
+                let (a, b) = (a as usize * size, b as usize * size);
+                self.bits[a..a + size] == other.bits[b..b + size]
+            })
+    }
 }
 
 impl Liveness {
-    /// Compute liveness for all live blocks of `f`.
+    /// Compute liveness for all live blocks of `f`: a refresh of an empty
+    /// solution.
     pub fn compute(f: &Function) -> Liveness {
-        let nregs = f.reg_count() as usize;
-        let words = nregs.max(1).div_ceil(64);
-        let mut index = vec![NO_ROW; f.block_slots()];
-        let ids: Vec<BlockId> = f.block_ids().collect();
-        let n = ids.len();
-        for (i, &b) in ids.iter().enumerate() {
-            index[b.index()] = i as u32;
+        let mut lv = Liveness::default();
+        lv.refresh(f);
+        lv
+    }
+
+    /// Bring the solution up to date with `f`, re-summarising the slots
+    /// whose version changed since the last refresh and solving again only
+    /// the blocks that reach one of them (see the module docs). Afterwards
+    /// the solution equals [`Liveness::compute`] of `f`.
+    pub fn refresh(&mut self, f: &Function) {
+        let words = (f.reg_count() as usize).max(1).div_ceil(64);
+        if words != self.words {
+            self.words = words;
+            self.versions.clear();
+            self.entry.clear();
+            self.free.clear();
+            self.bits.clear();
         }
-        // Flat successor lists: rows `succ_off[i]..succ_off[i+1]` of `succ_flat`.
-        let mut succ_off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut succ_flat: Vec<u32> = Vec::new();
-        succ_off.push(0);
-        for &b in &ids {
-            for s in f.block(b).successors() {
-                if let Some(&row) = index.get(s.index()) {
-                    if row != NO_ROW {
-                        succ_flat.push(row);
-                    }
+        let now = f.block_versions();
+        SCRATCH.with_borrow_mut(|sc| {
+            for (s, (n, o)) in now.iter().zip(&self.versions).enumerate() {
+                if n != o {
+                    sc.changed.push(s as u32);
                 }
             }
-            succ_off.push(succ_flat.len() as u32);
-        }
+            let common = now.len().min(self.versions.len());
+            sc.changed
+                .extend(common as u32..now.len().max(self.versions.len()) as u32);
+            if !sc.changed.is_empty() {
+                self.solve(f, sc);
+            }
+            sc.clear();
+        });
+    }
 
-        let sec = n * words;
-        let mut bits = vec![0u64; SECTIONS * sec];
-        {
-            // Summaries fill the gens/kills/defs sections.
-            let (gens, rest) = bits.split_at_mut(sec);
-            let (kills, rest) = rest.split_at_mut(sec);
-            let defs = &mut rest[..sec];
-            for (i, &b) in ids.iter().enumerate() {
-                let r = i * words..(i + 1) * words;
-                block_summary(
-                    f,
-                    b,
-                    &mut gens[r.clone()],
-                    &mut kills[r.clone()],
-                    &mut defs[r],
-                );
+    /// The body of [`Liveness::refresh`] once some slot is known changed.
+    fn solve(&mut self, f: &Function, sc: &mut Scratch) {
+        let words = self.words;
+        let size = SECTIONS * words;
+        let slots = f.block_slots();
+        let span = slots.max(self.versions.len());
+        if self.bits.is_empty() {
+            // Entry 0, then room for one entry per live block.
+            self.bits.reserve(size * (1 + f.block_count()));
+            self.bits.resize(size, 0);
+        }
+        // Truncated slots give their entries back.
+        for &e in self.entry.iter().skip(slots) {
+            if e != 0 {
+                self.free.push(e);
             }
         }
+        self.entry.resize(slots, 0);
+        self.versions.clear();
+        self.versions.extend_from_slice(f.block_versions());
 
-        let mut out_buf = vec![0u64; words];
+        // Re-summarise the changed slots; a removed one gives its entry back.
+        let live_changed = sc.changed.partition_point(|&s| (s as usize) < slots);
+        for &s in &sc.changed[..live_changed] {
+            let s = s as usize;
+            let Some(blk) = f.try_block(BlockId(s as u32)) else {
+                if self.entry[s] != 0 {
+                    self.free.push(self.entry[s]);
+                    self.entry[s] = 0;
+                }
+                continue;
+            };
+            if self.entry[s] == 0 {
+                self.entry[s] = match self.free.pop() {
+                    Some(e) => e,
+                    None => {
+                        self.bits.resize(self.bits.len() + size, 0);
+                        (self.bits.len() / size - 1) as u32
+                    }
+                };
+            }
+            let e = self.entry[s] as usize;
+            let rows = &mut self.bits[e * size..(e + 1) * size];
+            rows.fill(0);
+            let (gens, rest) = rows.split_at_mut(words);
+            let (kills, rest) = rest.split_at_mut(words);
+            block_summary(blk, gens, kills, &mut rest[..words]);
+        }
+
+        // Successors of every live slot. When every slot changed, as in
+        // `compute`, every live block is solved again.
+        let all = live_changed == slots;
+        sc.succ_off.push(0);
+        for (id, blk) in f.blocks() {
+            sc.succ_off.resize(id.index() + 1, sc.succ.len() as u32);
+            sc.succ.extend(blk.successors().map(|t| t.0));
+            sc.succ_off.push(sc.succ.len() as u32);
+            if all {
+                sc.work.push(id.0);
+            }
+        }
+        sc.succ_off.resize(slots + 1, sc.succ.len() as u32);
+
+        // Otherwise the region: every slot from which a changed slot is
+        // reachable. Reset its live blocks to empty; rows outside it are
+        // fixed inputs.
+        if !all {
+            sc.mark_region(slots, span);
+            for s in 0..slots {
+                if sc.region[s] && f.contains_block(BlockId(s as u32)) {
+                    sc.work.push(s as u32);
+                    let base = self.entry[s] as usize * size;
+                    self.bits[base + SEC_IN * words..base + size].fill(0);
+                }
+            }
+        }
+        // Live-out depends only on the successors' live-in, so a pass that
+        // changes no live-in is the last one: its live-outs are final.
         let mut changed = true;
         while changed {
             changed = false;
-            // Backward problem: iterate in reverse id order as a heuristic.
-            for i in (0..n).rev() {
-                out_buf.fill(0);
-                for &s in &succ_flat[succ_off[i] as usize..succ_off[i + 1] as usize] {
-                    let sb = SEC_IN * sec + s as usize * words;
-                    for (w, o) in out_buf.iter_mut().enumerate() {
-                        *o |= bits[sb + w];
+            // Backward problem: iterate in reverse slot order as a heuristic.
+            for &s in sc.work.iter().rev() {
+                let base = self.entry[s as usize] as usize * size;
+                let out = base + SEC_OUT * words;
+                self.bits[out..out + words].fill(0);
+                for &t in
+                    &sc.succ[sc.succ_off[s as usize] as usize..sc.succ_off[s as usize + 1] as usize]
+                {
+                    // A hole's entry is all zero; a truncated slot has none.
+                    if let Some(&e) = self.entry.get(t as usize) {
+                        let from = e as usize * size + SEC_IN * words;
+                        for w in 0..words {
+                            self.bits[out + w] |= self.bits[from + w];
+                        }
                     }
                 }
-                // in = gen | (out & !kill); both updates in one word sweep.
-                let base = i * words;
-                for (w, &out_w) in out_buf.iter().enumerate() {
-                    if bits[SEC_OUT * sec + base + w] != out_w {
-                        bits[SEC_OUT * sec + base + w] = out_w;
-                        changed = true;
-                    }
-                    let in_w = bits[SEC_GENS * sec + base + w]
-                        | (out_w & !bits[SEC_KILLS * sec + base + w]);
-                    if bits[SEC_IN * sec + base + w] != in_w {
-                        bits[SEC_IN * sec + base + w] = in_w;
+                // in = gen | (out & !kill)
+                let rows = &mut self.bits[base..base + size];
+                for w in 0..words {
+                    let in_w = rows[SEC_GENS * words + w]
+                        | (rows[SEC_OUT * words + w] & !rows[SEC_KILLS * words + w]);
+                    if rows[SEC_IN * words + w] != in_w {
+                        rows[SEC_IN * words + w] = in_w;
                         changed = true;
                     }
                 }
             }
-        }
-
-        Liveness {
-            index,
-            words,
-            rows: n,
-            bits,
         }
     }
 
     #[inline]
     fn row(&self, section: usize, b: BlockId) -> &[u64] {
-        let i = self.index[b.index()];
-        debug_assert_ne!(i, NO_ROW, "no liveness row for {b}");
-        let base = (section * self.rows + i as usize) * self.words;
+        let base = (self.entry[b.index()] as usize * SECTIONS + section) * self.words;
         &self.bits[base..base + self.words]
     }
 

@@ -1,4 +1,5 @@
-//! A memo of blocks the block-local kernels have already left unchanged.
+//! A memo of blocks the block-local kernels have already left unchanged,
+//! and the analyses commit-time optimization carries from run to run.
 //!
 //! Five kernels — [`constfold::fold_block`](crate::constfold::fold_block),
 //! [`strength::reduce_block`](crate::strength::reduce_block),
@@ -11,11 +12,20 @@
 //! every committed merge while a merge touches only a few blocks; the memo
 //! lets the untouched ones be skipped, with a byte-identical result.
 //!
-//! Entries compare the full block with `==`: no hash, so no collision can
-//! skip a block that changed.
+//! Content is the key. Each entry also records the block's
+//! [version](chf_ir::function::Function::block_version), and equal versions
+//! mean equal content, so the full `==` comparison runs only when the
+//! version moved. No hash is involved, so no collision can skip a block
+//! that changed.
+//!
+//! The memo also owns a [`Liveness`] solution, which
+//! [`Dce`](crate::dce::Dce) refreshes instead of recomputing and formation
+//! trials clone, and the DCE sweeps that removed nothing.
 
 use chf_ir::block::Block;
 use chf_ir::function::Function;
+use chf_ir::ids::BlockId;
+use chf_ir::liveness::{Liveness, RegSetBuf};
 
 /// One of the block-local kernels the memo can skip.
 #[derive(Clone, Copy, Debug)]
@@ -53,8 +63,18 @@ impl Kernel {
     }
 }
 
+/// A block content the kernels in `mask` last left unchanged, and the
+/// version of the slot when it was last seen with that content.
+#[derive(Debug)]
+struct Seen {
+    version: u64,
+    block: Block,
+    mask: u8,
+}
+
 /// Per block: a copy of its content, and a bitmask of the kernels that last
-/// returned `false` on exactly that content.
+/// returned `false` on exactly that content. Also the liveness solution
+/// and DCE sweep memo of [`Dce::run_cached`](crate::Pass::run_cached).
 ///
 /// Pass one memo to [`Pass::run_cached`](crate::Pass::run_cached) for as
 /// long as it is useful; it stays sound whatever happens to the function in
@@ -62,7 +82,11 @@ impl Kernel {
 /// run again.
 #[derive(Debug, Default)]
 pub struct CleanBlocks {
-    seen: Vec<Option<(Block, u8)>>,
+    seen: Vec<Option<Seen>>,
+    liveness: Liveness,
+    /// Per slot: the version and `live_out` of the block's last DCE sweep
+    /// that removed nothing; version 0 (never a block's) when there is none.
+    swept: Vec<(u64, RegSetBuf)>,
 }
 
 impl CleanBlocks {
@@ -71,26 +95,49 @@ impl CleanBlocks {
         Self::default()
     }
 
+    /// The memo's liveness solution, [refreshed](Liveness::refresh) to
+    /// describe `f`.
+    pub fn liveness(&mut self, f: &Function) -> &Liveness {
+        self.liveness.refresh(f);
+        &self.liveness
+    }
+
+    /// The refreshed liveness solution and the sweep memo, for DCE.
+    pub(crate) fn dce_state(&mut self, f: &Function) -> (&Liveness, &mut Vec<(u64, RegSetBuf)>) {
+        self.liveness.refresh(f);
+        (&self.liveness, &mut self.swept)
+    }
+
     /// Run `kernel` over every block of `f`, skipping the blocks it is
     /// known to leave unchanged. Returns whether any block changed, exactly
-    /// as running the kernel on every block would.
+    /// as running the kernel on every block would. Borrows a block mutably
+    /// only to run the kernel on it.
     pub(crate) fn run(&mut self, f: &mut Function, kernel: Kernel) -> bool {
         let bit = kernel.bit();
         let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            if b.index() >= self.seen.len() {
-                self.seen.resize_with(b.index() + 1, || None);
+        for i in 0..f.block_slots() {
+            let b = BlockId(i as u32);
+            let Some(blk) = f.try_block(b) else { continue };
+            if i >= self.seen.len() {
+                self.seen.resize_with(i + 1, || None);
             }
-            let slot = &mut self.seen[b.index()];
-            let blk = f.block_mut(b);
+            let slot = &mut self.seen[i];
+            let version = f.block_version(b);
             let known = match slot {
-                Some((copy, mask)) if copy == blk => Some(mask),
-                _ => None,
+                Some(seen) if seen.version == version => {
+                    debug_assert!(seen.block == *blk, "{b} changed but kept its version");
+                    true
+                }
+                Some(seen) if seen.block == *blk => {
+                    seen.version = version;
+                    true
+                }
+                _ => false,
             };
-            if known.as_ref().is_some_and(|mask| **mask & bit != 0) {
+            if known && slot.as_ref().is_some_and(|seen| seen.mask & bit != 0) {
                 continue;
             }
+            let blk = f.block_mut(b);
             let before = cfg!(debug_assertions).then(|| blk.clone());
             if kernel.apply(blk) {
                 changed = true;
@@ -100,9 +147,19 @@ impl CleanBlocks {
                 before.is_none_or(|b| b == *blk),
                 "{kernel:?} rewrote a block but reported no change"
             );
-            match known {
-                Some(mask) => *mask |= bit,
-                None => *slot = Some((blk.clone(), bit)),
+            let version = f.block_version(b);
+            match slot {
+                Some(seen) if known => {
+                    seen.version = version;
+                    seen.mask |= bit;
+                }
+                _ => {
+                    *slot = Some(Seen {
+                        version,
+                        block: f.block(b).clone(),
+                        mask: bit,
+                    })
+                }
             }
         }
         changed
@@ -149,13 +206,13 @@ mod tests {
         let mut clean = CleanBlocks::new();
         assert!(!clean.run(&mut f, Kernel::Strength));
         assert_eq!(
-            clean.seen[e.index()].as_ref().unwrap().1,
+            clean.seen[e.index()].as_ref().unwrap().mask,
             Kernel::Strength.bit()
         );
         // Another kernel on the same content adds its bit to the entry.
         assert!(!clean.run(&mut f, Kernel::ConstFold));
         let both = Kernel::Strength.bit() | Kernel::ConstFold.bit();
-        assert_eq!(clean.seen[e.index()].as_ref().unwrap().1, both);
+        assert_eq!(clean.seen[e.index()].as_ref().unwrap().mask, both);
 
         // `mul x, 3` → `mul x, 8`: strength reduction applies again.
         f.block_mut(e).insts[0].b = Some(Operand::Imm(8));

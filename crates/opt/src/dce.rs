@@ -5,23 +5,25 @@
 //! previous value dead, so a live destination keeps both the predicated def
 //! and whatever defined the register before it.
 
-use crate::Pass;
+use crate::{CleanBlocks, Pass};
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
-use chf_ir::liveness::Liveness;
+use chf_ir::liveness::{Liveness, RegSetBuf};
 
 /// The dead-code-elimination pass.
 #[derive(Debug, Default)]
 pub struct Dce;
 
 /// Remove dead instructions from block `b`, given `live`, the function-wide
-/// liveness solution. Mutates only `b`.
-fn sweep_block(f: &mut Function, b: BlockId, live: &Liveness) -> bool {
+/// liveness solution; `alive` is a buffer the sweep may overwrite. Reads
+/// `b` and borrows it mutably only to delete, so a sweep that removes
+/// nothing leaves its version alone.
+fn sweep_block(f: &mut Function, b: BlockId, live: &Liveness, alive: &mut RegSetBuf) -> bool {
     // Live set at the end of the instruction list: successors'
     // needs plus this block's own exit uses.
-    let mut alive = live.live_out(b).to_buf();
-    let blk = f.block_mut(b);
+    alive.assign(live.live_out(b));
+    let blk = f.block(b);
     for e in &blk.exits {
         if let Some(p) = e.pred {
             alive.insert(p.reg);
@@ -58,7 +60,7 @@ fn sweep_block(f: &mut Function, b: BlockId, live: &Liveness) -> bool {
 
     let Some(keep) = keep else { return false };
     let mut idx = 0;
-    blk.insts.retain(|_| {
+    f.block_mut(b).insts.retain(|_| {
         let k = keep[idx];
         idx += 1;
         k
@@ -66,16 +68,17 @@ fn sweep_block(f: &mut Function, b: BlockId, live: &Liveness) -> bool {
     true
 }
 
-/// Run dead-code elimination on a single block, using a fresh function-wide
-/// liveness solution (dataflow must stay global — the block's `live_out`
-/// depends on its successors). Block-scoped entry point for formation's
-/// trial optimizer; mutates only `b`.
+/// Run dead-code elimination on a single block. Dataflow must stay global
+/// — the block's `live_out` depends on its successors — so `live` is first
+/// [refreshed](Liveness::refresh) to describe `f`, which costs only the
+/// blocks changed since its last refresh. Block-scoped entry point for
+/// formation's trial optimizer; mutates only `b`.
 ///
-/// Returns whether `b` changed, and the solution the sweep used. When
-/// nothing was removed, `f` is exactly the state that solution describes.
-pub fn eliminate_in_block(f: &mut Function, b: BlockId) -> (bool, Liveness) {
-    let live = Liveness::compute(f);
-    (sweep_block(f, b, &live), live)
+/// Returns whether `b` changed. When nothing was removed, `live` still
+/// describes `f` exactly.
+pub fn eliminate_in_block(f: &mut Function, b: BlockId, live: &mut Liveness) -> bool {
+    live.refresh(f);
+    sweep_block(f, b, live, &mut RegSetBuf::default())
 }
 
 impl Pass for Dce {
@@ -85,10 +88,45 @@ impl Pass for Dce {
 
     fn run(&mut self, f: &mut Function) -> bool {
         let live = Liveness::compute(f);
+        let mut alive = RegSetBuf::default();
         let mut changed = false;
-        let ids: Vec<_> = f.block_ids().collect();
-        for b in ids {
-            changed |= sweep_block(f, b, &live);
+        for i in 0..f.block_slots() {
+            let b = BlockId(i as u32);
+            if f.contains_block(b) {
+                changed |= sweep_block(f, b, &live, &mut alive);
+            }
+        }
+        changed
+    }
+
+    /// [`Dce::run`] on the memo's liveness solution, refreshed rather than
+    /// recomputed. A sweep depends only on the block and its `live_out`, so
+    /// a block whose version and `live_out` both equal those of its last
+    /// sweep that removed nothing is skipped.
+    fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
+        let (live, swept) = clean.dce_state(f);
+        let mut alive = RegSetBuf::default();
+        let mut changed = false;
+        for i in 0..f.block_slots() {
+            let b = BlockId(i as u32);
+            if !f.contains_block(b) {
+                continue;
+            }
+            if i >= swept.len() {
+                swept.resize_with(i + 1, Default::default);
+            }
+            let version = f.block_version(b);
+            let (v, out) = &mut swept[i];
+            if *v == version && out.as_set() == live.live_out(b) {
+                continue;
+            }
+            if sweep_block(f, b, live, &mut alive) {
+                changed = true;
+                *v = 0;
+            } else {
+                *v = version;
+                out.assign(live.live_out(b));
+            }
         }
         changed
     }

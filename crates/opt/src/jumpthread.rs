@@ -101,13 +101,17 @@ impl Pass for JumpThread {
         if resolved.is_empty() {
             return false;
         }
+        let forwarded =
+            |t: &ExitTarget| matches!(t, ExitTarget::Block(t) if resolved.contains_key(t));
         for &b in &ids {
-            let blk = f.block_mut(b);
-            for e in &mut blk.exits {
+            // Borrow mutably only the blocks whose exits move, so the rest
+            // keep their versions.
+            if !f.block(b).exits.iter().any(|e| forwarded(&e.target)) {
+                continue;
+            }
+            for e in &mut f.block_mut(b).exits {
                 if let ExitTarget::Block(t) = e.target {
                     if let Some(&dst) = resolved.get(&t) {
-                        // Do not thread a block into itself via its own
-                        // forwarding (b might be the forwarder).
                         e.target = ExitTarget::Block(dst);
                         changed = true;
                     }

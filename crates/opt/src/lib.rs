@@ -23,7 +23,8 @@
 //! All passes implement [`Pass`]; [`optimize`] runs the standard fixpoint
 //! pipeline the convergent formation loop invokes after every merge. A
 //! [`CleanBlocks`] memo lets repeated runs skip the blocks the block-local
-//! kernels have already left unchanged.
+//! kernels have already left unchanged, and carries the liveness solution
+//! DCE refreshes instead of recomputing.
 //!
 //! Every pass preserves observable behaviour (return value and final memory
 //! image); the test suite enforces this over thousands of generated
@@ -151,18 +152,21 @@ pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
 /// only the snapshot). The whole-function [`optimize_quick`] then runs once
 /// per *committed* merge, not once per trial.
 ///
-/// Returns the liveness solution of the final DCE sweep when that sweep
-/// removed nothing, so it describes `f` as returned exactly and the caller's
-/// constraint check need not compute it again; `None` otherwise.
+/// `live` is a liveness solution of some earlier state of `f` (or of a
+/// clone of it); each DCE sweep [refreshes](chf_ir::liveness::Liveness::refresh)
+/// it first, so only the blocks changed since then are solved again. On
+/// return it describes `f` as of the last sweep: refresh it once more
+/// before reading it, which costs nothing if that sweep removed nothing.
 pub fn optimize_block_quick(
     f: &mut Function,
     b: chf_ir::ids::BlockId,
-) -> Option<chf_ir::liveness::Liveness> {
+    live: &mut chf_ir::liveness::Liveness,
+) {
     // Purely local rounds first (no whole-function analyses), then one
     // global round: scoped global value numbering, exit threading, and
     // liveness-based DCE, followed by a final local cleanup and DCE of
     // whatever the global round exposed. Dominators and loop membership are
-    // computed once per call, liveness once or twice.
+    // computed once per call, liveness refreshed once or twice.
     let local = |f: &mut Function| {
         let mut changed = false;
         changed |= constfold::fold_block(f.block_mut(b));
@@ -180,16 +184,14 @@ pub fn optimize_block_quick(
     let mut changed = false;
     changed |= gvn::run_global_scoped(f, Some(b));
     changed |= jumpthread::thread_block_exits(f, b);
-    let (mut removed, mut live) = dce::eliminate_in_block(f, b);
-    if changed || removed {
+    if dce::eliminate_in_block(f, b, live) || changed {
         local(f);
-        (removed, live) = dce::eliminate_in_block(f, b);
+        dce::eliminate_in_block(f, b, live);
     }
     debug_assert!(
         chf_ir::verify::verify(f).is_ok(),
         "block-scoped optimization broke the IR:\n{f}"
     );
-    (!removed).then_some(live)
 }
 
 #[cfg(test)]
@@ -241,6 +243,30 @@ mod tests {
             let once = f.to_string();
             optimize(&mut f);
             assert_eq!(once, f.to_string(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_quick_run_at_its_fixpoint_borrows_no_block_mutably() {
+        use chf_ir::testgen::{generate, GenConfig};
+        for seed in 0..30 {
+            let mut f = generate(seed, &GenConfig::default());
+            if seed % 2 == 0 {
+                // An empty entry that forwards: jump threading resolves it
+                // on every run but can neither remove it nor move an exit.
+                let mut fwd = chf_ir::block::Block::new();
+                fwd.exits.push(chf_ir::block::Exit::jump(f.entry));
+                f.entry = f.add_block(fwd);
+            }
+            let mut clean = CleanBlocks::new();
+            let mut last = String::new();
+            while last != f.to_string() {
+                last = f.to_string();
+                optimize_quick(&mut f, &mut clean);
+            }
+            let before = f.block_versions().to_vec();
+            optimize_quick(&mut f, &mut clean);
+            assert_eq!(f.block_versions(), before, "seed {seed}");
         }
     }
 
