@@ -16,8 +16,7 @@
 //!   comparison against the block-count proxy.
 //!
 //! Binaries `table1`/`table2`/`table3`/`fig7`/`whole_program`/`summary`
-//! print the tables; `bench_perf` measures compile-time and simulator
-//! throughput.
+//! print the tables.
 
 pub mod csv;
 pub mod fig7;
@@ -63,23 +62,8 @@ pub fn try_compile_and_time(
     Ok((t, compiled.stats))
 }
 
-/// Compile `w` under `config` and run the timing simulator, checking that
-/// observable behaviour is preserved.
-///
-/// # Panics
-/// Panics if compilation changes the program's observable behaviour — the
-/// harness refuses to report numbers from a miscompiled benchmark. Harness
-/// code that must degrade gracefully uses [`try_compile_and_time`].
-pub fn compile_and_time(
-    w: &Workload,
-    config: &CompileConfig,
-) -> (TimingResult, chf_core::FormationStats) {
-    try_compile_and_time(w, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Compile `w` under `config` and run the functional simulator (block
-/// counts), checking behaviour. Fallible counterpart of
-/// [`compile_and_count`], mirroring [`try_compile_and_time`].
+/// counts), checking behaviour, as [`try_compile_and_time`] does.
 ///
 /// # Errors
 /// As [`try_compile_and_time`].
@@ -105,18 +89,6 @@ pub fn try_compile_and_count(
     Ok((r, compiled.stats))
 }
 
-/// Compile `w` under `config` and run the functional simulator (block
-/// counts), checking behaviour.
-///
-/// # Panics
-/// Panics on miscompilation, as [`compile_and_time`].
-pub fn compile_and_count(
-    w: &Workload,
-    config: &CompileConfig,
-) -> (FuncResult, chf_core::FormationStats) {
-    try_compile_and_count(w, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Percent improvement of `new` over `base` (positive = faster/fewer).
 pub fn percent_improvement(base: u64, new: u64) -> f64 {
     if base == 0 {
@@ -139,14 +111,14 @@ mod tests {
     #[test]
     fn compile_and_time_validates_behaviour() {
         let w = chf_workloads::micro::vadd();
-        let (t, _) = compile_and_time(&w, &CompileConfig::convergent());
+        let (t, _) = try_compile_and_time(&w, &CompileConfig::convergent()).unwrap();
         assert!(t.cycles > 0);
     }
 
     #[test]
     fn compile_and_count_validates_behaviour() {
         let w = chf_workloads::micro::sieve();
-        let (r, stats) = compile_and_count(&w, &CompileConfig::convergent());
+        let (r, stats) = try_compile_and_count(&w, &CompileConfig::convergent()).unwrap();
         assert!(r.blocks_executed > 0);
         assert!(stats.merges > 0);
     }

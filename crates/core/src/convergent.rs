@@ -1,6 +1,6 @@
 //! Convergent hyperblock formation — the paper's Figure 5.
 //!
-//! [`expand_block`] implements `ExpandBlock`: starting from a seed block, it
+//! `expand_block` implements `ExpandBlock`: starting from a seed block, it
 //! repeatedly asks the policy for the best candidate successor, attempts the
 //! merge as an *in-place trial* ([`merge_blocks`] snapshots the blocks the
 //! merge can touch, transforms the CFG directly, optionally optimizes the
@@ -85,11 +85,11 @@ pub struct FormationConfig {
     pub chaos: Option<ChaosSpec>,
     /// Trial-budget ledger: cap on merge *trials* (attempted merges,
     /// successful or not) per formation run — one whole-function
-    /// [`form_hyperblocks`] call, or one [`expand_block`] call when driven
-    /// block-at-a-time. `None` (the default) reproduces today's unbounded
-    /// behaviour exactly. When the ledger runs dry, remaining candidates
-    /// are skipped and counted in [`FormationStats::budget_skipped`]; the
-    /// trials actually spent are in [`FormationStats::trials`] either way.
+    /// [`form_hyperblocks`] call. `None` (the default) reproduces today's
+    /// unbounded behaviour exactly. When the ledger runs dry, remaining
+    /// candidates are skipped and counted in
+    /// [`FormationStats::budget_skipped`]; the trials actually spent are in
+    /// [`FormationStats::trials`] either way.
     /// Profile-guided orderings ([`SeedOrder::HotFirst`] seeds plus the
     /// [`crate::policy::HotFirst`] candidate policy) exist to spend this
     /// budget on the hottest merges first.
@@ -296,8 +296,9 @@ struct FormationCtx {
     /// hot seeds, processed first, get first claim on.
     trials_spent: usize,
     /// Blocks the commit-time [`chf_opt::optimize_quick`] already left
-    /// clean. Keyed by block content, so it needs no invalidation: a
-    /// commit touches a few blocks, and only those are optimized again.
+    /// clean. Keyed by block version, then content, so it needs no
+    /// invalidation: a commit touches a few blocks, and only those are
+    /// optimized again.
     /// Its liveness solution, refreshed, starts every trial's.
     clean: chf_opt::CleanBlocks,
 }
@@ -692,32 +693,9 @@ fn original_headers(
 }
 
 /// `ExpandBlock` (Figure 5): grow `hb` by merging candidate successors
-/// chosen by `policy` until no candidate fits.
-pub fn expand_block(
-    f: &mut Function,
-    hb: BlockId,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-) -> FormationStats {
-    expand_block_with_profile(f, hb, policy, config, None)
-}
-
-/// [`expand_block`] with access to the training profile's trip-count
-/// histograms, which bound unrolling and peeling (§5).
-pub fn expand_block_with_profile(
-    f: &mut Function,
-    hb: BlockId,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-    profile: Option<&ProfileData>,
-) -> FormationStats {
-    let mut ctx = FormationCtx::new();
-    let original_header = ctx.forest(f).innermost_containing(hb).map(|l| l.header);
-    expand_block_inner(f, hb, policy, config, profile, original_header, &mut ctx)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn expand_block_inner(
+/// chosen by `policy` until no candidate fits. `profile`'s trip-count
+/// histograms, keyed by `original_header`, bound unrolling and peeling (§5).
+fn expand_block(
     f: &mut Function,
     hb: BlockId,
     policy: &mut dyn Policy,
@@ -912,7 +890,7 @@ pub fn form_hyperblocks_with_profile(
         if !f.contains_block(b) {
             continue;
         }
-        let s = expand_block_inner(
+        let s = expand_block(
             f,
             b,
             policy,

@@ -39,7 +39,6 @@ pub mod convergent;
 pub mod duplication;
 pub mod error;
 pub mod fanout;
-pub mod forloop;
 pub mod ifconvert;
 pub mod oracle;
 pub mod pipeline;

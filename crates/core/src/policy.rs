@@ -171,45 +171,23 @@ impl Policy for BreadthFirstLookahead {
     }
 }
 
-/// Parameters of the VLIW path-based heuristic.
-#[derive(Clone, Debug)]
-pub struct VliwParams {
-    /// Candidates below this reach-probability are excluded outright.
-    pub min_prob: f64,
-    /// Candidates below this probability are also excluded when their
-    /// dependence height exceeds `height_ratio` × the mean height.
-    pub cold_prob: f64,
-    /// Height-exclusion ratio for cold blocks.
-    pub height_ratio: f64,
-}
-
-impl Default for VliwParams {
-    fn default() -> Self {
-        VliwParams {
-            min_prob: 0.08,
-            cold_prob: 0.5,
-            height_ratio: 2.0,
-        }
-    }
-}
+/// VLIW heuristic: candidates below this reach-probability are excluded
+/// outright.
+const VLIW_MIN_PROB: f64 = 0.08;
+/// VLIW heuristic: candidates below this probability are also excluded when
+/// their dependence height exceeds [`VLIW_HEIGHT_RATIO`] × the mean height.
+const VLIW_COLD_PROB: f64 = 0.5;
+/// VLIW heuristic: height-exclusion ratio for cold blocks.
+const VLIW_HEIGHT_RATIO: f64 = 2.0;
 
 /// The VLIW (Mahlke-style) path-based heuristic.
 #[derive(Debug, Default)]
 pub struct Vliw {
-    params: VliwParams,
     heights: HashMap<BlockId, u64>,
     mean_height: f64,
 }
 
 impl Vliw {
-    /// A VLIW policy with custom parameters.
-    pub fn with_params(params: VliwParams) -> Self {
-        Vliw {
-            params,
-            ..Vliw::default()
-        }
-    }
-
     fn height(&self, b: BlockId) -> f64 {
         self.heights
             .get(&b)
@@ -263,12 +241,10 @@ impl Policy for Vliw {
             .iter()
             .enumerate()
             .filter(|(_, c)| {
-                if c.prob < self.params.min_prob {
+                if c.prob < VLIW_MIN_PROB {
                     return false;
                 }
-                if c.prob < self.params.cold_prob
-                    && self.height(c.block) > self.params.height_ratio * mean
-                {
+                if c.prob < VLIW_COLD_PROB && self.height(c.block) > VLIW_HEIGHT_RATIO * mean {
                     return false;
                 }
                 true
@@ -345,7 +321,7 @@ pub enum PolicyKind {
     BreadthFirstLookahead,
     /// [`DepthFirst`].
     DepthFirst,
-    /// [`Vliw`] with default parameters.
+    /// [`Vliw`].
     Vliw,
     /// [`HotFirst`]: profile-guided merge ordering.
     HotFirst,

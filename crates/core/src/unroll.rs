@@ -249,13 +249,7 @@ pub fn hyperblock_unroll_peel(
 
     let merge_config = crate::convergent::FormationConfig {
         constraints: constraints.clone(),
-        head_duplication: true,
-        tail_duplication: true,
         iterative_opt: false,
-        trip_aware_unroll: true,
-        speculation: true,
-        max_tail_dup_size: 24,
-        max_merges_per_block: 64,
         ..crate::convergent::FormationConfig::default()
     };
 

@@ -123,13 +123,6 @@ impl Block {
         self.insts.iter().any(|i| i.pred.is_some()) || self.exits.iter().any(|e| e.pred.is_some())
     }
 
-    /// Whether the block ends in a return on every path out.
-    pub fn always_returns(&self) -> bool {
-        self.exits
-            .iter()
-            .all(|e| matches!(e.target, ExitTarget::Return(_)))
-    }
-
     /// Profiled weight of this block's edges into `target`: the sum of the
     /// recorded taken counts over every exit whose target is `target`.
     /// Zero when the edge exists but was never profiled — callers that need
@@ -316,7 +309,6 @@ mod tests {
         b.exits.push(Exit::when(Pred::on_true(Reg(0)), BlockId(1)));
         b.exits.push(Exit::ret(None));
         assert_eq!(b.successors().collect::<Vec<_>>(), vec![BlockId(1)]);
-        assert!(!b.always_returns());
     }
 
     #[test]

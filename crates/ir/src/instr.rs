@@ -347,21 +347,6 @@ impl Instr {
     pub fn has_side_effect(&self) -> bool {
         matches!(self.op, Opcode::Store)
     }
-
-    /// Rewrite every register mentioned by this instruction through `map`.
-    pub fn remap_regs(&mut self, mut map: impl FnMut(Reg) -> Reg) {
-        if let Some(dst) = self.dst.as_mut() {
-            *dst = map(*dst);
-        }
-        for o in [self.a.as_mut(), self.b.as_mut()].into_iter().flatten() {
-            if let Operand::Reg(r) = o {
-                *r = map(*r);
-            }
-        }
-        if let Some(p) = self.pred.as_mut() {
-            p.reg = map(p.reg);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -408,17 +393,6 @@ mod tests {
         assert!(p.is_complement_of(n));
         assert!(!p.is_complement_of(p));
         assert!(!p.is_complement_of(Pred::on_false(r(2))));
-    }
-
-    #[test]
-    fn remap_regs_touches_all_positions() {
-        let mut i = Instr::add(r(1), Operand::Reg(r(2)), Operand::Reg(r(3)))
-            .predicated(Pred::on_false(r(4)));
-        i.remap_regs(|x| Reg(x.0 + 10));
-        assert_eq!(i.dst, Some(r(11)));
-        assert_eq!(i.a, Some(Operand::Reg(r(12))));
-        assert_eq!(i.b, Some(Operand::Reg(r(13))));
-        assert_eq!(i.pred.unwrap().reg, r(14));
     }
 
     #[test]

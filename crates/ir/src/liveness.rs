@@ -108,13 +108,6 @@ impl<'a> RegSet<'a> {
     pub fn to_set(&self) -> FxHashSet<Reg> {
         self.iter().collect()
     }
-
-    /// Copy into an owned bitset (for callers that mutate the result).
-    pub fn to_buf(&self) -> RegSetBuf {
-        RegSetBuf {
-            words: self.words.to_vec(),
-        }
-    }
 }
 
 /// An owned register set, as returned by the intersection accessors

@@ -184,18 +184,6 @@ fn defined_in_other_block(f: &Function, excluded: BlockId, reg: u32) -> bool {
     })
 }
 
-/// Panic with a readable message if `f` fails verification. Intended for
-/// `debug_assert!`-style use inside transformation passes.
-///
-/// # Panics
-/// Panics if verification fails.
-#[track_caller]
-pub fn assert_valid(f: &Function, context: &str) {
-    if let Err(e) = verify(f) {
-        panic!("IR verification failed after {context}: {e}\n{f}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,24 +137,39 @@ fn transient_panics_recover_within_the_cap() {
 
 #[test]
 fn identical_submissions_hit_the_cache_byte_identically() {
+    // One generated function and the 24 profiled microbenchmarks, all
+    // submitted cold, then all again: every second submission must hit.
+    let reqs: Vec<CompileRequest> = std::iter::once(busy_request(13).0)
+        .chain(
+            chf_workloads::microbenchmarks()
+                .into_iter()
+                .map(|w| CompileRequest::ir(w.function, w.profile)),
+        )
+        .collect();
     let svc = CompileService::new(ServiceConfig::default());
-    let (req, _) = busy_request(13);
-    let cold = svc.wait(svc.submit(req.clone()));
-    assert_eq!(cold.status, RequestStatus::Done);
-    assert!(!cold.cache_hit);
-    let hot = svc.wait(svc.submit(req));
-    assert_eq!(hot.status, RequestStatus::Done);
-    assert!(hot.cache_hit, "second identical submission must hit");
-    let c = cold.compiled.unwrap();
-    let h = hot.compiled.unwrap();
-    assert_eq!(
-        c.function.to_string(),
-        h.function.to_string(),
-        "cached function must be byte-identical to the cold compile"
-    );
-    assert_eq!(c.stats, h.stats, "FormationStats must replay exactly");
+    let pass = |hit: bool| -> Vec<_> {
+        reqs.iter()
+            .map(|req| {
+                let resp = svc.wait(svc.submit(req.clone()));
+                assert_eq!(resp.status, RequestStatus::Done);
+                assert_eq!(resp.cache_hit, hit, "second identical submission must hit");
+                resp.compiled.unwrap()
+            })
+            .collect()
+    };
+    let cold = pass(false);
+    let hot = pass(true);
+    for (c, h) in cold.iter().zip(&hot) {
+        assert_eq!(
+            c.function.to_string(),
+            h.function.to_string(),
+            "cached function must be byte-identical to the cold compile"
+        );
+        assert_eq!(c.stats, h.stats, "FormationStats must replay exactly");
+    }
+    let n = reqs.len() as u64;
     let stats = svc.stats();
-    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    assert_eq!((stats.cache_hits, stats.cache_misses), (n, n));
     assert_eq!(stats.cache_hit_rate(), 0.5);
 }
 

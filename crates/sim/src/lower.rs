@@ -371,11 +371,6 @@ impl LoweredProgram {
         self.blocks.len()
     }
 
-    /// Number of decoded instructions (excluding exits).
-    pub fn n_insts(&self) -> usize {
-        self.insts.len()
-    }
-
     /// Number of decoded exits.
     pub fn n_exits(&self) -> usize {
         self.exits.len()

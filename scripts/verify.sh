@@ -3,9 +3,8 @@
 # report) each one separately while local use stays one command:
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
-#   scripts/verify.sh all        # fmt, build, lint, test, bench, perf,
-#                                # smoke, tournament, corpus, chaos,
-#                                # service
+#   scripts/verify.sh all        # fmt, build, lint, test, bench, smoke,
+#                                # tournament, corpus, chaos, service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
@@ -13,7 +12,6 @@
 #   scripts/verify.sh test       # cargo test -q --workspace (every crate's
 #                                # unit, property and integration tests),
 #                                # then prints the suite's wall seconds
-#   scripts/verify.sh perf       # bench_perf --check (perf regression gate)
 #   scripts/verify.sh smoke      # whole_program --smoke
 #   scripts/verify.sh tournament # policy-tournament gate: portfolio
 #                                # dominance over every fixed column,
@@ -36,16 +34,13 @@
 #                                # replicas still equal the real
 #                                # `optimize` and `try_compile`
 #
+# Performance is measured by `benchmark/run.sh` (see benchmark/README.md),
+# not by a gate here.
+#
 # Steps may be chained: `scripts/verify.sh fmt build lint`.
 #
 # Environment knobs (all optional):
 #
-#   CHF_BENCH_CEILING_MS     Wall-time ceiling for the end-to-end Table 1
-#                            regeneration in `perf` (default 100). Raise on
-#                            slow or shared machines, e.g. CI runners.
-#   CHF_BENCH_SIM_FLOOR_MCPS Per-call simulator throughput floor in
-#                            Mcycles/s for `perf` (default 23.8). Lower on
-#                            slow machines.
 #   CHF_JOBS                 Worker count for the parallel evaluation
 #                            harness (default: available parallelism).
 #   CHF_FAULT_SEED           Pins the `chaos` campaign's fault stream so a
@@ -87,15 +82,6 @@ run_test() {
     start=$(date +%s)
     cargo test -q --workspace
     echo "test suite wall seconds: $(($(date +%s) - start))"
-}
-
-# Asserts the end-to-end Table 1 regeneration stays under a generous
-# wall-time ceiling, that per-call simulator throughput stays above the
-# post-event-core floor, and that the parallel harness produces
-# byte-identical output to the sequential path.
-run_perf() {
-    echo "==> bench_perf --check"
-    cargo run --release -p chf-bench --bin bench_perf -- --check
 }
 
 # Cycle-simulates a bounded prefix of the SPEC-like composite workloads
@@ -167,7 +153,6 @@ run_all() {
     run_lint
     run_test
     run_bench
-    run_perf
     run_smoke
     run_tournament
     run_corpus
@@ -189,7 +174,6 @@ while [ "$#" -gt 0 ]; do
         build) run_build ;;
         lint) run_lint ;;
         test) run_test ;;
-        perf) run_perf ;;
         smoke) run_smoke ;;
         tournament) run_tournament ;;
         corpus) run_corpus ;;
@@ -207,7 +191,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|bench|perf|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|test|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac
