@@ -15,7 +15,10 @@
 //! 4. **Shape-cache hot path** — a second pass over the suite through the
 //!    same service is answered by the CFG-shape winner cache: every
 //!    tournament is a shape hit and the amortized entrants-per-tournament
-//!    counter falls below the portfolio size.
+//!    counter falls below the portfolio size;
+//! 5. **Shared prefix** — a cold pass (shape cache off) runs one formation
+//!    per policy per tournament (3), while every entrant (6) is still
+//!    scored, by the service counters.
 //!
 //! Exits non-zero on any violation; `scripts/verify.sh tournament` and CI
 //! run it with the freshly generated CSV left on disk as a failure
@@ -102,6 +105,7 @@ fn main() {
         })
         .collect();
     let portfolio_size = TournamentConfig::default().entrants().len();
+    let policies = TournamentConfig::default().policies.len();
     let mut reference: Vec<(String, u64, String)> = Vec::new();
     for workers in [1usize, 2, 8] {
         let svc = CompileService::new(ServiceConfig {
@@ -176,6 +180,32 @@ fn main() {
         eprintln!(
             "CHECK FAILED: amortized entrants {amortized:.2} did not fall below the \
              portfolio size {portfolio_size}"
+        );
+        failed = true;
+    }
+
+    // 5. Shared prefix: one formation per policy serves both of its
+    // budget entrants.
+    println!("tournament: shared-prefix formations");
+    let svc = CompileService::new(ServiceConfig {
+        shape_cache_capacity: 0,
+        ..ServiceConfig::default()
+    });
+    for req in &reqs {
+        svc.compile_tournament(req).expect("cold tournament");
+    }
+    let s = svc.stats();
+    let n = reqs.len() as u64;
+    let (formations, entrants) = (policies as u64 * n, portfolio_size as u64 * n);
+    println!(
+        "  {} cold tournaments: {} formations, {} entrants scored",
+        s.shape_misses, s.formations, s.tournament_entrants
+    );
+    if s.shape_misses != n || s.formations != formations || s.tournament_entrants != entrants {
+        eprintln!(
+            "CHECK FAILED: {n} cold tournaments ran {} formations and scored {} entrants, \
+             expected {formations} and {entrants}",
+            s.formations, s.tournament_entrants
         );
         failed = true;
     }

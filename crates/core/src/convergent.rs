@@ -301,6 +301,14 @@ struct FormationCtx {
     /// optimized again.
     /// Its liveness solution, refreshed, starts every trial's.
     clean: chf_opt::CleanBlocks,
+    /// The smallest budget point still to fork at (`usize::MAX` when none):
+    /// the run forks when it reaches the ledger checkpoint with exactly
+    /// this many trials spent.
+    next_fork: usize,
+    /// The budget points after `next_fork`, largest first.
+    later_forks: Vec<usize>,
+    /// Forks taken so far, in budget order.
+    forks: Vec<BudgetFork>,
 }
 
 impl FormationCtx {
@@ -311,7 +319,44 @@ impl FormationCtx {
             chaos: None,
             trials_spent: 0,
             clean: chf_opt::CleanBlocks::new(),
+            next_fork: usize::MAX,
+            later_forks: Vec::new(),
+            forks: Vec::new(),
         }
+    }
+
+    /// Fork at each of `budgets` (any order, duplicates allowed) below the
+    /// run's own budget `cap`.
+    fn fork_at(&mut self, budgets: &[usize], cap: Option<usize>) {
+        self.later_forks = budgets
+            .iter()
+            .copied()
+            .filter(|&b| cap.is_none_or(|cap| b < cap))
+            .collect();
+        self.later_forks.sort_unstable_by(|a, b| b.cmp(a));
+        self.later_forks.dedup();
+        self.next_fork = self.later_forks.pop().unwrap_or(usize::MAX);
+    }
+
+    /// Fork the run capped at the trials spent so far, at the ledger
+    /// checkpoint where that cap stops it: the function as it stands, and
+    /// `seed_stats` charged the frontier the capped run drops here.
+    fn fork(
+        &mut self,
+        f: &Function,
+        seed_stats: &FormationStats,
+        frontier: usize,
+        deadline_expired: bool,
+    ) {
+        let mut stats = *seed_stats;
+        stats.budget_skipped += frontier;
+        stats.deadline_hit |= deadline_expired;
+        self.forks.push(BudgetFork {
+            budget: self.trials_spent,
+            function: f.clone(),
+            stats,
+        });
+        self.next_fork = self.later_forks.pop().unwrap_or(usize::MAX);
     }
 
     /// Whether the budget (if any) still has room for another trial.
@@ -698,7 +743,7 @@ fn original_headers(
 fn expand_block(
     f: &mut Function,
     hb: BlockId,
-    policy: &mut dyn Policy,
+    policy: &dyn Policy,
     config: &FormationConfig,
     profile: Option<&ProfileData>,
     original_header: Option<BlockId>,
@@ -767,6 +812,13 @@ fn expand_block(
         let deadline_expired = config
             .deadline
             .is_some_and(|d| std::time::Instant::now() >= d);
+        // A run capped at exactly the trials spent so far stops here: fork
+        // its result before going on. The unroll/peel gating below can
+        // bring the loop back to this point without a trial, but the
+        // budget point has moved on by then.
+        if ctx.trials_spent == ctx.next_fork {
+            ctx.fork(f, &stats, 1 + candidates.len(), deadline_expired);
+        }
         if !ctx.budget_open(config) || deadline_expired {
             stats.budget_skipped += 1 + candidates.len();
             stats.deadline_hit |= deadline_expired;
@@ -859,11 +911,48 @@ pub fn form_hyperblocks_with_profile(
     config: &FormationConfig,
     profile: Option<&ProfileData>,
 ) -> FormationStats {
+    form_hyperblocks_forked(f, policy, config, profile, &[]).0
+}
+
+/// The result of a formation run capped at a smaller trial budget, forked
+/// from a run with a larger one by [`form_hyperblocks_forked`].
+#[derive(Clone, Debug)]
+pub struct BudgetFork {
+    /// The trial budget of the capped run.
+    pub budget: usize,
+    /// The function the capped run leaves, unreachable blocks removed.
+    pub function: Function,
+    /// The capped run's stats, ledger included.
+    pub stats: FormationStats,
+}
+
+/// [`form_hyperblocks_with_profile`], also producing the result of the same
+/// run capped at each of `fork_budgets` — each equal to a run of its own
+/// with [`FormationConfig::trial_budget`] set to that budget.
+///
+/// The trial sequence is deterministic and the ledger only cuts it short,
+/// so a run capped at `b` trials is this run up to the ledger checkpoint
+/// where it has spent `b` trials. There the function is cloned, charged
+/// the frontier the capped run drops, and finished the way the capped run
+/// would: every later seed meets the closed ledger at its first candidate
+/// and is charged its frontier. A budget this run never reaches at a
+/// checkpoint (because the run spends no more trials) yields no fork: the
+/// capped run would be this run exactly; nor does a budget at or above
+/// `config.trial_budget`.
+pub fn form_hyperblocks_forked(
+    f: &mut Function,
+    policy: &mut dyn Policy,
+    config: &FormationConfig,
+    profile: Option<&ProfileData>,
+    fork_budgets: &[usize],
+) -> (FormationStats, Vec<BudgetFork>) {
     policy.prepare(f);
+    let policy: &dyn Policy = policy;
     // One context for the whole run: the headers map is built once, and the
     // loop forest computed for it seeds the trial cache of the first
     // expansion (it stays valid until the first committed merge).
     let mut ctx = FormationCtx::new();
+    ctx.fork_at(fork_budgets, config.trial_budget);
     let headers = original_headers(f, &mut ctx);
     // Seed ordering decides who gets first claim on the trial budget. The
     // weight is computed before any merge rewrites the CFG, and the sort is
@@ -886,10 +975,11 @@ pub fn form_hyperblocks_with_profile(
     });
 
     let mut stats = FormationStats::default();
-    for (b, _) in seeds {
+    for (i, &(b, _)) in seeds.iter().enumerate() {
         if !f.contains_block(b) {
             continue;
         }
+        let forked = ctx.forks.len();
         let s = expand_block(
             f,
             b,
@@ -899,10 +989,50 @@ pub fn form_hyperblocks_with_profile(
             headers.get(&b).copied(),
             &mut ctx,
         );
+        for fork in &mut ctx.forks[forked..] {
+            fork.stats.merge(&stats);
+            finish_fork(fork, &seeds[i + 1..], policy, config, profile, &headers);
+        }
         stats.merge(&s);
     }
     chf_ir::cfg::remove_unreachable(f);
-    stats
+    (stats, ctx.forks)
+}
+
+/// Finish `fork` as its capped run would after the seed it forked in: each
+/// of the `rest` seeds meets the closed ledger at its first candidate and
+/// is charged its frontier (no trial runs, so neither the function nor the
+/// policy changes), then the unreachable blocks go.
+fn finish_fork(
+    fork: &mut BudgetFork,
+    rest: &[(BlockId, f64)],
+    policy: &dyn Policy,
+    config: &FormationConfig,
+    profile: Option<&ProfileData>,
+    headers: &chf_ir::fxhash::FxHashMap<BlockId, BlockId>,
+) {
+    let config = FormationConfig {
+        trial_budget: Some(fork.budget),
+        ..config.clone()
+    };
+    let mut ctx = FormationCtx::new();
+    ctx.trials_spent = fork.budget;
+    for &(b, _) in rest {
+        if !fork.function.contains_block(b) {
+            continue;
+        }
+        let s = expand_block(
+            &mut fork.function,
+            b,
+            policy,
+            &config,
+            profile,
+            headers.get(&b).copied(),
+            &mut ctx,
+        );
+        fork.stats.merge(&s);
+    }
+    chf_ir::cfg::remove_unreachable(&mut fork.function);
 }
 
 #[cfg(test)]

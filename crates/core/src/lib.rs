@@ -55,6 +55,8 @@ pub use convergent::{
 };
 pub use error::ChfError;
 pub use oracle::OracleConfig;
-pub use pipeline::{compile, try_compile, CompileConfig, Compiled, PhaseOrdering};
+pub use pipeline::{
+    compile, try_compile, try_compile_budgets, CompileConfig, Compiled, PhaseOrdering,
+};
 pub use policy::PolicyKind;
 pub use tournament::{run_tournament, ScoreMetric, TournamentConfig, TournamentResult};

@@ -14,9 +14,7 @@
 //! `(IUPO)` optimizes inside the formation loop.
 
 use crate::constraints::BlockConstraints;
-use crate::convergent::{
-    form_hyperblocks_with_profile, FormationConfig, FormationStats, SeedOrder,
-};
+use crate::convergent::{form_hyperblocks_forked, FormationConfig, FormationStats, SeedOrder};
 use crate::fanout::insert_fanout;
 use crate::policy::PolicyKind;
 use crate::regalloc::{allocate_registers, RegFileSpec};
@@ -151,7 +149,7 @@ impl Default for CompileConfig {
 }
 
 /// Result of compilation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Compiled {
     /// The compiled function.
     pub function: Function,
@@ -206,6 +204,8 @@ pub fn compile(f: &Function, profile: &ProfileData, config: &CompileConfig) -> C
 /// path here is the *final* gate — the fully compiled function failing
 /// structural verification.
 ///
+/// The one-budget case of [`try_compile_budgets`].
+///
 /// # Errors
 /// [`crate::ChfError::Verify`] when the compiled output is structurally
 /// invalid.
@@ -214,68 +214,128 @@ pub fn try_compile(
     profile: &ProfileData,
     config: &CompileConfig,
 ) -> Result<Compiled, crate::ChfError> {
+    try_compile_budgets(f, profile, config, &[config.trial_budget])
+        .pop()
+        .expect("one result per budget")
+}
+
+/// Compile `f` once per trial budget in `budgets`: result `i` equals
+/// [`try_compile`] under `config` with `trial_budget` set to `budgets[i]`
+/// (`config.trial_budget` itself is ignored).
+///
+/// One formation run serves every budget. It runs under the largest one
+/// and forks each smaller budget's function at the ledger checkpoint where
+/// that budget runs dry ([`form_hyperblocks_forked`]); a budget the run
+/// never reaches there shares the run's artifact. Each distinct artifact
+/// is then finished once: scalar optimization, the backend, verification
+/// and utilization.
+pub fn try_compile_budgets(
+    f: &Function,
+    profile: &ProfileData,
+    config: &CompileConfig,
+    budgets: &[Option<usize>],
+) -> Vec<Result<Compiled, crate::ChfError>> {
     let mut f = f.clone();
     profile.apply(&mut f);
     let mut stats = FormationStats::default();
-    let mut policy = config.policy.instantiate();
 
-    match config.ordering {
-        PhaseOrdering::BasicBlocks => {
-            chf_opt::optimize(&mut f);
-        }
+    // Formation phases: `(head duplication, iterative optimization)`.
+    let formation = match config.ordering {
+        PhaseOrdering::BasicBlocks => None,
         PhaseOrdering::Upio => {
-            // U, P on the basic-block CFG (inaccurate size estimates).
+            // U, P on the basic-block CFG (inaccurate size estimates), then
+            // I: incremental if-conversion with tail duplication only.
             let up = cfg_unroll_and_peel(&mut f, profile, &config.unroll);
             stats.unrolls += up.unrolls;
             stats.peels += up.peels;
-            // I: incremental if-conversion with tail duplication only.
-            let fs = form_hyperblocks_with_profile(
-                &mut f,
-                policy.as_mut(),
-                &formation_config(config, false, false),
-                Some(profile),
-            );
-            stats.merge(&fs);
-            // O.
-            chf_opt::optimize(&mut f);
+            Some((false, false))
         }
-        PhaseOrdering::Iupo => {
-            // I.
-            let fs = form_hyperblocks_with_profile(
-                &mut f,
-                policy.as_mut(),
-                &formation_config(config, false, false),
-                Some(profile),
-            );
-            stats.merge(&fs);
-            // U, P at hyperblock granularity (accurate size estimates).
-            let up = hyperblock_unroll_peel(&mut f, profile, &config.constraints, &config.unroll);
-            stats.unrolls += up.unrolls;
-            stats.peels += up.peels;
-            // O.
-            chf_opt::optimize(&mut f);
+        // I, then U and P at hyperblock granularity (in `finish`).
+        PhaseOrdering::Iupo => Some((false, false)),
+        PhaseOrdering::IupThenO => Some((true, false)),
+        PhaseOrdering::Iupo_ => Some((true, true)),
+    };
+
+    // The run takes the largest budget (unbounded above all); the others
+    // are forks of it.
+    let run_budget = budgets
+        .iter()
+        .copied()
+        .max_by_key(|b| b.map_or((1, 0), |b| (0, b)))
+        .unwrap_or(config.trial_budget);
+    let mut artifacts = Vec::new();
+    if let Some((head, iterative_opt)) = formation {
+        let run_config = CompileConfig {
+            trial_budget: run_budget,
+            ..config.clone()
+        };
+        let fork_budgets: Vec<usize> = budgets.iter().flatten().copied().collect();
+        let mut policy = config.policy.instantiate();
+        let (fs, forks) = form_hyperblocks_forked(
+            &mut f,
+            policy.as_mut(),
+            &formation_config(&run_config, head, iterative_opt),
+            Some(profile),
+            &fork_budgets,
+        );
+        for fork in forks {
+            let mut fork_stats = stats;
+            fork_stats.merge(&fork.stats);
+            artifacts.push((Some(fork.budget), fork.function, fork_stats));
         }
-        PhaseOrdering::IupThenO => {
-            let fs = form_hyperblocks_with_profile(
-                &mut f,
-                policy.as_mut(),
-                &formation_config(config, true, false),
-                Some(profile),
-            );
-            stats.merge(&fs);
-            chf_opt::optimize(&mut f);
-        }
-        PhaseOrdering::Iupo_ => {
-            let fs = form_hyperblocks_with_profile(
-                &mut f,
-                policy.as_mut(),
-                &formation_config(config, true, true),
-                Some(profile),
-            );
-            stats.merge(&fs);
-            chf_opt::optimize(&mut f);
-        }
+        stats.merge(&fs);
     }
+    artifacts.push((None, f, stats));
+
+    // Each budget takes its fork's artifact, else the run's (the last).
+    let which: Vec<usize> = budgets
+        .iter()
+        .map(|&b| {
+            artifacts
+                .iter()
+                .position(|(fork, _, _)| fork.is_some() && *fork == b)
+                .unwrap_or(artifacts.len() - 1)
+        })
+        .collect();
+    // Finish each artifact once, and move it out at its last use.
+    let mut uses = vec![0usize; artifacts.len()];
+    for &a in &which {
+        uses[a] += 1;
+    }
+    let mut finished: Vec<_> = artifacts
+        .into_iter()
+        .map(|(_, f, stats)| Some(finish(f, stats, profile, config)))
+        .collect();
+    which
+        .into_iter()
+        .map(|a| {
+            uses[a] -= 1;
+            let result = if uses[a] == 0 {
+                finished[a].take()
+            } else {
+                finished[a].clone()
+            };
+            result.expect("moved out at its last use only")
+        })
+        .collect()
+}
+
+/// The phases after formation: U and P for `IUPO`, scalar optimization,
+/// the backend (§6), verification, and utilization.
+fn finish(
+    mut f: Function,
+    mut stats: FormationStats,
+    profile: &ProfileData,
+    config: &CompileConfig,
+) -> Result<Compiled, crate::ChfError> {
+    if config.ordering == PhaseOrdering::Iupo {
+        // U, P at hyperblock granularity (accurate size estimates).
+        let up = hyperblock_unroll_peel(&mut f, profile, &config.constraints, &config.unroll);
+        stats.unrolls += up.unrolls;
+        stats.peels += up.peels;
+    }
+    // O.
+    chf_opt::optimize(&mut f);
 
     // Backend (§6): register allocation (spilling on pressure), fanout
     // insertion, then reverse if-conversion for any block the insertions

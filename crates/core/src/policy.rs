@@ -48,7 +48,13 @@ pub trait Policy {
     fn prepare(&mut self, _f: &Function) {}
 
     /// Index of the candidate to try next, or `None` to stop expanding.
-    fn select(&mut self, f: &Function, hb: BlockId, candidates: &[Candidate]) -> Option<usize>;
+    ///
+    /// Takes `&self`: selection is a pure function of the function, the
+    /// hyperblock, the candidates and what [`Policy::prepare`] computed. A
+    /// formation run relies on it when it charges a budget fork's skipped
+    /// frontier with the run's own policy
+    /// ([`crate::convergent::form_hyperblocks_forked`]).
+    fn select(&self, f: &Function, hb: BlockId, candidates: &[Candidate]) -> Option<usize>;
 }
 
 /// Breadth-first selection: strict discovery order.
@@ -60,7 +66,7 @@ impl Policy for BreadthFirst {
         "breadth-first"
     }
 
-    fn select(&mut self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
+    fn select(&self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
         candidates
             .iter()
             .enumerate()
@@ -78,7 +84,7 @@ impl Policy for DepthFirst {
         "depth-first"
     }
 
-    fn select(&mut self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
+    fn select(&self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
         candidates
             .iter()
             .enumerate()
@@ -141,7 +147,7 @@ impl Policy for BreadthFirstLookahead {
         "breadth-first+lookahead"
     }
 
-    fn select(&mut self, f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
+    fn select(&self, f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
         if candidates.is_empty() {
             return None;
         }
@@ -235,7 +241,7 @@ impl Policy for Vliw {
         self.mean_height = self.heights.values().sum::<u64>() as f64 / n as f64;
     }
 
-    fn select(&mut self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
+    fn select(&self, _f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
         let mean = self.mean_height.max(1.0);
         candidates
             .iter()
@@ -298,7 +304,7 @@ impl Policy for HotFirst {
         "hot-first"
     }
 
-    fn select(&mut self, f: &Function, hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
+    fn select(&self, f: &Function, hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
         candidates
             .iter()
             .enumerate()
@@ -464,7 +470,7 @@ mod tests {
         fb.switch_to(stray);
         fb.ret(None);
         let f = fb.build_unverified();
-        let mut p = BreadthFirstLookahead::default();
+        let p = BreadthFirstLookahead::default();
         // stray discovered first (order 0) but does not reconverge.
         let cs = vec![
             cand(stray.0, 0, 0, 0.5),

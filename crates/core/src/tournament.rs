@@ -8,16 +8,18 @@
 //! compiles every `(policy, trial-budget)` entrant of a configurable
 //! portfolio, scores each by the functional simulator's dynamic block count
 //! on the training input (event-sim cycles behind an opt-in metric), and
-//! keeps the artifact with the best score. Entrant enumeration, scoring,
+//! keeps the artifact with the best score. A policy's budget entrants come
+//! from one formation run, forked at the trial ledger
+//! ([`crate::pipeline::try_compile_budgets`]). Entrant enumeration, scoring,
 //! and tie-breaking are fully deterministic, so a tournament run at any
 //! worker count picks the same winner.
 //!
 //! This module is the *sequential* core. The compile service layers the
-//! parallel path on top (portfolio fan-out through `submit_batch`) plus a
+//! parallel path on top (one job per policy through `submit_budgets`) plus a
 //! CFG-shape cache so recurring shapes skip the tournament entirely; see
 //! `chf-service`.
 
-use crate::pipeline::{try_compile, CompileConfig, Compiled};
+use crate::pipeline::{try_compile_budgets, CompileConfig, Compiled};
 use crate::policy::PolicyKind;
 use crate::ChfError;
 use chf_ir::function::Function;
@@ -214,7 +216,37 @@ pub fn baseline(
     Ok((digest, score))
 }
 
+/// Score one policy's budget entrants in order (`None`: no artifact to
+/// score). An artifact equal to an earlier member's is scored once: a
+/// budget its formation run never reached shares the run's artifact.
+pub fn score_group<'a>(
+    members: impl IntoIterator<Item = Option<&'a Compiled>>,
+    args: &[i64],
+    memory: &[(i64, i64)],
+    metric: ScoreMetric,
+    expected_digest: &BehaviourDigest,
+) -> Vec<Option<u64>> {
+    let mut scored: Vec<(&Compiled, Option<u64>)> = Vec::new();
+    members
+        .into_iter()
+        .map(|member| {
+            let compiled = member?;
+            // Stats first: they tell a forked artifact apart cheaply.
+            let same = |c: &&Compiled| c.stats == compiled.stats && c.function == compiled.function;
+            if let Some((_, s)) = scored.iter().find(|(c, _)| same(c)) {
+                return *s;
+            }
+            let s = score(&compiled.function, args, memory, metric, expected_digest).ok();
+            scored.push((compiled, s));
+            s
+        })
+        .collect()
+}
+
 /// Run the full portfolio sequentially and crown a winner.
+///
+/// Each policy's budget entrants come from one formation run
+/// ([`try_compile_budgets`]), equal to compiling each on its own.
 ///
 /// Deterministic: entrants are enumerated, compiled, and scored in
 /// portfolio order, and ties go to the earlier entrant — a tournament at
@@ -240,35 +272,43 @@ pub fn run_tournament(
 
     let mut entrants = Vec::new();
     let mut best: Option<(usize, u64, Compiled)> = None;
-    for (idx, (label, entrant_config)) in config.entrants().into_iter().enumerate() {
-        let (policy, budget) = (entrant_config.policy, entrant_config.trial_budget);
-        let scored = try_compile(f, profile, &entrant_config)
-            .map_err(|e| e.to_string())
-            .and_then(|compiled| {
-                score(&compiled.function, args, memory, config.metric, &digest)
-                    .map(|s| (compiled, s))
-            });
-        match scored {
-            Ok((compiled, s)) => {
-                entrants.push(Entrant {
+    for &policy in &config.policies {
+        let group_config = CompileConfig {
+            policy,
+            ..config.base.clone()
+        };
+        let group = try_compile_budgets(f, profile, &group_config, &config.budgets);
+        let scores = score_group(
+            group.iter().map(|r| r.as_ref().ok()),
+            args,
+            memory,
+            config.metric,
+            &digest,
+        );
+        for ((&budget, compiled), s) in config.budgets.iter().zip(group).zip(scores) {
+            let label = entrant_label(policy, budget);
+            match (compiled, s) {
+                (Ok(compiled), Some(s)) => {
+                    entrants.push(Entrant {
+                        label,
+                        policy,
+                        budget,
+                        score: Some(s),
+                        trials: compiled.stats.trials,
+                    });
+                    // Strict `<` keeps the earliest entrant on ties.
+                    if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
+                        best = Some((entrants.len() - 1, s, compiled));
+                    }
+                }
+                _ => entrants.push(Entrant {
                     label,
                     policy,
                     budget,
-                    score: Some(s),
-                    trials: compiled.stats.trials,
-                });
-                // Strict `<` keeps the earliest entrant on ties.
-                if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                    best = Some((idx, s, compiled));
-                }
+                    score: None,
+                    trials: 0,
+                }),
             }
-            Err(_) => entrants.push(Entrant {
-                label,
-                policy,
-                budget,
-                score: None,
-                trials: 0,
-            }),
         }
     }
 

@@ -79,6 +79,18 @@ impl std::fmt::Debug for Function {
     }
 }
 
+/// Equal when the blocks, registers and signature are; versions are left
+/// out, as in `Debug`.
+impl PartialEq for Function {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.entry == other.entry
+            && self.params == other.params
+            && self.nregs == other.nregs
+            && self.blocks == other.blocks
+    }
+}
+
 impl Function {
     /// Create an empty function with `params` parameters and a fresh, empty
     /// entry block.

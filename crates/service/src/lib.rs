@@ -59,8 +59,10 @@ pub mod shape;
 pub mod stats;
 
 use cache::{cache_key, CacheKey, FormationCache, Lookup};
-use chf_core::pipeline::{try_compile, CompileConfig, Compiled};
-use chf_core::tournament::{baseline, improvement_permille, score, ScoreMetric, TournamentConfig};
+use chf_core::pipeline::{try_compile_budgets, CompileConfig, Compiled};
+use chf_core::tournament::{
+    baseline, improvement_permille, score, score_group, ScoreMetric, TournamentConfig,
+};
 use chf_core::{ChfError, PolicyKind};
 use chf_ir::function::Function;
 use chf_ir::fxhash::{FxHashMap, FxHasher};
@@ -307,9 +309,10 @@ pub struct TournamentRequest {
 /// Terminal outcome of a service-side tournament.
 #[derive(Clone, Debug)]
 pub struct TournamentOutcome {
-    /// The winning artifact;
-    /// `stats.tournament_entrants` records how many policy compiles
-    /// produced it (1 = shape-cache hot path).
+    /// The winning artifact; `stats.tournament_entrants` records how many
+    /// entrants were scored to pick it (1 = shape-cache hot path). One
+    /// policy's budget entrants share a formation run, so that is more than
+    /// the runs it took ([`ServiceStats::formations`]).
     pub compiled: Compiled,
     /// Winning policy.
     pub policy: PolicyKind,
@@ -328,7 +331,8 @@ pub struct TournamentOutcome {
     /// Whether a shape hit regressed past the guard band and fell back to
     /// the full portfolio.
     pub guard_fallback: bool,
-    /// Policy compiles run and scored for this tournament.
+    /// Entrants scored for this tournament (the formation runs behind them
+    /// are counted in [`ServiceStats::formations`]).
     pub entrants_run: usize,
 }
 
@@ -345,14 +349,24 @@ enum State {
     Terminal(Box<CompileResponse>),
 }
 
+/// One queued unit of work: a program compiled once per member's trial
+/// budget, by one formation run.
 struct Job {
-    id: RequestId,
+    members: Vec<Member>,
     function: Function,
     profile: ProfileData,
+    /// The members' shared configuration; each member's budget replaces
+    /// `trial_budget`.
     config: CompileConfig,
     options: RequestOptions,
-    key: Option<CacheKey>,
     enqueued: Instant,
+}
+
+/// One request carried by a [`Job`].
+struct Member {
+    id: RequestId,
+    budget: Option<usize>,
+    key: Option<CacheKey>,
 }
 
 struct Inner {
@@ -424,10 +438,43 @@ impl CompileService {
     /// Submit a request. Always returns an id whose lifecycle terminates:
     /// parse failures terminate as `Failed`, a full queue as `Rejected`
     /// (both synchronously), cache hits as `Done` without queueing.
+    ///
+    /// The one-budget case of [`CompileService::submit_budgets`].
     pub fn submit(&self, req: CompileRequest) -> RequestId {
+        let budget = req.config.trial_budget;
+        self.submit_budgets(req, &[budget])[0]
+    }
+
+    /// Submit `req` once per trial budget in `budgets` (its own
+    /// `config.trial_budget` is ignored) and return one id per budget, in
+    /// order. Each id terminates as a [`CompileService::submit`] of `req`
+    /// with that budget would.
+    ///
+    /// The members not answered by the cache share one queued job: it takes
+    /// one queue slot (a shed job rejects every member), and one worker
+    /// compiles them all with one formation run
+    /// ([`chf_core::try_compile_budgets`]) under one deadline. Each id
+    /// still gets its own response, status and formation-cache entry.
+    pub fn submit_budgets(&self, req: CompileRequest, budgets: &[Option<usize>]) -> Vec<RequestId> {
         let inner = &self.inner;
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        StatsCollector::bump(&inner.stats.submitted);
+        let ids: Vec<RequestId> = budgets
+            .iter()
+            .map(|_| {
+                StatsCollector::bump(&inner.stats.submitted);
+                inner.next_id.fetch_add(1, Ordering::Relaxed)
+            })
+            .collect();
+        // The response of a request answered without a worker.
+        let unqueued = |id, status| CompileResponse {
+            id,
+            status,
+            compiled: None,
+            error: None,
+            cache_hit: false,
+            retries: 0,
+            queue_wait: Duration::ZERO,
+            compile_time: Duration::ZERO,
+        };
 
         // Parse (and therefore size-check) up front, on the client's
         // thread: garbage text never occupies a queue slot.
@@ -436,18 +483,16 @@ impl CompileService {
             Program::Source(text) => match chf_ir::parse::parse_function(&text) {
                 Ok(f) => f,
                 Err(error) => {
-                    StatsCollector::bump(&inner.stats.failed);
-                    self.finish(CompileResponse {
-                        id,
-                        status: RequestStatus::Failed,
-                        compiled: None,
-                        error: Some(ChfError::Parse { error }),
-                        cache_hit: false,
-                        retries: 0,
-                        queue_wait: Duration::ZERO,
-                        compile_time: Duration::ZERO,
-                    });
-                    return id;
+                    for &id in &ids {
+                        StatsCollector::bump(&inner.stats.failed);
+                        self.finish(CompileResponse {
+                            error: Some(ChfError::Parse {
+                                error: error.clone(),
+                            }),
+                            ..unqueued(id, RequestStatus::Failed)
+                        });
+                    }
+                    return ids;
                 }
             },
         };
@@ -456,31 +501,35 @@ impl CompileService {
         // bypass it: the former compile to different (trial-poisoned)
         // results, the latter exist to exercise the worker path.
         let cacheable = req.config.chaos.is_none() && req.options.inject_panics == 0;
-        let key = cacheable.then(|| cache_key(&function, &req.config, &req.profile));
-        if let Some(k) = &key {
-            match inner.cache.get(k) {
-                Lookup::Hit(compiled) => {
-                    StatsCollector::bump(&inner.stats.cache_hits);
-                    StatsCollector::bump(&inner.stats.done);
-                    self.finish(CompileResponse {
-                        id,
-                        status: RequestStatus::Done,
-                        compiled: Some(*compiled),
-                        error: None,
-                        cache_hit: true,
-                        retries: 0,
-                        queue_wait: Duration::ZERO,
-                        compile_time: Duration::ZERO,
-                    });
-                    return id;
+        let mut config = req.config;
+        let mut members = Vec::with_capacity(ids.len());
+        for (&id, &budget) in ids.iter().zip(budgets) {
+            config.trial_budget = budget;
+            let key = cacheable.then(|| cache_key(&function, &config, &req.profile));
+            if let Some(k) = &key {
+                match inner.cache.get(k) {
+                    Lookup::Hit(compiled) => {
+                        StatsCollector::bump(&inner.stats.cache_hits);
+                        StatsCollector::bump(&inner.stats.done);
+                        self.finish(CompileResponse {
+                            compiled: Some(*compiled),
+                            cache_hit: true,
+                            ..unqueued(id, RequestStatus::Done)
+                        });
+                        continue;
+                    }
+                    Lookup::Corrupt => {
+                        // Revalidation failed: the entry is already dropped;
+                        // fall through to a cold compile.
+                        StatsCollector::bump(&inner.stats.cache_corrupt_dropped);
+                    }
+                    Lookup::Miss => StatsCollector::bump(&inner.stats.cache_misses),
                 }
-                Lookup::Corrupt => {
-                    // Revalidation failed: the entry is already dropped;
-                    // fall through to a cold compile.
-                    StatsCollector::bump(&inner.stats.cache_corrupt_dropped);
-                }
-                Lookup::Miss => StatsCollector::bump(&inner.stats.cache_misses),
             }
+            members.push(Member { id, budget, key });
+        }
+        if members.is_empty() {
+            return ids;
         }
 
         // Bounded queue with load shedding: beyond capacity we answer
@@ -490,36 +539,28 @@ impl CompileService {
             let mut q = inner.queue.lock().expect("queue lock");
             if q.len() >= inner.queue_capacity {
                 drop(q);
-                StatsCollector::bump(&inner.stats.rejected);
-                self.finish(CompileResponse {
-                    id,
-                    status: RequestStatus::Rejected,
-                    compiled: None,
-                    error: None,
-                    cache_hit: false,
-                    retries: 0,
-                    queue_wait: Duration::ZERO,
-                    compile_time: Duration::ZERO,
-                });
-                return id;
+                for m in &members {
+                    StatsCollector::bump(&inner.stats.rejected);
+                    self.finish(unqueued(m.id, RequestStatus::Rejected));
+                }
+                return ids;
             }
-            inner
-                .states
-                .lock()
-                .expect("states lock")
-                .insert(id, State::Queued);
+            let mut states = inner.states.lock().expect("states lock");
+            for m in &members {
+                states.insert(m.id, State::Queued);
+            }
+            drop(states);
             q.push_back(Job {
-                id,
+                members,
                 function,
                 profile: req.profile,
-                config: req.config,
+                config,
                 options: req.options,
-                key,
                 enqueued: Instant::now(),
             });
         }
         inner.queue_cv.notify_one();
-        id
+        ids
     }
 
     fn finish(&self, resp: CompileResponse) {
@@ -634,11 +675,12 @@ impl CompileService {
 
     /// Run a per-function policy tournament through the service.
     ///
-    /// Cold path (shape miss): every `(policy, budget)` entrant of the
-    /// portfolio is fanned out through [`CompileService::submit_batch`],
-    /// scored on the training input in deterministic portfolio order, and
-    /// the winner (ties to the earlier entrant) is cached under the
-    /// function's CFG-shape fingerprint.
+    /// Cold path (shape miss): each policy's budget entrants are submitted
+    /// as one job ([`CompileService::submit_budgets`]: one formation run
+    /// serves them all), every entrant is scored on the training input in
+    /// deterministic portfolio order, and the winner (ties to the earlier
+    /// entrant) is cached under the function's CFG-shape fingerprint —
+    /// unless an entrant was cut by the deadline.
     ///
     /// Hot path (shape hit): a *single* compile with the cached winning
     /// policy. The fresh artifact is re-scored; if its improvement over
@@ -724,8 +766,9 @@ impl CompileService {
         self.run_portfolio(req, shape, &digest, base_score)
     }
 
-    /// Cold tournament: fan the portfolio out as a batch, score in entrant
-    /// order, crown and cache the winner.
+    /// Cold tournament: submit each policy's budget entrants as one job
+    /// ([`CompileService::submit_budgets`]), score in entrant order, crown
+    /// the winner, and cache it unless an entrant was cut by the deadline.
     fn run_portfolio(
         &self,
         req: &TournamentRequest,
@@ -738,35 +781,51 @@ impl CompileService {
             .stats
             .tournament_entrants
             .fetch_add(entrants.len() as u64, Ordering::Relaxed);
-        let batch = self.submit_batch(
-            entrants
-                .iter()
-                .map(|(_, config)| CompileRequest {
-                    program: Program::Ir(req.function.clone()),
-                    profile: req.profile.clone(),
-                    config: config.clone(),
-                    options: RequestOptions::default(),
-                })
-                .collect(),
-        );
+        let groups: Vec<Vec<RequestId>> = req
+            .config
+            .policies
+            .iter()
+            .map(|&policy| {
+                let config = CompileConfig {
+                    policy,
+                    ..req.config.base.clone()
+                };
+                self.submit_budgets(
+                    CompileRequest {
+                        program: Program::Ir(req.function.clone()),
+                        profile: req.profile.clone(),
+                        config,
+                        options: RequestOptions::default(),
+                    },
+                    &req.config.budgets,
+                )
+            })
+            .collect();
         let mut best: Option<(usize, u64, Compiled)> = None;
-        for (idx, resp) in batch.wait_all().into_iter().enumerate() {
-            let Some(compiled) = resp.compiled else {
-                continue; // shed, failed, or timed out: not a contender
-            };
-            let Ok(s) = score(
-                &compiled.function,
+        let mut partial = false;
+        let mut idx = 0;
+        for ids in groups {
+            // Shed, failed, or timed-out members have no artifact: not
+            // contenders. Neither is a miscompile (no score).
+            let resps: Vec<CompileResponse> = ids.into_iter().map(|id| self.wait(id)).collect();
+            let scores = score_group(
+                resps.iter().map(|r| r.compiled.as_ref()),
                 &req.args,
                 &req.memory,
                 req.config.metric,
                 digest,
-            ) else {
-                continue; // miscompile or sim failure: contained
-            };
-            // Strict `<` keeps the earliest entrant on ties, matching the
-            // sequential core tournament at any worker count.
-            if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                best = Some((idx, s, compiled));
+            );
+            for (resp, s) in resps.into_iter().zip(scores) {
+                if let (Some(compiled), Some(s)) = (resp.compiled, s) {
+                    partial |= compiled.stats.deadline_hit;
+                    // Strict `<` keeps the earliest entrant on ties,
+                    // matching the sequential core tournament at any worker
+                    // count.
+                    if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
+                        best = Some((idx, s, compiled));
+                    }
+                }
+                idx += 1;
             }
         }
         let (idx, s, mut compiled) = best.ok_or(ChfError::Panicked {
@@ -775,14 +834,18 @@ impl CompileService {
         })?;
         let (label, config) = &entrants[idx];
         let improvement = improvement_permille(base_score, s);
-        self.inner.shapes.insert(
-            shape,
-            ShapeEntry {
-                policy: config.policy,
-                budget: config.trial_budget,
-                improvement_permille: improvement,
-            },
-        );
+        // A winner crowned from partial artifacts may not be the winner:
+        // like the formation cache, the shape cache never stores one.
+        if !partial {
+            self.inner.shapes.insert(
+                shape,
+                ShapeEntry {
+                    policy: config.policy,
+                    budget: config.trial_budget,
+                    improvement_permille: improvement,
+                },
+            );
+        }
         compiled.stats.tournament_entrants = entrants.len();
         Ok(TournamentOutcome {
             compiled,
@@ -833,20 +896,22 @@ impl CompileService {
             q.drain(..).collect()
         };
         for job in drained {
-            StatsCollector::bump(&self.inner.stats.rejected);
-            finish(
-                &self.inner,
-                CompileResponse {
-                    id: job.id,
-                    status: RequestStatus::Rejected,
-                    compiled: None,
-                    error: None,
-                    cache_hit: false,
-                    retries: 0,
-                    queue_wait: job.enqueued.elapsed(),
-                    compile_time: Duration::ZERO,
-                },
-            );
+            for m in &job.members {
+                StatsCollector::bump(&self.inner.stats.rejected);
+                finish(
+                    &self.inner,
+                    CompileResponse {
+                        id: m.id,
+                        status: RequestStatus::Rejected,
+                        compiled: None,
+                        error: None,
+                        cache_hit: false,
+                        retries: 0,
+                        queue_wait: job.enqueued.elapsed(),
+                        compile_time: Duration::ZERO,
+                    },
+                );
+            }
         }
     }
 }
@@ -902,23 +967,24 @@ fn worker_loop(inner: &Inner) {
                 q = inner.queue_cv.wait(q).expect("queue lock poisoned");
             }
         };
-        inner
-            .states
-            .lock()
-            .expect("states lock")
-            .insert(job.id, State::Running);
-        let resp = run_job(inner, &job);
-        finish(inner, resp);
+        let mut states = inner.states.lock().expect("states lock");
+        for m in &job.members {
+            states.insert(m.id, State::Running);
+        }
+        drop(states);
+        for resp in run_job(inner, &job) {
+            finish(inner, resp);
+        }
     }
 }
 
-/// Run one job to a terminal response: input verification, the contained
-/// compile with deadline, and the transient-failure retry loop.
-fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
+/// Run one job to a terminal response per member: input verification, the
+/// contained compile with deadline, and the transient-failure retry loop.
+fn run_job(inner: &Inner, job: &Job) -> Vec<CompileResponse> {
     let start = Instant::now();
     let queue_wait = start - job.enqueued;
-    let respond = |status, compiled, error, retries, compile_time| CompileResponse {
-        id: job.id,
+    let respond = |id, status, compiled, error, retries, compile_time| CompileResponse {
+        id,
         status,
         compiled,
         error,
@@ -931,19 +997,22 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
     // Front-end gate: a compile service is entitled to refuse structurally
     // invalid input outright — deterministically, without burning a retry.
     if let Err(error) = chf_ir::verify::verify_full(&job.function) {
-        StatsCollector::bump(&inner.stats.failed);
-        return respond(
-            RequestStatus::Failed,
-            None,
-            Some(ChfError::Verify {
-                context: "service input",
-                error,
-            }),
-            0,
-            Duration::ZERO,
-        );
+        let error = ChfError::Verify {
+            context: "service input",
+            error,
+        };
+        return job
+            .members
+            .iter()
+            .map(|m| {
+                StatsCollector::bump(&inner.stats.failed);
+                let error = Some(error.clone());
+                respond(m.id, RequestStatus::Failed, None, error, 0, Duration::ZERO)
+            })
+            .collect();
     }
 
+    // One deadline governs every member.
     let deadline = job
         .options
         .deadline
@@ -951,6 +1020,7 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
         .map(|d| start + d);
     let mut config = job.config.clone();
     config.deadline = deadline;
+    let budgets: Vec<Option<usize>> = job.members.iter().map(|m| m.budget).collect();
 
     let mut retries = 0u32;
     loop {
@@ -959,55 +1029,75 @@ fn run_job(inner: &Inner, job: &Job) -> CompileResponse {
             if job.options.inject_panics >= attempt_no {
                 panic!("chf-service injected worker fault (attempt {attempt_no})");
             }
-            try_compile(&job.function, &job.profile, &config)
+            StatsCollector::bump(&inner.stats.formations);
+            try_compile_budgets(&job.function, &job.profile, &config, &budgets)
         }));
-        let error = match attempt {
-            Ok(Ok(compiled)) => {
-                let elapsed = start.elapsed();
+        let results = attempt.unwrap_or_else(|payload| {
+            let error = ChfError::Panicked {
+                context: "service worker",
+                message: panic_text(payload.as_ref()),
+            };
+            vec![Err(error); budgets.len()]
+        });
+        let transient = results
+            .iter()
+            .any(|r| r.as_ref().is_err_and(ChfError::is_transient));
+        if transient && retries < inner.retry.max_retries {
+            retries += 1;
+            for _ in &job.members {
+                StatsCollector::bump(&inner.stats.retries);
+            }
+            std::thread::sleep(inner.retry.backoff(retries));
+            continue;
+        }
+        let elapsed = start.elapsed();
+        return job
+            .members
+            .iter()
+            .zip(results)
+            .map(|(m, result)| {
+                let compiled = match result {
+                    Ok(compiled) => compiled,
+                    Err(error) => {
+                        StatsCollector::bump(&inner.stats.failed);
+                        let error = Some(error);
+                        return respond(m.id, RequestStatus::Failed, None, error, retries, elapsed);
+                    }
+                };
                 inner.stats.record_compile(elapsed, compiled.stats.trials);
-                return if compiled.stats.deadline_hit {
+                if compiled.stats.deadline_hit {
                     // Poison-safety: partial results are never cached.
                     if job.options.fail_on_deadline {
                         StatsCollector::bump(&inner.stats.timed_out);
-                        respond(RequestStatus::TimedOut, None, None, retries, elapsed)
+                        respond(m.id, RequestStatus::TimedOut, None, None, retries, elapsed)
                     } else {
                         StatsCollector::bump(&inner.stats.degraded);
+                        let compiled = Some(compiled);
                         respond(
+                            m.id,
                             RequestStatus::Degraded,
-                            Some(compiled),
+                            compiled,
                             None,
                             retries,
                             elapsed,
                         )
                     }
                 } else {
-                    if let Some(key) = job.key {
+                    if let Some(key) = m.key {
                         inner.cache.insert(key, &compiled);
                     }
                     StatsCollector::bump(&inner.stats.done);
-                    respond(RequestStatus::Done, Some(compiled), None, retries, elapsed)
-                };
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => ChfError::Panicked {
-                context: "service worker",
-                message: panic_text(payload.as_ref()),
-            },
-        };
-        if error.is_transient() && retries < inner.retry.max_retries {
-            retries += 1;
-            StatsCollector::bump(&inner.stats.retries);
-            std::thread::sleep(inner.retry.backoff(retries));
-            continue;
-        }
-        StatsCollector::bump(&inner.stats.failed);
-        return respond(
-            RequestStatus::Failed,
-            None,
-            Some(error),
-            retries,
-            start.elapsed(),
-        );
+                    respond(
+                        m.id,
+                        RequestStatus::Done,
+                        Some(compiled),
+                        None,
+                        retries,
+                        elapsed,
+                    )
+                }
+            })
+            .collect();
     }
 }
 

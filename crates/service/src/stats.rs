@@ -30,6 +30,7 @@ pub(crate) struct StatsCollector {
     pub shape_hits: AtomicU64,
     pub shape_misses: AtomicU64,
     pub guard_fallbacks: AtomicU64,
+    pub formations: AtomicU64,
     /// Wall latency of every completed compile (cold path), microseconds.
     latencies: Mutex<Vec<u64>>,
 }
@@ -74,6 +75,7 @@ impl StatsCollector {
             shape_hits: self.shape_hits.load(Ordering::Relaxed),
             shape_misses: self.shape_misses.load(Ordering::Relaxed),
             guard_fallbacks: self.guard_fallbacks.load(Ordering::Relaxed),
+            formations: self.formations.load(Ordering::Relaxed),
             trials,
             compiles: lat.len() as u64,
             p50_compile_us: pick(0.50),
@@ -115,8 +117,10 @@ pub struct ServiceStats {
     pub cache_corrupt_dropped: u64,
     /// Policy tournaments resolved (shape-cache hot paths included).
     pub tournaments: u64,
-    /// Portfolio entrants compiled and scored across all tournaments
-    /// (a shape-cache hot path contributes exactly 1).
+    /// Portfolio entrants scored across all tournaments (a shape-cache hot
+    /// path contributes exactly 1). One policy's budget entrants share a
+    /// formation run, so a cold tournament scores more entrants than it
+    /// runs formations (see [`ServiceStats::formations`]).
     pub tournament_entrants: u64,
     /// Tournaments answered by the CFG-shape winner cache (one compile
     /// with the cached policy instead of a full portfolio).
@@ -127,6 +131,12 @@ pub struct ServiceStats {
     /// Shape-cache hits whose cached policy scored past the guard band
     /// and fell back to a full tournament.
     pub guard_fallbacks: u64,
+    /// Formation runs workers started: one per job, which serves every
+    /// member of it (a job from
+    /// [`CompileService::submit_budgets`](crate::CompileService::submit_budgets)
+    /// has one member per budget), and one more per retry that reaches the
+    /// compile.
+    pub formations: u64,
     /// Formation merge trials spent across all compiles.
     pub trials: u64,
     /// Compiles whose latency was recorded (cold completions).
@@ -175,7 +185,7 @@ impl ServiceStats {
              \"tournaments\":{},\"tournament_entrants\":{},\"shape_hits\":{},\
              \"shape_misses\":{},\"guard_fallbacks\":{},\"entrants_per_tournament\":{:.2},\
              \"trials\":{},\"compiles\":{},\"p50_compile_us\":{},\"p99_compile_us\":{},\
-             \"trials_per_sec\":{:.1}}}",
+             \"trials_per_sec\":{:.1},\"formations\":{}}}",
             self.submitted,
             self.rejected,
             self.done,
@@ -198,6 +208,7 @@ impl ServiceStats {
             self.p50_compile_us,
             self.p99_compile_us,
             self.trials_per_sec,
+            self.formations,
         )
     }
 }

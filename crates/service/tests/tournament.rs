@@ -1,7 +1,8 @@
 //! Service-side policy tournaments: batch submission, the CFG-shape winner
 //! cache's hot path (exactly one policy compile, verified by counters), the
-//! guard-band fallback on a stale/adversarial cached winner, and winner
-//! determinism across worker counts.
+//! guard-band fallback on a stale/adversarial cached winner, winners never
+//! cached from deadline-cut artifacts, and winner determinism across worker
+//! counts.
 
 use chf_core::tournament::TournamentConfig;
 use chf_core::PolicyKind;
@@ -10,6 +11,7 @@ use chf_service::{
     CompileRequest, CompileService, RequestStatus, ServiceConfig, TournamentRequest,
 };
 use chf_sim::functional::profile_run;
+use std::time::Duration;
 
 fn tournament_request(seed: u64) -> TournamentRequest {
     let f = generate(seed, &GenConfig::default());
@@ -196,4 +198,27 @@ fn service_tournament_matches_the_sequential_core_tournament() {
             "seed {seed}: service and core tournaments disagree"
         );
     }
+}
+
+#[test]
+fn a_winner_crowned_from_partial_artifacts_is_not_shape_cached() {
+    // A zero deadline cuts every entrant before its first trial: the
+    // tournament still answers, but its winner is not worth remembering.
+    let svc = CompileService::new(ServiceConfig {
+        workers: 1,
+        default_deadline: Some(Duration::ZERO),
+        ..ServiceConfig::default()
+    });
+    let req = tournament_request(7);
+    let portfolio = req.config.entrants().len() as u64;
+    let out = svc.compile_tournament(&req).unwrap();
+    assert!(out.compiled.stats.deadline_hit);
+    assert_eq!(svc.shape_cache_len(), 0, "partial winner was shape-cached");
+    assert_eq!(svc.cache_len(), 0, "partial artifacts were cached");
+    assert_eq!(svc.stats().degraded, portfolio);
+
+    let again = svc.compile_tournament(&req).unwrap();
+    assert!(!again.shape_hit, "the next tournament must run cold");
+    assert_eq!(again.entrants_run, portfolio as usize);
+    assert_eq!(svc.shape_cache_len(), 0);
 }

@@ -17,7 +17,8 @@
 #                                # dominance over every fixed column,
 #                                # winner determinism at 1/2/8 workers,
 #                                # CSV byte-stability, shape-cache hot
-#                                # path
+#                                # path, one formation per policy in a
+#                                # cold tournament
 #   scripts/verify.sh corpus     # trace-corpus gate: replay every entry
 #                                # under tests/corpus/ (zero drift, <10 s),
 #                                # then a coverage-guided fuzz smoke;
