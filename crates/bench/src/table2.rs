@@ -195,7 +195,6 @@ pub fn portfolio_config(budget: usize) -> TournamentConfig {
         ],
         budgets: vec![Some(budget), None],
         metric: ScoreMetric::DynamicBlocks,
-        guard_band_permille: 20,
         base: CompileConfig::with_policy(PolicyKind::BreadthFirst, true),
     }
 }

@@ -1,6 +1,6 @@
 //! Differential oracle for committed merges.
 //!
-//! The verifier ([`chf_ir::verify`]) catches *structural* damage; it cannot
+//! The verifier ([`chf_ir::verify`](mod@chf_ir::verify)) catches *structural* damage; it cannot
 //! catch a merge that produces well-formed IR computing the wrong answer
 //! (a mis-predicated speculated instruction, a dropped side effect). The
 //! oracle closes that gap: after each committed merge, the transformed

@@ -7,17 +7,17 @@
 //! signal. The tournament closes that gap adaptively: for each function it
 //! compiles every `(policy, trial-budget)` entrant of a configurable
 //! portfolio, scores each by the functional simulator's dynamic block count
-//! on the training input (event-sim cycles behind an opt-in metric), and
-//! keeps the artifact with the best score. A policy's budget entrants come
-//! from one formation run, forked at the trial ledger
-//! ([`crate::pipeline::try_compile_budgets`]). Entrant enumeration, scoring,
-//! and tie-breaking are fully deterministic, so a tournament run at any
-//! worker count picks the same winner.
+//! on the training input, and keeps the artifact with the best score. A
+//! policy's budget entrants come from one formation run, forked at the trial
+//! ledger ([`crate::pipeline::try_compile_budgets`]). Entrant enumeration,
+//! scoring, and tie-breaking are fully deterministic, so a tournament run at
+//! any worker count picks the same winner.
 //!
-//! This module is the *sequential* core. The compile service layers the
-//! parallel path on top (one job per policy through `submit_budgets`) plus a
-//! CFG-shape cache so recurring shapes skip the tournament entirely; see
-//! `chf-service`.
+//! [`crown`] is the one place a winner is picked. [`run_tournament`] feeds
+//! it formation runs made in turn; the compile service (`chf-service`)
+//! feeds it the same groups compiled in parallel (one job per policy
+//! through `submit_budgets`), and adds a CFG-shape cache so recurring
+//! shapes skip the tournament entirely.
 
 use crate::pipeline::{try_compile_budgets, CompileConfig, Compiled};
 use crate::policy::PolicyKind;
@@ -25,19 +25,14 @@ use crate::ChfError;
 use chf_ir::function::Function;
 use chf_ir::profile::ProfileData;
 use chf_sim::functional::{run, RunConfig};
-use chf_sim::timing::{simulate_timing, TimingConfig};
 
 /// What a tournament scores entrants by. Lower is always better.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ScoreMetric {
     /// Dynamic block count under the functional simulator — the paper's
-    /// Table 3 proxy and the default: cheap, deterministic, and strongly
-    /// correlated with cycles (Figure 7, r² ≈ 0.78).
+    /// Table 3 proxy: cheap, deterministic, and strongly correlated with
+    /// cycles (Figure 7, r² ≈ 0.78).
     DynamicBlocks,
-    /// Cycle count under the event-driven timing simulator. Opt-in: an
-    /// order of magnitude slower per entrant, for when the proxy's
-    /// correlation is not enough.
-    EventCycles,
 }
 
 /// Portfolio and scoring configuration of a tournament.
@@ -51,11 +46,6 @@ pub struct TournamentConfig {
     pub budgets: Vec<Option<usize>>,
     /// Scoring metric.
     pub metric: ScoreMetric,
-    /// Shape-cache guard band, in permille of baseline improvement: a hot
-    /// (cached-winner) compile whose improvement falls more than this far
-    /// below the cached score triggers a full tournament instead of
-    /// trusting the stale winner. Used by the service layer.
-    pub guard_band_permille: u32,
     /// Base compiler configuration every entrant is derived from (entrants
     /// override only `policy` and `trial_budget`).
     pub base: CompileConfig,
@@ -71,7 +61,6 @@ impl Default for TournamentConfig {
             ],
             budgets: vec![Some(16), None],
             metric: ScoreMetric::DynamicBlocks,
-            guard_band_permille: 20,
             base: CompileConfig::convergent(),
         }
     }
@@ -103,23 +92,6 @@ pub fn entrant_label(policy: PolicyKind, budget: Option<usize>) -> String {
     }
 }
 
-/// One scored entrant.
-#[derive(Clone, Debug)]
-pub struct Entrant {
-    /// Display label (`BF@16`, `HF@unb`, …).
-    pub label: String,
-    /// The policy entered.
-    pub policy: PolicyKind,
-    /// The trial budget entered at.
-    pub budget: Option<usize>,
-    /// Metric score (lower is better); `None` when the entrant failed to
-    /// compile, simulate, or preserve behaviour (it is then excluded from
-    /// winner selection rather than poisoning the tournament).
-    pub score: Option<u64>,
-    /// Formation trials the entrant spent.
-    pub trials: usize,
-}
-
 /// Outcome of one tournament.
 #[derive(Clone, Debug)]
 pub struct TournamentResult {
@@ -138,17 +110,6 @@ pub struct TournamentResult {
     /// Baseline score of the *uncompiled* input on the same metric, for
     /// normalizing scores into improvements (shape-cache guard band).
     pub baseline: u64,
-    /// Every entrant, in portfolio order, with its score.
-    pub entrants: Vec<Entrant>,
-}
-
-impl TournamentResult {
-    /// The winner's improvement over baseline, in permille (negative when
-    /// the winner is *worse* than the uncompiled input — possible under
-    /// pathological budgets).
-    pub fn improvement_permille(&self) -> i64 {
-        improvement_permille(self.baseline, self.score)
-    }
 }
 
 /// Improvement of `score` over `baseline`, in permille of `baseline`.
@@ -183,11 +144,6 @@ pub fn score(
     }
     match metric {
         ScoreMetric::DynamicBlocks => Ok(r.blocks_executed),
-        ScoreMetric::EventCycles => {
-            let t = simulate_timing(compiled, args, memory, &TimingConfig::trips())
-                .map_err(|e| format!("timing simulation failed: {e}"))?;
-            Ok(t.cycles)
-        }
     }
 }
 
@@ -204,23 +160,17 @@ pub fn baseline(
 ) -> Result<(BehaviourDigest, u64), String> {
     let r = run(f, args, memory, &RunConfig::default())
         .map_err(|e| format!("baseline simulation failed: {e}"))?;
-    let digest = r.digest();
     let score = match metric {
         ScoreMetric::DynamicBlocks => r.blocks_executed,
-        ScoreMetric::EventCycles => {
-            let t = simulate_timing(f, args, memory, &TimingConfig::trips())
-                .map_err(|e| format!("baseline timing simulation failed: {e}"))?;
-            t.cycles
-        }
     };
-    Ok((digest, score))
+    Ok((r.digest(), score))
 }
 
 /// Score one policy's budget entrants in order (`None`: no artifact to
 /// score). An artifact equal to an earlier member's is scored once: a
 /// budget its formation run never reached shares the run's artifact.
-pub fn score_group<'a>(
-    members: impl IntoIterator<Item = Option<&'a Compiled>>,
+fn score_group(
+    members: &[Option<Compiled>],
     args: &[i64],
     memory: &[(i64, i64)],
     metric: ScoreMetric,
@@ -228,9 +178,9 @@ pub fn score_group<'a>(
 ) -> Vec<Option<u64>> {
     let mut scored: Vec<(&Compiled, Option<u64>)> = Vec::new();
     members
-        .into_iter()
+        .iter()
         .map(|member| {
-            let compiled = member?;
+            let compiled = member.as_ref()?;
             // Stats first: they tell a forked artifact apart cheaply.
             let same = |c: &&Compiled| c.stats == compiled.stats && c.function == compiled.function;
             if let Some((_, s)) = scored.iter().find(|(c, _)| same(c)) {
@@ -243,20 +193,62 @@ pub fn score_group<'a>(
         .collect()
 }
 
+/// Crown the winner of a portfolio whose entrants are already compiled.
+///
+/// `groups` yields one group per policy, in `config.policies` order, each
+/// with one member per `config.budgets` entry; a `None` member has no
+/// artifact (it failed, was shed, or timed out). Groups are scored as they
+/// arrive, each against the uncompiled input's `digest`, and the earliest
+/// strict minimum wins, so the winner does not depend on how the groups
+/// were compiled.
+///
+/// # Errors
+/// [`ChfError`] when no member has an artifact that scores (every entrant
+/// failed or miscompiled).
+pub fn crown(
+    config: &TournamentConfig,
+    digest: &BehaviourDigest,
+    baseline: u64,
+    args: &[i64],
+    memory: &[(i64, i64)],
+    groups: impl IntoIterator<Item = Vec<Option<Compiled>>>,
+) -> Result<TournamentResult, ChfError> {
+    let mut best: Option<(PolicyKind, Option<usize>, u64, Compiled)> = None;
+    for (&policy, group) in config.policies.iter().zip(groups) {
+        let scores = score_group(&group, args, memory, config.metric, digest);
+        for ((&budget, member), s) in config.budgets.iter().zip(group).zip(scores) {
+            if let (Some(compiled), Some(s)) = (member, s) {
+                // Strict `<` keeps the earliest entrant on ties.
+                if best.as_ref().is_none_or(|(_, _, b, _)| s < *b) {
+                    best = Some((policy, budget, s, compiled));
+                }
+            }
+        }
+    }
+    let (policy, budget, score, mut winner) = best.ok_or(ChfError::Panicked {
+        context: "tournament",
+        message: "every portfolio entrant failed".to_string(),
+    })?;
+    winner.stats.tournament_entrants = config.policies.len() * config.budgets.len();
+    Ok(TournamentResult {
+        winner,
+        policy,
+        budget,
+        label: entrant_label(policy, budget),
+        score,
+        baseline,
+    })
+}
+
 /// Run the full portfolio sequentially and crown a winner.
 ///
 /// Each policy's budget entrants come from one formation run
-/// ([`try_compile_budgets`]), equal to compiling each on its own.
-///
-/// Deterministic: entrants are enumerated, compiled, and scored in
-/// portfolio order, and ties go to the earlier entrant — a tournament at
-/// any parallelism (the service fans entrants out but scores in the same
-/// order) selects the same winner.
+/// ([`try_compile_budgets`]), equal to compiling each on its own; a failed
+/// entrant is left out of the crowning rather than failing the tournament.
 ///
 /// # Errors
 /// [`ChfError`] when the baseline cannot be established or *every* entrant
-/// fails; individual entrant failures are contained and recorded on the
-/// entrant.
+/// fails.
 pub fn run_tournament(
     f: &Function,
     profile: &ProfileData,
@@ -269,63 +261,17 @@ pub fn run_tournament(
             context: "tournament baseline",
             message,
         })?;
-
-    let mut entrants = Vec::new();
-    let mut best: Option<(usize, u64, Compiled)> = None;
-    for &policy in &config.policies {
+    let groups = config.policies.iter().map(|&policy| {
         let group_config = CompileConfig {
             policy,
             ..config.base.clone()
         };
-        let group = try_compile_budgets(f, profile, &group_config, &config.budgets);
-        let scores = score_group(
-            group.iter().map(|r| r.as_ref().ok()),
-            args,
-            memory,
-            config.metric,
-            &digest,
-        );
-        for ((&budget, compiled), s) in config.budgets.iter().zip(group).zip(scores) {
-            let label = entrant_label(policy, budget);
-            match (compiled, s) {
-                (Ok(compiled), Some(s)) => {
-                    entrants.push(Entrant {
-                        label,
-                        policy,
-                        budget,
-                        score: Some(s),
-                        trials: compiled.stats.trials,
-                    });
-                    // Strict `<` keeps the earliest entrant on ties.
-                    if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                        best = Some((entrants.len() - 1, s, compiled));
-                    }
-                }
-                _ => entrants.push(Entrant {
-                    label,
-                    policy,
-                    budget,
-                    score: None,
-                    trials: 0,
-                }),
-            }
-        }
-    }
-
-    let (idx, score, mut winner) = best.ok_or(ChfError::Panicked {
-        context: "tournament",
-        message: "every portfolio entrant failed".to_string(),
-    })?;
-    winner.stats.tournament_entrants = entrants.len();
-    Ok(TournamentResult {
-        winner,
-        policy: entrants[idx].policy,
-        budget: entrants[idx].budget,
-        label: entrants[idx].label.clone(),
-        score,
-        baseline: base_score,
-        entrants,
-    })
+        try_compile_budgets(f, profile, &group_config, &config.budgets)
+            .into_iter()
+            .map(Result::ok)
+            .collect()
+    });
+    crown(config, &digest, base_score, args, memory, groups)
 }
 
 #[cfg(test)]
@@ -383,17 +329,38 @@ mod tests {
         assert_eq!(r1.score, r2.score);
         assert_eq!(r1.winner.stats, r2.winner.stats);
         assert_eq!(r1.winner.stats.tournament_entrants, 6);
-        for e in &r1.entrants {
-            if let Some(s) = e.score {
-                assert!(
-                    r1.score <= s,
-                    "{}: winner {} > entrant {s}",
-                    e.label,
-                    r1.score
-                );
-            }
+        let (digest, _) = baseline(&f, &args, &[], config.metric).unwrap();
+        for (label, entrant) in config.entrants() {
+            let compiled = crate::pipeline::try_compile(&f, &profile, &entrant).unwrap();
+            let s = score(&compiled.function, &args, &[], config.metric, &digest).unwrap();
+            assert!(r1.score <= s, "{label}: winner {} > entrant {s}", r1.score);
         }
         assert!(r1.score <= r1.baseline, "formation made the loop worse");
+    }
+
+    #[test]
+    fn crown_keeps_the_earliest_best_and_fails_without_an_artifact() {
+        let (f, args) = loopy();
+        let profile = profile_run(&f, &args, &[]).unwrap();
+        let config = TournamentConfig::default();
+        let (digest, base) = baseline(&f, &args, &[], config.metric).unwrap();
+        let compiled = crate::pipeline::try_compile(&f, &profile, &config.base).unwrap();
+
+        // Equal artifacts tie: the earliest member with one wins.
+        let groups = vec![
+            vec![None, None],
+            vec![None, Some(compiled.clone())],
+            vec![Some(compiled.clone()), Some(compiled)],
+        ];
+        let r = crown(&config, &digest, base, &args, &[], groups).unwrap();
+        assert_eq!(r.label, "HF@unb");
+        assert_eq!((r.policy, r.budget), (PolicyKind::HotFirst, None));
+        assert_eq!(r.winner.stats.tournament_entrants, 6);
+        assert_eq!(r.baseline, base);
+
+        let empty = vec![vec![None, None]; 3];
+        let err = crown(&config, &digest, base, &args, &[], empty).unwrap_err();
+        assert!(err.to_string().contains("every portfolio entrant failed"));
     }
 
     #[test]

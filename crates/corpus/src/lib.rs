@@ -9,7 +9,7 @@
 //!   tournament winner), and the generator plan that produced it;
 //! * [`store`] — the on-disk corpus under `tests/corpus/{failing,passing}/`:
 //!   loading, validation, and collision-proof admission;
-//! * [`measure`] — the one measurement pipeline (verify → compile → oracle
+//! * [`measure`](mod@measure) — the one measurement pipeline (verify → compile → oracle
 //!   → event-sim → tournament) both replay and admission share, and the
 //!   coverage-cell keys derived from it;
 //! * [`replay`] — the deterministic regression gate: re-run every entry and

@@ -271,7 +271,7 @@ fn run_global(f: &mut Function) -> bool {
     run_global_scoped(f, None)
 }
 
-/// [`run_global`] restricted to rewrites *landing in* `scope` (when given):
+/// `run_global` restricted to rewrites *landing in* `scope` (when given):
 /// the dominator/invariant analyses still look at the whole function, but
 /// only instructions of the scoped block are rewritten. This is what the
 /// block-scoped trial optimizer needs — global facts, local edits.
@@ -333,7 +333,7 @@ impl Pass for Gvn {
         Kernel::Gvn.each_block(f) | run_global(f)
     }
 
-    /// Only the local half uses the memo: [`run_global`] reads facts from
+    /// Only the local half uses the memo: `run_global` reads facts from
     /// other blocks.
     fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
         clean.run(f, Kernel::Gvn) | run_global(f)

@@ -61,7 +61,7 @@ pub mod stats;
 use cache::{cache_key, CacheKey, FormationCache, Lookup};
 use chf_core::pipeline::{try_compile_budgets, CompileConfig, Compiled};
 use chf_core::tournament::{
-    baseline, improvement_permille, score, score_group, ScoreMetric, TournamentConfig,
+    baseline, crown, entrant_label, improvement_permille, score, BehaviourDigest, TournamentConfig,
 };
 use chf_core::{ChfError, PolicyKind};
 use chf_ir::function::Function;
@@ -79,6 +79,12 @@ use std::time::{Duration, Instant};
 
 /// Identifies one submitted request for status polling.
 pub type RequestId = u64;
+
+/// Shape-cache guard band, in permille of baseline improvement: a hot
+/// (cached-winner) compile whose improvement falls more than this far below
+/// the cached improvement triggers a full tournament instead of trusting the
+/// stale winner.
+const GUARD_BAND_PERMILLE: i64 = 20;
 
 /// Retry policy for *transient* failures ([`ChfError::is_transient`]):
 /// capped exponential backoff. Permanent errors are never retried — they
@@ -266,30 +272,6 @@ pub struct CompileResponse {
     pub compile_time: Duration,
 }
 
-/// A batch of submitted requests, produced by
-/// [`CompileService::submit_batch`]: the ids in submission order plus a
-/// single collective wait.
-#[must_use = "a batch that is never waited on leaves its responses unread"]
-pub struct BatchHandle<'a> {
-    svc: &'a CompileService,
-    ids: Vec<RequestId>,
-}
-
-impl BatchHandle<'_> {
-    /// Request ids, in submission order.
-    pub fn ids(&self) -> &[RequestId] {
-        &self.ids
-    }
-
-    /// Block until every request in the batch is terminal and return the
-    /// responses in submission order. Requests shed at the door
-    /// (`Rejected`) or failed synchronously are already terminal and
-    /// return immediately.
-    pub fn wait_all(self) -> Vec<CompileResponse> {
-        self.ids.iter().map(|&id| self.svc.wait(id)).collect()
-    }
-}
-
 /// One policy-tournament request: the program and profile to compile, the
 /// training input to score entrants on, and the portfolio.
 #[derive(Clone, Debug)]
@@ -302,7 +284,7 @@ pub struct TournamentRequest {
     pub args: Vec<i64>,
     /// Initial memory of the scoring run.
     pub memory: Vec<(i64, i64)>,
-    /// Portfolio, metric, guard band, and base configuration.
+    /// Portfolio, metric, and base configuration.
     pub config: TournamentConfig,
 }
 
@@ -334,13 +316,6 @@ pub struct TournamentOutcome {
     /// Entrants scored for this tournament (the formation runs behind them
     /// are counted in [`ServiceStats::formations`]).
     pub entrants_run: usize,
-}
-
-impl TournamentOutcome {
-    /// Winner's improvement over the uncompiled baseline, in permille.
-    pub fn improvement_permille(&self) -> i64 {
-        improvement_permille(self.baseline, self.score)
-    }
 }
 
 enum State {
@@ -634,16 +609,6 @@ impl CompileService {
         self.inner.cache.len()
     }
 
-    /// Submit a vector of requests as one batch, reusing the ordinary
-    /// queue and load-shedding semantics request by request (a full queue
-    /// rejects the overflow, never the whole batch), and return a handle
-    /// whose [`BatchHandle::wait_all`] collects every response in
-    /// submission order.
-    pub fn submit_batch(&self, reqs: Vec<CompileRequest>) -> BatchHandle<'_> {
-        let ids = reqs.into_iter().map(|r| self.submit(r)).collect();
-        BatchHandle { svc: self, ids }
-    }
-
     /// Shapes currently cached in the tournament winner cache.
     pub fn shape_cache_len(&self) -> usize {
         self.inner.shapes.len()
@@ -684,7 +649,7 @@ impl CompileService {
     ///
     /// Hot path (shape hit): a *single* compile with the cached winning
     /// policy. The fresh artifact is re-scored; if its improvement over
-    /// baseline regresses more than the configured guard band below the
+    /// baseline regresses more than the 20‰ guard band below the
     /// cached improvement, the entry is distrusted and the full tournament
     /// runs instead (refreshing the cache). A stale entry therefore costs
     /// one extra compile, never a worse artifact.
@@ -735,14 +700,13 @@ impl CompileService {
             });
             if let Some((mut compiled, s)) = hot {
                 let improvement = improvement_permille(base_score, s);
-                let band = req.config.guard_band_permille as i64;
-                if improvement + band >= entry.improvement_permille {
+                if improvement + GUARD_BAND_PERMILLE >= entry.improvement_permille {
                     compiled.stats.tournament_entrants = 1;
                     return Ok(TournamentOutcome {
                         compiled,
                         policy: entry.policy,
                         budget: entry.budget,
-                        label: chf_core::tournament::entrant_label(entry.policy, entry.budget),
+                        label: entrant_label(entry.policy, entry.budget),
                         score: s,
                         baseline: base_score,
                         shape,
@@ -767,97 +731,75 @@ impl CompileService {
     }
 
     /// Cold tournament: submit each policy's budget entrants as one job
-    /// ([`CompileService::submit_budgets`]), score in entrant order, crown
-    /// the winner, and cache it unless an entrant was cut by the deadline.
+    /// ([`CompileService::submit_budgets`]), crown the winner with
+    /// [`crown`] as the groups finish, and cache it unless an artifact was
+    /// cut by the deadline.
     fn run_portfolio(
         &self,
         req: &TournamentRequest,
         shape: u64,
-        digest: &chf_core::tournament::BehaviourDigest,
+        digest: &BehaviourDigest,
         base_score: u64,
     ) -> Result<TournamentOutcome, ChfError> {
-        let entrants = req.config.entrants();
+        let config = &req.config;
+        let entrants = config.policies.len() * config.budgets.len();
         self.inner
             .stats
             .tournament_entrants
-            .fetch_add(entrants.len() as u64, Ordering::Relaxed);
-        let groups: Vec<Vec<RequestId>> = req
-            .config
+            .fetch_add(entrants as u64, Ordering::Relaxed);
+        // Every group is queued before any is awaited, so the workers
+        // compile them in parallel.
+        let groups: Vec<Vec<RequestId>> = config
             .policies
             .iter()
             .map(|&policy| {
-                let config = CompileConfig {
-                    policy,
-                    ..req.config.base.clone()
-                };
-                self.submit_budgets(
-                    CompileRequest {
-                        program: Program::Ir(req.function.clone()),
-                        profile: req.profile.clone(),
-                        config,
-                        options: RequestOptions::default(),
+                let request = CompileRequest {
+                    program: Program::Ir(req.function.clone()),
+                    profile: req.profile.clone(),
+                    config: CompileConfig {
+                        policy,
+                        ..config.base.clone()
                     },
-                    &req.config.budgets,
-                )
+                    options: RequestOptions::default(),
+                };
+                self.submit_budgets(request, &config.budgets)
             })
             .collect();
-        let mut best: Option<(usize, u64, Compiled)> = None;
+        // Shed, failed, or timed-out members have no artifact.
         let mut partial = false;
-        let mut idx = 0;
-        for ids in groups {
-            // Shed, failed, or timed-out members have no artifact: not
-            // contenders. Neither is a miscompile (no score).
-            let resps: Vec<CompileResponse> = ids.into_iter().map(|id| self.wait(id)).collect();
-            let scores = score_group(
-                resps.iter().map(|r| r.compiled.as_ref()),
-                &req.args,
-                &req.memory,
-                req.config.metric,
-                digest,
-            );
-            for (resp, s) in resps.into_iter().zip(scores) {
-                if let (Some(compiled), Some(s)) = (resp.compiled, s) {
-                    partial |= compiled.stats.deadline_hit;
-                    // Strict `<` keeps the earliest entrant on ties,
-                    // matching the sequential core tournament at any worker
-                    // count.
-                    if best.as_ref().map(|(_, b, _)| s < *b).unwrap_or(true) {
-                        best = Some((idx, s, compiled));
-                    }
-                }
-                idx += 1;
-            }
-        }
-        let (idx, s, mut compiled) = best.ok_or(ChfError::Panicked {
-            context: "tournament",
-            message: "every portfolio entrant failed".to_string(),
-        })?;
-        let (label, config) = &entrants[idx];
-        let improvement = improvement_permille(base_score, s);
-        // A winner crowned from partial artifacts may not be the winner:
+        let awaited = groups.into_iter().map(|ids| {
+            ids.into_iter()
+                .map(|id| {
+                    let compiled = self.wait(id).compiled;
+                    partial |= compiled.as_ref().is_some_and(|c| c.stats.deadline_hit);
+                    compiled
+                })
+                .collect()
+        });
+        let won = crown(config, digest, base_score, &req.args, &req.memory, awaited)?;
+        // A winner crowned among partial artifacts may not be the winner:
         // like the formation cache, the shape cache never stores one.
         if !partial {
             self.inner.shapes.insert(
                 shape,
                 ShapeEntry {
-                    policy: config.policy,
-                    budget: config.trial_budget,
-                    improvement_permille: improvement,
+                    policy: won.policy,
+                    budget: won.budget,
+                    improvement_permille: improvement_permille(base_score, won.score),
                 },
             );
         }
-        compiled.stats.tournament_entrants = entrants.len();
         Ok(TournamentOutcome {
-            compiled,
-            policy: config.policy,
-            budget: config.trial_budget,
-            label: label.clone(),
-            score: s,
+            compiled: won.winner,
+            policy: won.policy,
+            budget: won.budget,
+            label: won.label,
+            score: won.score,
             baseline: base_score,
             shape,
             shape_hit: false,
             guard_fallback: false,
-            entrants_run: entrants.len(),
+            entrants_run: entrants,
         })
     }
 
@@ -939,10 +881,7 @@ fn shape_key(f: &Function, profile: &ProfileData, config: &TournamentConfig) -> 
     for (label, _) in config.entrants() {
         h.write(label.as_bytes());
     }
-    h.write_u8(match config.metric {
-        ScoreMetric::DynamicBlocks => 0,
-        ScoreMetric::EventCycles => 1,
-    });
+    h.write_u8(config.metric as u8);
     h.finish()
 }
 

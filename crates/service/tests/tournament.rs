@@ -1,8 +1,8 @@
-//! Service-side policy tournaments: batch submission, the CFG-shape winner
-//! cache's hot path (exactly one policy compile, verified by counters), the
-//! guard-band fallback on a stale/adversarial cached winner, winners never
-//! cached from deadline-cut artifacts, and winner determinism across worker
-//! counts.
+//! Service-side policy tournaments: one job answering every trial budget,
+//! the CFG-shape winner cache's hot path (exactly one policy compile,
+//! verified by counters), the guard-band fallback on a stale/adversarial
+//! cached winner, winners never cached from deadline-cut artifacts, and
+//! winner determinism across worker counts.
 
 use chf_core::tournament::TournamentConfig;
 use chf_core::PolicyKind;
@@ -34,42 +34,24 @@ fn service(workers: usize) -> CompileService {
 }
 
 #[test]
-fn submit_batch_returns_responses_in_submission_order() {
+fn submit_budgets_answers_every_budget_in_order_from_one_formation() {
     let svc = service(4);
-    let reqs: Vec<CompileRequest> = (0..6)
-        .map(|i| {
-            let f = generate(40 + i, &GenConfig::default());
-            CompileRequest::ir(f, Default::default())
-        })
-        .collect();
-    let batch = svc.submit_batch(reqs);
-    let ids = batch.ids().to_vec();
-    let resps = batch.wait_all();
-    assert_eq!(resps.len(), 6);
-    for (resp, id) in resps.iter().zip(ids) {
-        assert_eq!(resp.id, id, "responses must come back in submission order");
+    let budgets = [Some(0), Some(4), Some(16), None];
+    let req = CompileRequest::ir(generate(40, &GenConfig::default()), Default::default());
+    let ids = svc.submit_budgets(req, &budgets);
+    assert_eq!(ids.len(), budgets.len());
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "ids must come back in budget order"
+    );
+    for &id in &ids {
+        let resp = svc.wait(id);
+        assert_eq!(resp.id, id);
         assert_eq!(resp.status, RequestStatus::Done);
     }
-    assert_eq!(svc.stats().done, 6);
-}
-
-#[test]
-fn submit_batch_sheds_overflow_per_request_not_whole_batch() {
-    // Zero queue capacity: every cold request is shed, but each one sheds
-    // individually and terminally — wait_all never hangs.
-    let svc = service(1);
-    let shed = CompileService::new(ServiceConfig {
-        workers: 1,
-        queue_capacity: 0,
-        ..ServiceConfig::default()
-    });
-    drop(svc);
-    let reqs: Vec<CompileRequest> = (0..3)
-        .map(|i| CompileRequest::ir(generate(50 + i, &GenConfig::default()), Default::default()))
-        .collect();
-    for resp in shed.submit_batch(reqs).wait_all() {
-        assert_eq!(resp.status, RequestStatus::Rejected);
-    }
+    let stats = svc.stats();
+    assert_eq!(stats.done, budgets.len() as u64);
+    assert_eq!(stats.formations, 1, "one formation run serves every budget");
 }
 
 #[test]

@@ -18,9 +18,9 @@
 //!   model's commit rule needs (this replaces a `Liveness::compute` +
 //!   hash-set probe per simulated block commit);
 //! * the timing model's eager register-range sweep is folded into decoding
-//!   ([`LoweredProgram::timing_reject`]), preserving its exact scan order;
+//!   (`LoweredProgram::timing_reject`), preserving its exact scan order;
 //! * loop structure for trip-count profiling is derived lazily from the
-//!   lowered CFG ([`TripInfo`]), so a pure timing simulation never pays for
+//!   lowered CFG (`TripInfo`), so a pure timing simulation never pays for
 //!   a dominator analysis.
 //!
 //! # Degenerate IR and lazy error semantics
@@ -31,11 +31,11 @@
 //! reaches it with a true predicate. Lowering must not make those errors
 //! eager, so any instruction that statically cannot take the fast path — a
 //! missing required operand or an out-of-range register anywhere in it — is
-//! lowered to [`LKind::Slow`], an index into a side table holding the
+//! lowered to `LKind::Slow`, an index into a side table holding the
 //! original [`Instr`]. The slow path replays the legacy per-instruction
 //! semantics (including predication and error order) exactly; well-formed
 //! programs never contain a slow instruction. Exits get the same treatment
-//! via [`LExitKind::Dangling`] / [`LExit::pred_oor`] / out-of-range return
+//! via `LExitKind::Dangling` / `LExit::pred_oor` / out-of-range return
 //! registers.
 
 use crate::functional::SimError;

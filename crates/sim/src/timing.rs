@@ -11,8 +11,8 @@
 //!   model, and the reason block-count reduction correlates with cycle
 //!   reduction (Figure 7).
 //! * **Dataflow issue** — instructions become ready when their operands
-//!   (including the predicate) arrive, contend for a 16-wide issue window,
-//!   and communicate over an operand network with per-hop latency. A long
+//!   (including the predicate) arrive and contend for a 16-wide issue
+//!   window; operands within a block forward at no extra cost. A long
 //!   falsely-predicated path does *not* delay block completion, matching
 //!   EDGE dynamic issue; but a predicated instruction does wait for its
 //!   predicate, which is exactly the tail-duplication penalty of §5
@@ -34,7 +34,7 @@
 //! * **Operand wake-up.** Each instruction is enqueued for issue at the
 //!   cycle its *last* operand or predicate arrives (`ready`, the max of the
 //!   producing availability times). Wake-ups are inserted into a calendar
-//!   **bucket queue** keyed by cycle ([`IssueRing`], a power-of-two ring of
+//!   **bucket queue** keyed by cycle (`IssueRing`, a power-of-two ring of
 //!   per-cycle slot counters whose base rotates forward with block
 //!   dispatch); claiming an issue slot is a forward probe from the wake-up
 //!   bucket, O(1) amortized, replacing the legacy per-instruction hash-map
@@ -99,8 +99,6 @@ pub struct TimingConfig {
     pub fetch_bandwidth: u32,
     /// Fixed per-block map/dispatch cost in cycles.
     pub block_overhead: u64,
-    /// Operand-network hop latency between dependent instructions.
-    pub operand_latency: u64,
     /// Additional latency for values that cross blocks through the register
     /// file.
     pub register_latency: u64,
@@ -125,7 +123,6 @@ impl TimingConfig {
             window_blocks: 8,
             fetch_bandwidth: 16,
             block_overhead: 2,
-            operand_latency: 0,
             register_latency: 2,
             mispredict_penalty: 12,
             commit_overhead: 1,
@@ -664,9 +661,7 @@ enum EngineStep {
 /// The event-driven timing core, reified as a steppable engine.
 ///
 /// [`simulate_timing_lowered`] drives it from program entry to return.
-/// `ZERO_OPLAT` specializes the wake-up arithmetic for the default free
-/// operand network.
-struct Engine<'p, const ZERO_OPLAT: bool> {
+struct Engine<'p> {
     p: &'p LoweredProgram,
     config: &'p TimingConfig,
     rf: Vec<RegSlot>,
@@ -689,7 +684,6 @@ struct Engine<'p, const ZERO_OPLAT: bool> {
     /// clearing between blocks (or runs).
     lsq: Lsq,
     exact: bool,
-    op_lat: u64,
     /// Per-block fetch/map latency, precomputed so the block loop never
     /// divides.
     map_cycles: Vec<u64>,
@@ -697,7 +691,7 @@ struct Engine<'p, const ZERO_OPLAT: bool> {
     cur: u32,
 }
 
-impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
+impl<'p> Engine<'p> {
     /// An engine at program entry: `args` in the parameter registers,
     /// `mem_init` applied in order, and a fresh predictor.
     fn new(
@@ -746,7 +740,6 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             written: Vec::new(),
             lsq: Lsq::new(),
             exact: config.memory_ordering == MemoryOrdering::Exact,
-            op_lat: config.operand_latency,
             map_cycles,
             cur: p.entry,
         })
@@ -763,7 +756,6 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
         self.blocks_executed += 1;
         let tok = self.lsq.token(self.blocks_executed);
         let (exec_before, null_before) = (self.insts_executed, self.insts_nullified);
-        let op_lat = if ZERO_OPLAT { 0 } else { self.op_lat };
         let p = self.p;
 
         let lb = &p.blocks[self.cur as usize];
@@ -803,10 +795,7 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             let (executes, pred_ready) = if inst.pred_reg == NONE {
                 (true, dispatch)
             } else {
-                (
-                    (sp.val != 0) == inst.pred_if_true,
-                    (sp.t + op_lat).max(dispatch),
-                )
+                ((sp.val != 0) == inst.pred_if_true, sp.t.max(dispatch))
             };
 
             if !executes {
@@ -831,13 +820,13 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
             // a data-dependent branch per operand.
             let sa = rf[(inst.a_reg as usize).min(last)];
             let (a, ta) = if inst.a_reg != NONE {
-                (sa.val, sa.t + op_lat)
+                (sa.val, sa.t)
             } else {
                 (inst.a_imm, 0)
             };
             let sb = rf[(inst.b_reg as usize).min(last)];
             let (b, tb) = if inst.b_reg != NONE {
-                (sb.val, sb.t + op_lat)
+                (sb.val, sb.t)
             } else {
                 (inst.b_imm, 0)
             };
@@ -924,7 +913,7 @@ impl<'p, const ZERO_OPLAT: bool> Engine<'p, ZERO_OPLAT> {
                     break;
                 }
                 let s = rf[e.pred_reg as usize];
-                resolve = resolve.max(s.t + op_lat);
+                resolve = resolve.max(s.t);
                 if (s.val != 0) == e.pred_if_true {
                     fired = Some(e);
                     break;
@@ -1053,27 +1042,9 @@ fn simulate_lowered_impl(
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &TimingConfig,
-    trace: Option<&mut TimingTrace>,
-) -> Result<TimingResult, SimError> {
-    // TRIPS forwards operands over the operand network for free
-    // (`operand_latency == 0`, the default configuration). Specializing
-    // the hot loop on that case lets every `+ op_lat` in the per-operand
-    // wake-up arithmetic constant-fold away.
-    if config.operand_latency == 0 {
-        simulate_lowered_generic::<true>(p, args, mem_init, config, trace)
-    } else {
-        simulate_lowered_generic::<false>(p, args, mem_init, config, trace)
-    }
-}
-
-fn simulate_lowered_generic<const ZERO_OPLAT: bool>(
-    p: &LoweredProgram,
-    args: &[i64],
-    mem_init: &[(i64, i64)],
-    config: &TimingConfig,
     mut trace: Option<&mut TimingTrace>,
 ) -> Result<TimingResult, SimError> {
-    let mut eng: Engine<'_, ZERO_OPLAT> = Engine::new(p, config, args, mem_init)?;
+    let mut eng = Engine::new(p, config, args, mem_init)?;
     let ret = loop {
         match eng.step(trace.as_deref_mut())? {
             EngineStep::Continue => {}

@@ -179,7 +179,7 @@ pub fn simulate_timing_legacy(
                 None => (true, dispatch),
                 Some(p) => {
                     let v = m.read(p.reg, cur, false)?;
-                    let t = avail[p.reg.index()] + config.operand_latency;
+                    let t = avail[p.reg.index()];
                     (((v != 0) == p.if_true), t.max(dispatch))
                 }
             };
@@ -201,7 +201,7 @@ pub fn simulate_timing_legacy(
             let mut ready = pred_ready.max(dispatch + 1);
             for o in [inst.a, inst.b].into_iter().flatten() {
                 if let Operand::Reg(r) = o {
-                    ready = ready.max(avail[r.index()] + config.operand_latency);
+                    ready = ready.max(avail[r.index()]);
                 }
             }
             // In-block memory ordering: a load may have to wait for earlier
@@ -269,7 +269,7 @@ pub fn simulate_timing_legacy(
                 }
                 Some(p) => {
                     let v = m.read(p.reg, cur, false)?;
-                    let t = avail[p.reg.index()] + config.operand_latency;
+                    let t = avail[p.reg.index()];
                     resolve = resolve.max(t);
                     if (v != 0) == p.if_true {
                         fired = Some(e.target);

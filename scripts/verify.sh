@@ -3,12 +3,16 @@
 # report) each one separately while local use stays one command:
 #
 #   scripts/verify.sh            # everything, in order (same as `all`)
-#   scripts/verify.sh all        # fmt, build, lint, test, bench, smoke,
-#                                # tournament, corpus, chaos, service
+#   scripts/verify.sh all        # fmt, build, lint, doc, test, bench,
+#                                # smoke, tournament, corpus, chaos,
+#                                # service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
 #                                # -- -D warnings (tests, benches, bins)
+#   scripts/verify.sh doc        # cargo doc --workspace --no-deps with
+#                                # warnings denied (broken or private
+#                                # intra-doc links fail)
 #   scripts/verify.sh test       # cargo test -q --workspace (every crate's
 #                                # unit, property and integration tests),
 #                                # then prints the suite's wall seconds
@@ -71,6 +75,13 @@ run_build() {
 run_lint() {
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+}
+
+# Rustdoc with warnings denied: a link to a deleted, renamed, private or
+# ambiguous item fails here instead of rendering as dead text.
+run_doc() {
+    echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --locked"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 }
 
 # The whole workspace, not just the root package: the simulator property
@@ -152,6 +163,7 @@ run_all() {
     run_fmt
     run_build
     run_lint
+    run_doc
     run_test
     run_bench
     run_smoke
@@ -174,6 +186,7 @@ while [ "$#" -gt 0 ]; do
         fmt) run_fmt ;;
         build) run_build ;;
         lint) run_lint ;;
+        doc) run_doc ;;
         test) run_test ;;
         smoke) run_smoke ;;
         tournament) run_tournament ;;
@@ -192,7 +205,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|test|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|doc|test|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
             exit 2
             ;;
     esac
