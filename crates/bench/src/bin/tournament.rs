@@ -24,7 +24,6 @@
 //! run it with the freshly generated CSV left on disk as a failure
 //! artifact.
 
-use chf_bench::csv::table2_budget_csv;
 use chf_bench::table2::{self, DEFAULT_TRIAL_BUDGET};
 use chf_core::TournamentConfig;
 use chf_service::{CompileService, ServiceConfig, TournamentRequest};
@@ -45,13 +44,13 @@ fn main() {
             let total = |k: usize| -> u64 {
                 rows.iter()
                     .filter(|r| r.error.is_none())
-                    .map(|r| r.results[k].1)
+                    .map(|r| r.cells[k].measure.blocks)
                     .sum()
             };
             let portfolio: u64 = rows
                 .iter()
                 .filter_map(|r| r.portfolio.as_ref())
-                .map(|p| p.blocks)
+                .map(|p| p.measure.blocks)
                 .sum();
             for (k, label) in ["BF", "HF", "DF"].iter().enumerate() {
                 let fixed = total(k);
@@ -68,7 +67,7 @@ fn main() {
                 }
             }
         }
-        csvs.push((workers, table2_budget_csv(&rows)));
+        csvs.push((workers, table2::budget_csv(&rows)));
     }
     for (workers, csv) in &csvs[1..] {
         if csv != &csvs[0].1 {

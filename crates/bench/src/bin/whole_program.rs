@@ -22,13 +22,13 @@ fn main() {
     print!("{}", chf_bench::whole_program::render(&rows, &fit));
     if !smoke {
         std::fs::create_dir_all("results").ok();
-        let csv = chf_bench::csv::whole_program_csv(&rows, &fit);
+        let csv = chf_bench::whole_program::csv(&rows, &fit);
         match std::fs::write("results/whole_program.csv", &csv) {
             Ok(()) => println!("wrote results/whole_program.csv"),
             Err(e) => eprintln!("could not write results/whole_program.csv: {e}"),
         }
     }
-    if rows.iter().any(|r| r.error.is_some()) {
+    if chf_bench::matrix::any_poisoned(&rows) {
         std::process::exit(1);
     }
 }

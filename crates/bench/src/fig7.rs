@@ -3,7 +3,9 @@
 //! relationship as "roughly linear (r² = 0.78)", justifying the use of
 //! block counts as a performance proxy for the SPEC study.
 
+use crate::matrix::Row;
 use crate::table1;
+use std::fmt::Write as _;
 
 /// One scatter point: `(block-count reduction, cycle-count reduction)` of a
 /// `(benchmark, configuration)` pair, both relative to basic blocks.
@@ -69,16 +71,18 @@ pub fn linear_fit(points: &[Point]) -> Fit {
     }
 }
 
-/// Extract Figure 7's scatter points from Table 1 rows. Poisoned rows
+/// Extract scatter points from matrix rows read through the timing
+/// simulator: one per healthy `(row, column)` — Figure 7 from Table 1 rows,
+/// the measured-vs-model scatter from whole-program rows. Poisoned rows
 /// (`error.is_some()`) contribute no points — a degraded benchmark must not
 /// drag the regression through the origin.
-pub fn points(rows: &[table1::Row]) -> Vec<Point> {
+pub fn points(rows: &[Row]) -> Vec<Point> {
     let mut pts = Vec::new();
     for r in rows.iter().filter(|r| r.error.is_none()) {
-        for c in &r.configs {
+        for c in &r.cells {
             pts.push(Point {
-                block_reduction: r.bb_blocks as f64 - c.blocks as f64,
-                cycle_reduction: r.bb_cycles as f64 - c.cycles as f64,
+                block_reduction: r.baseline.blocks as f64 - c.measure.blocks as f64,
+                cycle_reduction: r.baseline.cycles as f64 - c.measure.cycles as f64,
             });
         }
     }
@@ -111,9 +115,43 @@ pub fn render(points: &[Point], fit: &Fit) -> String {
     out
 }
 
+/// Scatter points as CSV, with the fit appended as a comment line.
+pub fn csv(points: &[Point], fit: &Fit) -> String {
+    let mut out = String::from("block_reduction,cycle_reduction\n");
+    for p in points {
+        let _ = writeln!(out, "{:.1},{:.1}", p.block_reduction, p.cycle_reduction);
+    }
+    out.push_str(&crate::csv::fit_line(fit));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn csv_shape() {
+        let pts = vec![
+            Point {
+                block_reduction: 10.0,
+                cycle_reduction: 25.0,
+            },
+            Point {
+                block_reduction: 0.0,
+                cycle_reduction: -3.0,
+            },
+        ];
+        let fit = Fit {
+            slope: 2.5,
+            intercept: 0.0,
+            r2: 1.0,
+        };
+        let csv = csv(&pts, &fit);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert_eq!(lines[0], "block_reduction,cycle_reduction");
+        assert!(lines[3].starts_with("# fit"));
+    }
 
     #[test]
     fn perfect_line_has_r2_one() {

@@ -7,18 +7,21 @@
 //! constrained per-function trial budget on the SPEC-like composites,
 //! measuring where each policy spends a fixed formation-effort ledger.
 
-use crate::render::{pct, render_table};
-use crate::{percent_improvement, try_compile_and_count, try_compile_and_time};
-use chf_core::pipeline::{CompileConfig, PhaseOrdering};
-use chf_core::tournament::{run_tournament, ScoreMetric, TournamentConfig};
-use chf_core::{FormationStats, PolicyKind};
+use crate::csv::{label_columns, write_rows};
+use crate::matrix::{labels, Matrix, Row, Sim};
+use crate::render::{pct, render_improvements, render_rows};
+use chf_core::pipeline::CompileConfig;
+use chf_core::tournament::{ScoreMetric, TournamentConfig};
+use chf_core::PolicyKind;
 use chf_service::parallel;
-use chf_workloads::{microbenchmarks, spec_suite, Workload};
+use chf_workloads::{microbenchmarks, spec_suite};
+use std::fmt::Write as _;
 
 /// The five heuristic configurations of Table 2, in column order (the
-/// paper's four plus the profile-guided `HF` ablation column).
-pub fn configurations() -> Vec<(&'static str, CompileConfig)> {
-    vec![
+/// paper's four plus the profile-guided `HF` ablation column), read through
+/// the timing simulator.
+pub fn matrix() -> Matrix {
+    let columns = vec![
         ("VLIW", CompileConfig::with_policy(PolicyKind::Vliw, false)),
         (
             "Convergent VLIW",
@@ -33,7 +36,8 @@ pub fn configurations() -> Vec<(&'static str, CompileConfig)> {
             CompileConfig::with_policy(PolicyKind::BreadthFirst, true),
         ),
         ("HF", CompileConfig::with_policy(PolicyKind::HotFirst, true)),
-    ]
+    ];
+    Matrix::new(columns, Sim::Timing)
 }
 
 /// Default per-function trial budget for the ablation: tight enough that
@@ -41,76 +45,40 @@ pub fn configurations() -> Vec<(&'static str, CompileConfig)> {
 /// spends its ledger becomes observable in the dynamic block counts.
 pub const DEFAULT_TRIAL_BUDGET: usize = 16;
 
-/// The budget-ablation configurations: breadth-first, hot-first, and
-/// depth-first, all `(IUPO)` and all sharing the same per-function trial
-/// budget so the comparison is at equal formation cost.
-pub fn budget_configurations(budget: usize) -> Vec<(&'static str, CompileConfig)> {
-    [
+/// The budget ablation: breadth-first, hot-first, and depth-first, all
+/// `(IUPO)` and all sharing the same per-function trial budget so the
+/// comparison is at equal formation cost. Read through the functional
+/// simulator, like Table 3 — the ablation asks *where* the ledger was spent,
+/// and block counts are the cheapest faithful proxy.
+///
+/// Its portfolio ("oracle") column is the winner of a per-function policy
+/// tournament over the same three policies at both the constrained budget
+/// and unbounded, scored by dynamic block count — what an adaptive compiler
+/// that tries every entrant would pick. The budgeted entrants are
+/// byte-for-byte the ablation's own columns, so the winner can never be
+/// worse than the best fixed column.
+pub fn budget_matrix(budget: usize) -> Matrix {
+    let policies = [
         ("BF", PolicyKind::BreadthFirst),
         ("HF", PolicyKind::HotFirst),
         ("DF", PolicyKind::DepthFirst),
-    ]
-    .into_iter()
-    .map(|(label, policy)| {
-        let mut config = CompileConfig::with_policy(policy, true);
-        config.trial_budget = Some(budget);
-        (label, config)
-    })
-    .collect()
-}
-
-/// One benchmark's measurements.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline cycles.
-    pub bb_cycles: u64,
-    /// `(label, cycles, improvement %, misprediction rate, formation
-    /// stats)` per heuristic. The stats carry the block-utilization
-    /// permilles alongside the `m/t/u/p` ledger.
-    pub results: Vec<(&'static str, u64, f64, f64, FormationStats)>,
-    /// Failure marker: see [`crate::table1::Row::error`].
-    pub error: Option<String>,
-}
-
-impl Row {
-    /// A row marking a workload that failed to produce measurements.
-    pub fn poisoned(name: String, error: String) -> Self {
-        Row {
-            name,
-            bb_cycles: 0,
-            results: Vec::new(),
-            error: Some(error),
-        }
-    }
-}
-
-/// Measure one workload under every heuristic; any failure poisons the row.
-pub fn measure(w: &Workload) -> Row {
-    let bb =
-        match try_compile_and_time(w, &CompileConfig::with_ordering(PhaseOrdering::BasicBlocks)) {
-            Ok((t, _)) => t,
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        };
-    let mut results = Vec::new();
-    for (label, config) in configurations() {
-        match try_compile_and_time(w, &config) {
-            Ok((t, stats)) => results.push((
-                label,
-                t.cycles,
-                percent_improvement(bb.cycles, t.cycles),
-                t.misprediction_rate(),
-                stats,
-            )),
-            Err(e) => return Row::poisoned(w.name.clone(), e),
-        }
-    }
-    Row {
-        name: w.name.clone(),
-        bb_cycles: bb.cycles,
-        results,
-        error: None,
+    ];
+    let columns = policies
+        .into_iter()
+        .map(|(label, policy)| {
+            let mut config = CompileConfig::with_policy(policy, true);
+            config.trial_budget = Some(budget);
+            (label, config)
+        })
+        .collect();
+    Matrix {
+        portfolio: Some(TournamentConfig {
+            policies: policies.map(|(_, policy)| policy).to_vec(),
+            budgets: vec![Some(budget), None],
+            metric: ScoreMetric::DynamicBlocks,
+            base: CompileConfig::with_policy(PolicyKind::BreadthFirst, true),
+        }),
+        ..Matrix::new(columns, Sim::Functional)
     }
 }
 
@@ -121,240 +89,138 @@ pub fn run() -> Vec<Row> {
 }
 
 /// [`run`] with an explicit worker count (`1` forces the sequential path).
-/// Panic-isolated: see [`crate::table1::run_with`].
 pub fn run_with(workers: usize) -> Vec<Row> {
-    let suite = microbenchmarks();
-    parallel::par_map_isolated(&suite, workers, measure)
-        .into_iter()
-        .zip(&suite)
-        .map(|(res, w)| res.unwrap_or_else(|msg| Row::poisoned(w.name.clone(), msg)))
-        .collect()
-}
-
-/// The portfolio ("oracle") column of the budget ablation: the winner of a
-/// per-function policy tournament over the same three policies at both the
-/// constrained budget and unbounded — what an adaptive compiler that tries
-/// every entrant would pick.
-#[derive(Clone, Debug)]
-pub struct PortfolioCol {
-    /// Winning entrant's label (`HF@16`, `BF@unb`, …).
-    pub winner: String,
-    /// Winner's dynamic block count.
-    pub blocks: u64,
-    /// Winner's percent improvement over basic blocks.
-    pub improvement: f64,
-    /// Winner's formation stats (`tournament_entrants` records the
-    /// portfolio size).
-    pub stats: FormationStats,
-}
-
-/// One composite's measurements under the constrained trial budget.
-#[derive(Clone, Debug)]
-pub struct BudgetRow {
-    /// Benchmark name.
-    pub name: String,
-    /// Baseline dynamic block count (basic blocks, unbudgeted — the
-    /// baseline performs no formation, so no trials are spent).
-    pub bb_blocks: u64,
-    /// `(label, blocks, improvement %, formation stats)` per policy. The
-    /// stats carry the ledger: trials spent and candidates skipped when
-    /// the budget ran out.
-    pub results: Vec<(&'static str, u64, f64, FormationStats)>,
-    /// The tournament winner over the portfolio
-    /// `{BF, HF, DF} × {budget, unbounded}` — structurally never worse
-    /// than any fixed-policy column. `None` only on poisoned rows.
-    pub portfolio: Option<PortfolioCol>,
-    /// Failure marker: see [`crate::table1::Row::error`].
-    pub error: Option<String>,
-}
-
-impl BudgetRow {
-    /// A row marking a composite that failed to produce measurements.
-    pub fn poisoned(name: String, error: String) -> Self {
-        BudgetRow {
-            name,
-            bb_blocks: 0,
-            results: Vec::new(),
-            portfolio: None,
-            error: Some(error),
-        }
-    }
-}
-
-/// The tournament portfolio of the budget ablation: the three ablation
-/// policies, each entered at the constrained budget *and* unbounded, scored
-/// by dynamic block count. The budgeted entrants are byte-for-byte the
-/// ablation's own column configurations, so the winner can never be worse
-/// than the best fixed column.
-pub fn portfolio_config(budget: usize) -> TournamentConfig {
-    TournamentConfig {
-        policies: vec![
-            PolicyKind::BreadthFirst,
-            PolicyKind::HotFirst,
-            PolicyKind::DepthFirst,
-        ],
-        budgets: vec![Some(budget), None],
-        metric: ScoreMetric::DynamicBlocks,
-        base: CompileConfig::with_policy(PolicyKind::BreadthFirst, true),
-    }
-}
-
-/// Measure one composite under every budgeted policy; any failure poisons
-/// the row. Uses the functional simulator (dynamic block counts), like
-/// Table 3 — the ablation asks *where* the ledger was spent, and block
-/// counts are the cheapest faithful proxy.
-pub fn measure_budget(w: &Workload, budget: usize) -> BudgetRow {
-    let bb =
-        match try_compile_and_count(w, &CompileConfig::with_ordering(PhaseOrdering::BasicBlocks)) {
-            Ok((r, _)) => r,
-            Err(e) => return BudgetRow::poisoned(w.name.clone(), e),
-        };
-    let mut results = Vec::new();
-    for (label, config) in budget_configurations(budget) {
-        match try_compile_and_count(w, &config) {
-            Ok((r, stats)) => results.push((
-                label,
-                r.blocks_executed,
-                percent_improvement(bb.blocks_executed, r.blocks_executed),
-                stats,
-            )),
-            Err(e) => return BudgetRow::poisoned(w.name.clone(), e),
-        }
-    }
-    let portfolio = match run_tournament(
-        &w.function,
-        &w.profile,
-        &w.args,
-        &w.memory,
-        &portfolio_config(budget),
-    ) {
-        Ok(t) => PortfolioCol {
-            winner: t.label.clone(),
-            blocks: t.score,
-            improvement: percent_improvement(bb.blocks_executed, t.score),
-            stats: t.winner.stats,
-        },
-        Err(e) => return BudgetRow::poisoned(w.name.clone(), format!("{}: {e}", w.name)),
-    };
-    BudgetRow {
-        name: w.name.clone(),
-        bb_blocks: bb.blocks_executed,
-        results,
-        portfolio: Some(portfolio),
-        error: None,
-    }
+    matrix().run(&microbenchmarks(), workers)
 }
 
 /// Run the budget ablation at [`DEFAULT_TRIAL_BUDGET`] over the SPEC-like
 /// composites (parallel, results in deterministic suite order).
-pub fn run_budget() -> Vec<BudgetRow> {
+pub fn run_budget() -> Vec<Row> {
     run_budget_with(parallel::workers(), DEFAULT_TRIAL_BUDGET)
 }
 
-/// [`run_budget`] with an explicit worker count and budget. Panic-isolated:
-/// see [`crate::table1::run_with`].
-pub fn run_budget_with(workers: usize, budget: usize) -> Vec<BudgetRow> {
-    let suite = spec_suite();
-    parallel::par_map_isolated(&suite, workers, |w| measure_budget(w, budget))
-        .into_iter()
-        .zip(&suite)
-        .map(|(res, w)| res.unwrap_or_else(|msg| BudgetRow::poisoned(w.name.clone(), msg)))
-        .collect()
-}
-
-/// Render the budget ablation: per-policy improvement plus the trial
-/// ledger (`spent/skipped`), and the portfolio (tournament-winner) column.
-pub fn render_budget(rows: &[BudgetRow], budget: usize) -> String {
-    let mut header: Vec<String> = vec!["benchmark".into(), "BB blocks".into()];
-    let healthy: Vec<&BudgetRow> = rows.iter().filter(|r| r.error.is_none()).collect();
-    if let Some(first) = healthy.first() {
-        for (label, ..) in &first.results {
-            header.push(format!("{label}@{budget}"));
-            header.push(format!("{label} ledger"));
-        }
-        header.push("portfolio".into());
-        header.push("winner".into());
-    }
-    let mut body = Vec::new();
-    for r in rows {
-        if let Some(err) = &r.error {
-            body.push(vec![r.name.clone(), format!("FAILED: {err}")]);
-            continue;
-        }
-        let mut row = vec![r.name.clone(), r.bb_blocks.to_string()];
-        for (_, _, improvement, stats) in &r.results {
-            row.push(pct(*improvement));
-            row.push(stats.ledger());
-        }
-        if let Some(p) = &r.portfolio {
-            row.push(pct(p.improvement));
-            row.push(p.winner.clone());
-        }
-        body.push(row);
-    }
-    if let Some(first) = healthy.first() {
-        let mut avg = vec!["Average".to_string(), String::new()];
-        let n = first.results.len();
-        for k in 0..n {
-            let mean: f64 =
-                healthy.iter().map(|r| r.results[k].2).sum::<f64>() / healthy.len() as f64;
-            avg.push(pct(mean));
-            avg.push(String::new());
-        }
-        let port_mean: f64 = healthy
-            .iter()
-            .filter_map(|r| r.portfolio.as_ref())
-            .map(|p| p.improvement)
-            .sum::<f64>()
-            / healthy.len() as f64;
-        avg.push(pct(port_mean));
-        avg.push(String::new());
-        body.push(avg);
-    }
-    render_table(&header, &body)
+/// [`run_budget`] with an explicit worker count and budget.
+pub fn run_budget_with(workers: usize, budget: usize) -> Vec<Row> {
+    budget_matrix(budget).run(&spec_suite(), workers)
 }
 
 /// Render in the paper's format.
 pub fn render(rows: &[Row]) -> String {
-    let mut header: Vec<String> = vec!["benchmark".into(), "BB cycles".into()];
-    let healthy: Vec<&Row> = rows.iter().filter(|r| r.error.is_none()).collect();
-    if let Some(first) = healthy.first() {
-        for (label, ..) in &first.results {
-            header.push((*label).to_string());
-        }
+    render_improvements(rows, "BB cycles", |m| m.cycles)
+}
+
+/// Render the budget ablation: per-policy improvement plus the trial
+/// ledger (`spent/skipped`), and the portfolio (tournament-winner) column.
+pub fn render_budget(rows: &[Row], budget: usize) -> String {
+    let mut header: Vec<String> = vec!["benchmark".into(), "BB blocks".into()];
+    let labels = labels(rows);
+    for label in &labels {
+        header.push(format!("{label}@{budget}"));
+        header.push(format!("{label} ledger"));
     }
-    let mut body = Vec::new();
-    for r in rows {
-        if let Some(err) = &r.error {
-            body.push(vec![r.name.clone(), format!("FAILED: {err}")]);
-            continue;
-        }
-        let mut row = vec![r.name.clone(), r.bb_cycles.to_string()];
-        for (_, _, improvement, _, _) in &r.results {
-            row.push(pct(*improvement));
-        }
-        body.push(row);
+    if !labels.is_empty() {
+        header.push("portfolio".into());
+        header.push("winner".into());
     }
-    if let Some(first) = healthy.first() {
-        let mut avg = vec!["Average".to_string(), String::new()];
-        let n = first.results.len();
-        for k in 0..n {
-            let mean: f64 =
-                healthy.iter().map(|r| r.results[k].2).sum::<f64>() / healthy.len() as f64;
-            avg.push(pct(mean));
+    let cells = |r: &Row| {
+        let mut row = vec![r.baseline.blocks.to_string()];
+        for c in &r.cells {
+            row.push(pct(c.improvement));
+            row.push(c.stats.ledger());
         }
-        body.push(avg);
+        if let Some(p) = &r.portfolio {
+            row.push(pct(p.improvement));
+            row.push(p.label.clone());
+        }
+        row
+    };
+    render_rows(
+        header,
+        rows,
+        cells,
+        Some(|means| {
+            let mut avg = vec![String::new()];
+            for m in means {
+                avg.push(pct(*m));
+                avg.push(String::new());
+            }
+            avg
+        }),
+    )
+}
+
+/// Rows as CSV: per heuristic its cycles, improvement, misprediction rate
+/// and utilization.
+pub fn csv(rows: &[Row]) -> String {
+    let header = format!(
+        "benchmark,bb_cycles{}",
+        label_columns(rows, &["cycles", "improvement", "mispredict_rate", "util"])
+    );
+    write_rows(&header, rows, |r| {
+        let mut out = format!(",{}", r.baseline.cycles);
+        for c in &r.cells {
+            let _ = write!(
+                out,
+                ",{},{:.2},{:.4},{}",
+                c.measure.cycles,
+                c.improvement,
+                c.measure.mispredict_rate,
+                c.stats.utilization()
+            );
+        }
+        out
+    })
+}
+
+/// Budget-ablation rows as CSV: per policy, the dynamic block count, the
+/// improvement over basic blocks, and the trial ledger (trials spent,
+/// candidates skipped for budget, and the full `m/t/u/p` string); then the
+/// portfolio winner's blocks, improvement, label and entrant count.
+pub fn budget_csv(rows: &[Row]) -> String {
+    let mut header = format!(
+        "benchmark,bb_blocks{}",
+        label_columns(
+            rows,
+            &["blocks", "improvement", "trials", "skipped", "mtup"]
+        )
+    );
+    if !labels(rows).is_empty() {
+        header.push_str(
+            ",portfolio_blocks,portfolio_improvement,portfolio_winner,portfolio_entrants",
+        );
     }
-    render_table(&header, &body)
+    write_rows(&header, rows, |r| {
+        let mut out = format!(",{}", r.baseline.blocks);
+        for c in &r.cells {
+            let _ = write!(
+                out,
+                ",{},{:.2},{},{},{}",
+                c.measure.blocks,
+                c.improvement,
+                c.stats.trials,
+                c.stats.budget_skipped,
+                c.stats.mtup()
+            );
+        }
+        if let Some(p) = &r.portfolio {
+            let _ = write!(
+                out,
+                ",{},{:.2},{},{}",
+                p.measure.blocks, p.improvement, p.label, p.stats.tournament_entrants
+            );
+        }
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chf_core::pipeline::PhaseOrdering;
 
     #[test]
     fn five_configurations() {
-        let cs = configurations();
+        let cs = matrix().columns;
         assert_eq!(cs.len(), 5);
         assert_eq!(cs[0].0, "VLIW");
         assert_eq!(cs[3].0, "BF");
@@ -364,13 +230,13 @@ mod tests {
     #[test]
     fn measure_reports_all_heuristics() {
         let w = chf_workloads::micro::bzip2_1();
-        let row = measure(&w);
-        assert_eq!(row.results.len(), 5);
+        let row = matrix().measure(&w);
+        assert_eq!(row.cells.len(), 5);
     }
 
     #[test]
     fn budget_configurations_share_one_budget() {
-        let cs = budget_configurations(8);
+        let cs = budget_matrix(8).columns;
         assert_eq!(cs.len(), 3);
         for (label, config) in &cs {
             assert_eq!(config.trial_budget, Some(8), "{label}");
@@ -385,22 +251,23 @@ mod tests {
     fn measure_budget_records_ledger() {
         let suite = spec_suite();
         let w = suite.iter().find(|w| w.name == "gzip").unwrap();
-        let row = measure_budget(w, 4);
+        let row = budget_matrix(4).measure(w);
         assert!(row.error.is_none(), "{:?}", row.error);
-        assert_eq!(row.results.len(), 3);
-        for (label, _, _, stats) in &row.results {
+        assert_eq!(row.cells.len(), 3);
+        for c in &row.cells {
             // Composites are single functions and `(IUPO)` invokes
             // formation once, so the per-function cap is a hard cap.
             assert!(
-                stats.trials <= 4,
-                "{label}: trials {} exceed the cap",
-                stats.trials
+                c.stats.trials <= 4,
+                "{}: trials {} exceed the cap",
+                c.label,
+                c.stats.trials
             );
         }
         // A budget of 4 trials must actually constrain gzip's formation:
         // at least one policy should have skipped candidates.
         assert!(
-            row.results.iter().any(|(_, _, _, s)| s.budget_skipped > 0),
+            row.cells.iter().any(|c| c.stats.budget_skipped > 0),
             "budget 4 did not constrain gzip"
         );
     }

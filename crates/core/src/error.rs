@@ -49,6 +49,13 @@ pub enum ChfError {
         /// The parse failure.
         error: ParseError,
     },
+    /// A policy tournament could not crown a winner, for a reason that
+    /// reproduces on every attempt: the uncompiled input fails its baseline
+    /// simulation, or every portfolio entrant failed.
+    Tournament {
+        /// What went wrong.
+        message: String,
+    },
     /// A panic escaped the compilation itself and was caught at an
     /// isolation boundary (`catch_unwind` in the compile service or the
     /// benchmark harness). Unlike the typed variants above, nothing is
@@ -67,8 +74,8 @@ pub enum ChfError {
 impl ChfError {
     /// Whether the retry policy should re-attempt the compilation.
     ///
-    /// Verifier violations, simulator failures, oracle mismatches, and
-    /// parse errors are deterministic properties of (input, config) —
+    /// Verifier violations, simulator failures, oracle mismatches, parse
+    /// errors and failed tournaments are deterministic properties of (input, config) —
     /// retrying reproduces them byte-for-byte, so they are permanent. A
     /// caught panic is the one failure whose cause is unknown; one retry
     /// distinguishes environmental from deterministic (the same contract
@@ -102,6 +109,7 @@ impl fmt::Display for ChfError {
                 Ok(())
             }
             ChfError::Parse { error } => write!(f, "parse error: {error}"),
+            ChfError::Tournament { message } => write!(f, "tournament failed: {message}"),
             ChfError::Panicked { context, message } => {
                 write!(f, "panic caught during {context}: {message}")
             }
@@ -115,7 +123,9 @@ impl std::error::Error for ChfError {
             ChfError::Verify { error, .. } => Some(error),
             ChfError::Sim { error, .. } => Some(error),
             ChfError::Parse { error } => Some(error),
-            ChfError::OracleMismatch { .. } | ChfError::Panicked { .. } => None,
+            ChfError::OracleMismatch { .. }
+            | ChfError::Tournament { .. }
+            | ChfError::Panicked { .. } => None,
         }
     }
 }
@@ -180,6 +190,10 @@ mod tests {
             function: "f".into(),
             args: vec![],
             repro: None,
+        }
+        .is_transient());
+        assert!(!ChfError::Tournament {
+            message: "every portfolio entrant failed".into(),
         }
         .is_transient());
     }

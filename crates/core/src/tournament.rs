@@ -225,8 +225,7 @@ pub fn crown(
             }
         }
     }
-    let (policy, budget, score, mut winner) = best.ok_or(ChfError::Panicked {
-        context: "tournament",
+    let (policy, budget, score, mut winner) = best.ok_or(ChfError::Tournament {
         message: "every portfolio entrant failed".to_string(),
     })?;
     winner.stats.tournament_entrants = config.policies.len() * config.budgets.len();
@@ -256,11 +255,8 @@ pub fn run_tournament(
     memory: &[(i64, i64)],
     config: &TournamentConfig,
 ) -> Result<TournamentResult, ChfError> {
-    let (digest, base_score) =
-        baseline(f, args, memory, config.metric).map_err(|message| ChfError::Panicked {
-            context: "tournament baseline",
-            message,
-        })?;
+    let (digest, base_score) = baseline(f, args, memory, config.metric)
+        .map_err(|message| ChfError::Tournament { message })?;
     let groups = config.policies.iter().map(|&policy| {
         let group_config = CompileConfig {
             policy,
@@ -361,6 +357,29 @@ mod tests {
         let empty = vec![vec![None, None]; 3];
         let err = crown(&config, &digest, base, &args, &[], empty).unwrap_err();
         assert!(err.to_string().contains("every portfolio entrant failed"));
+        assert!(!err.is_transient(), "a failed crowning reproduces: {err}");
+    }
+
+    #[test]
+    fn an_input_that_fails_its_baseline_simulation_is_a_permanent_error() {
+        // The entry block jumps to a block that does not exist.
+        let (mut f, args) = loopy();
+        let entry = f.entry;
+        f.block_mut(entry).exits.last_mut().unwrap().target =
+            chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(999));
+        let err = run_tournament(
+            &f,
+            &ProfileData::default(),
+            &args,
+            &[],
+            &TournamentConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("baseline simulation failed"),
+            "{err}"
+        );
+        assert!(!err.is_transient(), "a failed baseline reproduces: {err}");
     }
 
     #[test]

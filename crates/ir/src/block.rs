@@ -64,15 +64,6 @@ impl Exit {
             count: 0.0,
         }
     }
-
-    /// Predicated return.
-    pub fn ret_when(pred: Pred, value: Option<Operand>) -> Self {
-        Exit {
-            pred: Some(pred),
-            target: ExitTarget::Return(value),
-            count: 0.0,
-        }
-    }
 }
 
 /// A block: a sequence of predicated instructions plus a total set of exits.

@@ -25,12 +25,12 @@
 //! dominated by a small hot set, and FIFO keeps the structure free of
 //! per-hit bookkeeping on the fast path.
 
+use crate::fifo::FifoMap;
 use chf_core::pipeline::{CompileConfig, Compiled};
 use chf_ir::function::Function;
-use chf_ir::fxhash::{FxHashMap, FxHasher};
+use chf_ir::fxhash::FxHasher;
 use chf_ir::profile::ProfileData;
 use chf_ir::testgen::SplitMix64;
-use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::sync::Mutex;
 
@@ -174,34 +174,23 @@ pub enum Lookup {
     Miss,
 }
 
-struct Store {
-    map: FxHashMap<CacheKey, Entry>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<CacheKey>,
-}
-
 /// The thread-safe formation cache. Capacity 0 disables it (every lookup
 /// misses, every insert is dropped).
 pub struct FormationCache {
-    capacity: usize,
-    store: Mutex<Store>,
+    store: Mutex<FifoMap<CacheKey, Entry>>,
 }
 
 impl FormationCache {
     /// A cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         FormationCache {
-            capacity,
-            store: Mutex::new(Store {
-                map: FxHashMap::default(),
-                order: VecDeque::new(),
-            }),
+            store: Mutex::new(FifoMap::new(capacity)),
         }
     }
 
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.store.lock().expect("cache lock").map.len()
+        self.store.lock().expect("cache lock").len()
     }
 
     /// Whether the cache is empty.
@@ -214,12 +203,11 @@ impl FormationCache {
     /// compile can repopulate the slot.
     pub fn get(&self, key: &CacheKey) -> Lookup {
         let mut store = self.store.lock().expect("cache lock");
-        let Some(e) = store.map.get(key) else {
+        let Some(e) = store.get(key) else {
             return Lookup::Miss;
         };
         if entry_digest(&e.compiled) != e.digest {
-            store.map.remove(key);
-            store.order.retain(|k| k != key);
+            store.remove(key);
             return Lookup::Corrupt;
         }
         Lookup::Hit(Box::new(e.compiled.clone()))
@@ -229,26 +217,11 @@ impl FormationCache {
     /// poison-safety (never inserting degraded/errored results); this
     /// method only enforces capacity.
     pub fn insert(&self, key: CacheKey, compiled: &Compiled) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut store = self.store.lock().expect("cache lock");
-        if !store.map.contains_key(&key) {
-            while store.map.len() >= self.capacity {
-                let Some(old) = store.order.pop_front() else {
-                    break;
-                };
-                store.map.remove(&old);
-            }
-            store.order.push_back(key);
-        }
-        store.map.insert(
-            key,
-            Entry {
-                compiled: compiled.clone(),
-                digest: entry_digest(compiled),
-            },
-        );
+        let entry = Entry {
+            compiled: compiled.clone(),
+            digest: entry_digest(compiled),
+        };
+        self.store.lock().expect("cache lock").insert(key, entry);
     }
 
     /// Fault-injection hook (the `corrupted-cache-entry` chaos kind):
@@ -259,7 +232,7 @@ impl FormationCache {
     pub fn corrupt_entry(&self, key: &CacheKey, seed: u64) -> bool {
         let mut rng = SplitMix64::new(seed);
         let mut store = self.store.lock().expect("cache lock");
-        let Some(e) = store.map.get_mut(key) else {
+        let Some(e) = store.get_mut(key) else {
             return false;
         };
         match rng.below(3) {

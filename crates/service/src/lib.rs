@@ -54,6 +54,7 @@
 
 pub mod cache;
 pub mod chaos;
+mod fifo;
 pub mod parallel;
 pub mod shape;
 pub mod stats;
@@ -367,16 +368,6 @@ pub struct CompileService {
     workers: Vec<JoinHandle<()>>,
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 impl CompileService {
     /// Start a service with `config.workers` worker threads.
     pub fn new(config: ServiceConfig) -> Self {
@@ -668,12 +659,8 @@ impl CompileService {
         StatsCollector::bump(&stats.tournaments);
         let shape = shape_key(&req.function, &req.profile, &req.config);
         let (digest, base_score) =
-            baseline(&req.function, &req.args, &req.memory, req.config.metric).map_err(
-                |message| ChfError::Panicked {
-                    context: "tournament baseline",
-                    message,
-                },
-            )?;
+            baseline(&req.function, &req.args, &req.memory, req.config.metric)
+                .map_err(|message| ChfError::Tournament { message })?;
 
         if let Some(entry) = self.inner.shapes.get(shape) {
             StatsCollector::bump(&stats.shape_hits);
@@ -826,7 +813,12 @@ impl CompileService {
     }
 
     fn shutdown_impl(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Under the queue lock, so a worker that has just found the
+            // flag clear is already waiting when the notification comes.
+            let _queue = self.inner.queue.lock().expect("queue lock");
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -974,7 +966,7 @@ fn run_job(inner: &Inner, job: &Job) -> Vec<CompileResponse> {
         let results = attempt.unwrap_or_else(|payload| {
             let error = ChfError::Panicked {
                 context: "service worker",
-                message: panic_text(payload.as_ref()),
+                message: parallel::panic_message(payload.as_ref()),
             };
             vec![Err(error); budgets.len()]
         });

@@ -19,9 +19,8 @@
 //! Same discipline as the formation cache: bounded, FIFO-evicted,
 //! poison-safe (entries are only written from fully scored tournaments).
 
+use crate::fifo::FifoMap;
 use chf_core::PolicyKind;
-use chf_ir::fxhash::FxHashMap;
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// One cached winner: the policy/budget that won the last full tournament
@@ -37,26 +36,16 @@ pub struct ShapeEntry {
     pub improvement_permille: i64,
 }
 
-struct Store {
-    map: FxHashMap<u64, ShapeEntry>,
-    order: VecDeque<u64>,
-}
-
 /// Bounded shape→winner cache (FIFO eviction, capacity 0 disables it).
 pub struct ShapeCache {
-    capacity: usize,
-    store: Mutex<Store>,
+    store: Mutex<FifoMap<u64, ShapeEntry>>,
 }
 
 impl ShapeCache {
     /// An empty cache holding at most `capacity` shapes.
     pub fn new(capacity: usize) -> ShapeCache {
         ShapeCache {
-            capacity,
-            store: Mutex::new(Store {
-                map: FxHashMap::default(),
-                order: VecDeque::new(),
-            }),
+            store: Mutex::new(FifoMap::new(capacity)),
         }
     }
 
@@ -65,30 +54,21 @@ impl ShapeCache {
         self.store
             .lock()
             .expect("shape cache lock")
-            .map
             .get(&shape)
             .copied()
     }
 
     /// Record (or refresh) the winner for `shape`.
     pub fn insert(&self, shape: u64, entry: ShapeEntry) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut store = self.store.lock().expect("shape cache lock");
-        if store.map.insert(shape, entry).is_none() {
-            store.order.push_back(shape);
-            if store.order.len() > self.capacity {
-                if let Some(evicted) = store.order.pop_front() {
-                    store.map.remove(&evicted);
-                }
-            }
-        }
+        self.store
+            .lock()
+            .expect("shape cache lock")
+            .insert(shape, entry);
     }
 
     /// Shapes currently cached.
     pub fn len(&self) -> usize {
-        self.store.lock().expect("shape cache lock").map.len()
+        self.store.lock().expect("shape cache lock").len()
     }
 
     /// Whether the cache is empty.

@@ -204,3 +204,19 @@ fn a_winner_crowned_from_partial_artifacts_is_not_shape_cached() {
     assert_eq!(again.entrants_run, portfolio as usize);
     assert_eq!(svc.shape_cache_len(), 0);
 }
+
+#[test]
+fn an_input_that_fails_its_baseline_simulation_is_a_permanent_error() {
+    let mut req = tournament_request(7);
+    // Send every exit of the entry block to a block that does not exist.
+    let entry = req.function.entry;
+    for exit in &mut req.function.block_mut(entry).exits {
+        exit.target = chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(9999));
+    }
+    let err = service(1).compile_tournament(&req).unwrap_err();
+    assert!(
+        err.to_string().contains("baseline simulation failed"),
+        "{err}"
+    );
+    assert!(!err.is_transient(), "a failed baseline reproduces: {err}");
+}

@@ -125,9 +125,6 @@ pub enum SimError {
     },
 }
 
-/// Former name of [`SimError`], kept as an alias for existing callers.
-pub type ExecError = SimError;
-
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -267,12 +264,7 @@ impl Machine {
         Ok(self.regs[i])
     }
 
-    pub(crate) fn operand(
-        &self,
-        o: Operand,
-        block: BlockId,
-        check: bool,
-    ) -> Result<i64, ExecError> {
+    pub(crate) fn operand(&self, o: Operand, block: BlockId, check: bool) -> Result<i64, SimError> {
         match o {
             Operand::Reg(r) => self.read(r, block, check),
             Operand::Imm(v) => Ok(v),
@@ -353,15 +345,15 @@ impl<'a> TripState<'a> {
 /// internally; see [`run_lowered`] to amortize the decode over many runs).
 ///
 /// # Errors
-/// Returns [`ExecError::OutOfFuel`] if `config.max_blocks` dynamic blocks
-/// execute without returning, or [`ExecError::UninitializedRead`] in strict
+/// Returns [`SimError::OutOfFuel`] if `config.max_blocks` dynamic blocks
+/// execute without returning, or [`SimError::UninitializedRead`] in strict
 /// mode.
 pub fn run(
     f: &Function,
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &RunConfig,
-) -> Result<FuncResult, ExecError> {
+) -> Result<FuncResult, SimError> {
     let p = LoweredProgram::lower(f);
     run_lowered(&p, args, mem_init, config)
 }
@@ -375,7 +367,7 @@ pub fn run_lowered(
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &RunConfig,
-) -> Result<FuncResult, ExecError> {
+) -> Result<FuncResult, SimError> {
     if config.check_uninit {
         run_lowered_impl::<true>(p, args, mem_init, config)
     } else {
@@ -388,7 +380,7 @@ fn run_lowered_impl<const CHECK: bool>(
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &RunConfig,
-) -> Result<FuncResult, ExecError> {
+) -> Result<FuncResult, SimError> {
     let mut m = Machine::with_layout(p.nregs, p.params, args, mem_init);
     let mut profile = ProfileData::default();
     // Dense counters; folded into `profile`'s sparse maps at the end.
@@ -407,7 +399,7 @@ fn run_lowered_impl<const CHECK: bool>(
     let mut cur = p.entry;
     let ret = 'outer: loop {
         if blocks_executed >= config.max_blocks {
-            return Err(ExecError::OutOfFuel {
+            return Err(SimError::OutOfFuel {
                 executed: blocks_executed,
             });
         }
@@ -562,7 +554,7 @@ fn run_lowered_impl<const CHECK: bool>(
                     // The legacy loop only discovers the dangling target at
                     // the top of the next iteration, after the fuel check.
                     if blocks_executed >= config.max_blocks {
-                        return Err(ExecError::OutOfFuel {
+                        return Err(SimError::OutOfFuel {
                             executed: blocks_executed,
                         });
                     }
@@ -657,12 +649,12 @@ pub(crate) fn exec_inst(
 /// workload constructors.
 ///
 /// # Errors
-/// Propagates any [`ExecError`] from the underlying run.
+/// Propagates any [`SimError`] from the underlying run.
 pub fn profile_run(
     f: &Function,
     args: &[i64],
     mem_init: &[(i64, i64)],
-) -> Result<ProfileData, ExecError> {
+) -> Result<ProfileData, SimError> {
     Ok(run(f, args, mem_init, &RunConfig::default())?.profile)
 }
 
@@ -780,7 +772,7 @@ mod tests {
         };
         assert_eq!(
             run(&f, &[], &[], &cfg).unwrap_err(),
-            ExecError::OutOfFuel { executed: 100 }
+            SimError::OutOfFuel { executed: 100 }
         );
     }
 
@@ -795,7 +787,7 @@ mod tests {
         let f = fb.build().unwrap();
         assert!(matches!(
             run(&f, &[], &[], &RunConfig::strict()),
-            Err(ExecError::UninitializedRead { .. })
+            Err(SimError::UninitializedRead { .. })
         ));
         // Non-strict mode reads 0.
         assert_eq!(

@@ -39,7 +39,7 @@ pub mod timing;
 #[cfg(feature = "legacy-sim")]
 pub mod timing_legacy;
 
-pub use functional::{run, run_lowered, ExecError, FuncResult, RunConfig, SimError};
+pub use functional::{run, run_lowered, FuncResult, RunConfig, SimError};
 pub use lower::LoweredProgram;
 pub use predictor::{ExitPredictor, PredictorConfig, PredictorKind};
 pub use timing::{

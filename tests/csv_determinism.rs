@@ -16,7 +16,7 @@
 //! archives with `cargo run --release -p chf-bench --bin summary` and commit
 //! the new CSVs alongside the change.
 
-use chf_bench::{csv, fig7, table1, table2, table3, whole_program};
+use chf_bench::{fig7, table1, table2, table3, whole_program};
 
 fn committed(name: &str) -> String {
     let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -32,14 +32,14 @@ fn table1_and_fig7_csvs_are_reproducible() {
     for workers in [1, 4] {
         let rows = table1::run_with(workers);
         assert_eq!(
-            csv::table1_csv(&rows),
+            table1::csv(&rows),
             expected_t1,
             "table1.csv drifted (workers={workers})"
         );
         let pts = fig7::points(&rows);
         let fit = fig7::linear_fit(&pts);
         assert_eq!(
-            csv::fig7_csv(&pts, &fit),
+            fig7::csv(&pts, &fit),
             expected_f7,
             "fig7.csv drifted (workers={workers})"
         );
@@ -50,7 +50,7 @@ fn table1_and_fig7_csvs_are_reproducible() {
 #[test]
 fn table2_csv_is_reproducible() {
     let rows = table2::run_with(4);
-    assert_eq!(csv::table2_csv(&rows), committed("table2.csv"));
+    assert_eq!(table2::csv(&rows), committed("table2.csv"));
 }
 
 /// Regenerate the Table 2 budget ablation through the parallel harness
@@ -62,7 +62,7 @@ fn table2_budget_csv_is_reproducible() {
     for workers in [1, 4] {
         let rows = table2::run_budget_with(workers, table2::DEFAULT_TRIAL_BUDGET);
         assert_eq!(
-            csv::table2_budget_csv(&rows),
+            table2::budget_csv(&rows),
             expected,
             "table2_budget.csv drifted (workers={workers})"
         );
@@ -73,7 +73,7 @@ fn table2_budget_csv_is_reproducible() {
 #[test]
 fn table3_csv_is_reproducible() {
     let rows = table3::run_with(4);
-    assert_eq!(csv::table3_csv(&rows), committed("table3.csv"));
+    assert_eq!(table3::csv(&rows), committed("table3.csv"));
 }
 
 /// Regenerate the whole-program sweep at three worker counts and diff —
@@ -87,7 +87,7 @@ fn whole_program_csv_is_reproducible() {
             assert!(r.error.is_none(), "{}: {:?}", r.name, r.error);
         }
         assert_eq!(
-            csv::whole_program_csv(&rows, &fit),
+            whole_program::csv(&rows, &fit),
             expected,
             "whole_program.csv drifted (workers={workers})"
         );
