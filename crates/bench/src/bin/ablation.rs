@@ -1,6 +1,6 @@
 //! Ablation study over the design choices DESIGN.md calls out: speculation,
-//! iterative optimization, trip-aware unrolling, head duplication, tail
-//! duplication, the tail-duplication size limit, and the lookahead policy.
+//! iterative optimization, trip-aware unrolling, head duplication and
+//! tail duplication.
 //!
 //! For each configuration, reports the average % cycle improvement of
 //! convergent formation over basic blocks across the 24 microbenchmarks.
@@ -12,18 +12,23 @@ use chf_sim::predictor::{PredictorConfig, PredictorKind};
 use chf_sim::timing::{simulate_timing, TimingConfig};
 use chf_workloads::{microbenchmarks, Workload};
 
-/// Compile with an explicit formation configuration (always followed by the
-/// final scalar-optimization pass and backend splitting, like the
-/// pipeline).
-fn compile_with(w: &Workload, policy: PolicyKind, config: &FormationConfig) -> u64 {
+/// Cycles of `w` compiled breadth-first with `config` (`None`: basic
+/// blocks), followed by the final scalar-optimization pass and backend
+/// splitting like the pipeline, and simulated under `timing`. Panics if the
+/// compiled program does not return its expected value.
+fn cycles(w: &Workload, config: Option<&FormationConfig>, timing: &TimingConfig) -> u64 {
     let mut f = w.function.clone();
     w.profile.apply(&mut f);
-    let mut p = policy.instantiate();
-    form_hyperblocks_with_profile(&mut f, p.as_mut(), config, Some(&w.profile));
+    if let Some(config) = config {
+        let mut p = PolicyKind::BreadthFirst.instantiate();
+        form_hyperblocks_with_profile(&mut f, p.as_mut(), config, Some(&w.profile));
+    }
     chf_opt::optimize(&mut f);
-    split_oversized(&mut f, &config.constraints);
-    chf_ir::cfg::remove_unreachable(&mut f);
-    let t = simulate_timing(&f, &w.args, &w.memory, &TimingConfig::trips())
+    if let Some(config) = config {
+        split_oversized(&mut f, &config.constraints);
+        chf_ir::cfg::remove_unreachable(&mut f);
+    }
+    let t = simulate_timing(&f, &w.args, &w.memory, timing)
         .unwrap_or_else(|e| panic!("{}: {e}", w.name));
     assert_eq!(t.ret, Some(w.expected), "{} miscompiled", w.name);
     t.cycles
@@ -32,24 +37,15 @@ fn compile_with(w: &Workload, policy: PolicyKind, config: &FormationConfig) -> u
 fn main() {
     let workers = chf_service::parallel::workers();
     let suite = microbenchmarks();
-    let baselines: Vec<u64> = chf_service::parallel::par_map(&suite, workers, |w| {
-        let mut f = w.function.clone();
-        w.profile.apply(&mut f);
-        chf_opt::optimize(&mut f);
-        simulate_timing(&f, &w.args, &w.memory, &TimingConfig::trips())
-            .unwrap()
-            .cycles
-    });
-
-    let average = |policy: PolicyKind, config: &FormationConfig| -> f64 {
-        let cycles =
-            chf_service::parallel::par_map(&suite, workers, |w| compile_with(w, policy, config));
-        cycles
-            .iter()
-            .zip(&baselines)
-            .map(|(&c, &bb)| (bb as f64 - c as f64) / bb as f64 * 100.0)
-            .sum::<f64>()
-            / suite.len() as f64
+    // Average % cycle improvement of `config` over basic blocks under
+    // `timing`.
+    let average = |config: &FormationConfig, timing: &TimingConfig| -> f64 {
+        let improvements = chf_service::parallel::par_map(&suite, workers, |w| {
+            let bb = cycles(w, None, timing);
+            let c = cycles(w, Some(config), timing);
+            (bb as f64 - c as f64) / bb as f64 * 100.0
+        });
+        improvements.iter().sum::<f64>() / suite.len() as f64
     };
 
     let full = FormationConfig::default();
@@ -57,15 +53,10 @@ fn main() {
     println!("{:<38} {:>8}", "configuration", "avg %");
     println!("{}", "-".repeat(48));
 
-    let configs: Vec<(&str, PolicyKind, FormationConfig)> = vec![
-        (
-            "full convergent (BF)",
-            PolicyKind::BreadthFirst,
-            full.clone(),
-        ),
+    let configs: Vec<(&str, FormationConfig)> = vec![
+        ("full convergent (BF)", full.clone()),
         (
             "  - speculation (guard everything)",
-            PolicyKind::BreadthFirst,
             FormationConfig {
                 speculation: false,
                 ..full.clone()
@@ -73,7 +64,6 @@ fn main() {
         ),
         (
             "  - iterative optimization",
-            PolicyKind::BreadthFirst,
             FormationConfig {
                 iterative_opt: false,
                 ..full.clone()
@@ -81,7 +71,6 @@ fn main() {
         ),
         (
             "  - trip-aware unrolling",
-            PolicyKind::BreadthFirst,
             FormationConfig {
                 trip_aware_unroll: false,
                 ..full.clone()
@@ -89,7 +78,6 @@ fn main() {
         ),
         (
             "  - head duplication (no unroll/peel)",
-            PolicyKind::BreadthFirst,
             FormationConfig {
                 head_duplication: false,
                 ..full.clone()
@@ -97,37 +85,19 @@ fn main() {
         ),
         (
             "  - tail duplication",
-            PolicyKind::BreadthFirst,
             FormationConfig {
                 tail_duplication: false,
                 ..full.clone()
             },
         ),
-        (
-            "  tail-dup limit 8 (aggressive)",
-            PolicyKind::BreadthFirst,
-            FormationConfig {
-                max_tail_dup_size: 8,
-                ..full.clone()
-            },
-        ),
-        (
-            "  tail-dup limit 128 (unlimited)",
-            PolicyKind::BreadthFirst,
-            FormationConfig {
-                max_tail_dup_size: 128,
-                ..full.clone()
-            },
-        ),
-        (
-            "full convergent (BF+lookahead)",
-            PolicyKind::BreadthFirstLookahead,
-            full.clone(),
-        ),
     ];
 
-    for (label, policy, config) in configs {
-        println!("{:<38} {:>7.1}", label, average(policy, &config));
+    for (label, config) in configs {
+        println!(
+            "{:<38} {:>7.1}",
+            label,
+            average(&config, &TimingConfig::trips())
+        );
     }
 
     // --- Timing-model sensitivity: how much of the hyperblock win depends
@@ -177,29 +147,7 @@ Timing-model sensitivity (convergent BF vs BB under each model)
             },
         ),
     ];
-    for (label, tcfg) in timing_variants {
-        let improvements = chf_service::parallel::par_map(&suite, workers, |w| {
-            // Baseline under this model.
-            let mut base = w.function.clone();
-            w.profile.apply(&mut base);
-            chf_opt::optimize(&mut base);
-            let bb = simulate_timing(&base, &w.args, &w.memory, &tcfg)
-                .unwrap()
-                .cycles;
-            // Convergent under this model.
-            let mut f = w.function.clone();
-            w.profile.apply(&mut f);
-            let mut p = PolicyKind::BreadthFirst.instantiate();
-            form_hyperblocks_with_profile(&mut f, p.as_mut(), &full, Some(&w.profile));
-            chf_opt::optimize(&mut f);
-            split_oversized(&mut f, &full.constraints);
-            chf_ir::cfg::remove_unreachable(&mut f);
-            let c = simulate_timing(&f, &w.args, &w.memory, &tcfg)
-                .unwrap()
-                .cycles;
-            (bb as f64 - c as f64) / bb as f64 * 100.0
-        });
-        let total: f64 = improvements.iter().sum();
-        println!("{:<38} {:>7.1}", label, total / suite.len() as f64);
+    for (label, timing) in timing_variants {
+        println!("{:<38} {:>7.1}", label, average(&full, &timing));
     }
 }

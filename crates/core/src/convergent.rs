@@ -34,6 +34,14 @@ use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
 use chf_ir::testgen::SplitMix64;
 
+/// Refuse tail duplication of blocks larger than this many slots (§5,
+/// "Limiting tail duplication": duplicating a large merge point bloats code
+/// and makes its contents data-dependent on the exit test).
+const MAX_TAIL_DUP_SIZE: usize = 24;
+
+/// Safety cap on merges per seed block.
+const MAX_MERGES_PER_BLOCK: usize = 64;
+
 /// Configuration of the formation loop.
 #[derive(Clone, Debug)]
 pub struct FormationConfig {
@@ -58,12 +66,6 @@ pub struct FormationConfig {
     /// promotion). Always on in real hyperblock compilers; exposed for the
     /// ablation study.
     pub speculation: bool,
-    /// Refuse tail duplication of blocks larger than this many slots
-    /// (§5, "Limiting tail duplication": duplicating a large merge point
-    /// bloats code and makes its contents data-dependent on the exit test).
-    pub max_tail_dup_size: usize,
-    /// Safety cap on merges per seed block.
-    pub max_merges_per_block: usize,
     /// Verify the IR after every combine trial and *contain* a violation by
     /// rolling the trial back and skipping the candidate (recorded in
     /// [`FormationStats::skipped`]), instead of panicking via a
@@ -132,8 +134,6 @@ impl Default for FormationConfig {
             iterative_opt: true,
             trip_aware_unroll: true,
             speculation: true,
-            max_tail_dup_size: 24,
-            max_merges_per_block: 64,
             verify_trials: true,
             oracle: None,
             chaos: None,
@@ -523,7 +523,7 @@ fn merge_blocks_in_ctx(
     let kind = classify(f, ctx.forest(f), hb, s);
     match kind {
         DuplicationKind::Tail if !config.tail_duplication => return MergeOutcome::Disallowed,
-        DuplicationKind::Tail if f.block(s).size() > config.max_tail_dup_size => {
+        DuplicationKind::Tail if f.block(s).size() > MAX_TAIL_DUP_SIZE => {
             return MergeOutcome::Disallowed
         }
         DuplicationKind::Unroll | DuplicationKind::Peel if !config.head_duplication => {
@@ -792,7 +792,7 @@ fn expand_block(
     // The pristine loop body, captured just before the first unroll so that
     // later unrolls append single iterations (paper §4.1).
     let mut saved_body: Option<chf_ir::block::Block> = None;
-    while merges < config.max_merges_per_block {
+    while merges < MAX_MERGES_PER_BLOCK {
         let Some(idx) = policy.select(f, hb, &candidates) else {
             break;
         };

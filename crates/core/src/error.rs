@@ -59,10 +59,11 @@ pub enum ChfError {
     /// A panic escaped the compilation itself and was caught at an
     /// isolation boundary (`catch_unwind` in the compile service or the
     /// benchmark harness). Unlike the typed variants above, nothing is
-    /// known about the cause beyond the payload message — which is exactly
-    /// why it is classified as *transient*: the retry policy distinguishes
-    /// an environmental failure (allocation pressure, a poisoned worker)
-    /// from a deterministic bug by compiling again.
+    /// known about the cause beyond the payload message, so it is the one
+    /// variant classified as *transient*: the boundary compiles once more,
+    /// immediately. Compilation is deterministic, so a bug panics again;
+    /// the retry recovers only a panic that did not come from the input,
+    /// such as an injected fault.
     Panicked {
         /// Which isolation boundary caught the panic.
         context: &'static str,
@@ -72,14 +73,15 @@ pub enum ChfError {
 }
 
 impl ChfError {
-    /// Whether the retry policy should re-attempt the compilation.
+    /// Whether the failure is of the kind an isolation boundary retries
+    /// (once, immediately) before reporting it.
     ///
     /// Verifier violations, simulator failures, oracle mismatches, parse
-    /// errors and failed tournaments are deterministic properties of (input, config) —
-    /// retrying reproduces them byte-for-byte, so they are permanent. A
-    /// caught panic is the one failure whose cause is unknown; one retry
-    /// distinguishes environmental from deterministic (the same contract
-    /// as `par_map_isolated`'s retry-once rationale).
+    /// errors and failed tournaments are deterministic properties of
+    /// (input, config) — retrying reproduces them byte-for-byte, so they
+    /// are permanent. A caught panic is the one failure whose cause is
+    /// unknown; it is retried once, the rule `par_map_isolated` applies to
+    /// evaluation jobs too.
     pub fn is_transient(&self) -> bool {
         matches!(self, ChfError::Panicked { .. })
     }

@@ -97,86 +97,6 @@ impl Policy for DepthFirst {
     }
 }
 
-/// Breadth-first selection with lookahead (§5, "Local and global
-/// heuristics"): like [`BreadthFirst`], but candidates that *reconverge*
-/// with another candidate's region within a small horizon are preferred —
-/// merging them closes the current diamond and yields a larger single-exit
-/// hyperblock, which improves next-block predictability.
-#[derive(Debug)]
-pub struct BreadthFirstLookahead {
-    /// How many CFG steps to scan for reconvergence.
-    pub horizon: usize,
-}
-
-impl Default for BreadthFirstLookahead {
-    fn default() -> Self {
-        BreadthFirstLookahead { horizon: 3 }
-    }
-}
-
-impl BreadthFirstLookahead {
-    /// Blocks reachable from `start` within `horizon` steps.
-    fn reachable_within(
-        &self,
-        f: &Function,
-        start: BlockId,
-        horizon: usize,
-    ) -> std::collections::HashSet<BlockId> {
-        let mut seen = std::collections::HashSet::from([start]);
-        let mut frontier = vec![start];
-        for _ in 0..horizon {
-            let mut next = Vec::new();
-            for b in frontier {
-                if !f.contains_block(b) {
-                    continue;
-                }
-                for s in f.block(b).successors() {
-                    if f.contains_block(s) && seen.insert(s) {
-                        next.push(s);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        seen
-    }
-}
-
-impl Policy for BreadthFirstLookahead {
-    fn name(&self) -> &'static str {
-        "breadth-first+lookahead"
-    }
-
-    fn select(&self, f: &Function, _hb: BlockId, candidates: &[Candidate]) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
-        // A candidate reconverges if some *other* candidate reaches it (or
-        // its near successors) within the horizon.
-        let regions: Vec<std::collections::HashSet<BlockId>> = candidates
-            .iter()
-            .map(|c| {
-                if f.contains_block(c.block) {
-                    self.reachable_within(f, c.block, self.horizon)
-                } else {
-                    std::collections::HashSet::new()
-                }
-            })
-            .collect();
-        let reconverges = |i: usize| -> bool {
-            regions
-                .iter()
-                .enumerate()
-                .any(|(j, r)| j != i && !r.is_disjoint(&regions[i]))
-        };
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, c)| (!reconverges(*i) as u8, c.depth, c.order))
-            .map(|(i, _)| i)
-    }
-}
-
 /// VLIW heuristic: candidates below this reach-probability are excluded
 /// outright.
 const VLIW_MIN_PROB: f64 = 0.08;
@@ -323,8 +243,6 @@ impl Policy for HotFirst {
 pub enum PolicyKind {
     /// [`BreadthFirst`].
     BreadthFirst,
-    /// [`BreadthFirstLookahead`] with the default horizon.
-    BreadthFirstLookahead,
     /// [`DepthFirst`].
     DepthFirst,
     /// [`Vliw`].
@@ -338,7 +256,6 @@ impl PolicyKind {
     pub fn instantiate(self) -> Box<dyn Policy> {
         match self {
             PolicyKind::BreadthFirst => Box::new(BreadthFirst),
-            PolicyKind::BreadthFirstLookahead => Box::new(BreadthFirstLookahead::default()),
             PolicyKind::DepthFirst => Box::new(DepthFirst),
             PolicyKind::Vliw => Box::new(Vliw::default()),
             PolicyKind::HotFirst => Box::new(HotFirst),
@@ -349,7 +266,6 @@ impl PolicyKind {
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::BreadthFirst => "BF",
-            PolicyKind::BreadthFirstLookahead => "BF+look",
             PolicyKind::DepthFirst => "DF",
             PolicyKind::Vliw => "VLIW",
             PolicyKind::HotFirst => "HF",
@@ -448,43 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_prefers_reconverging_candidates() {
-        // entry branches to a and b; both reach join j. Candidates a, b, j:
-        // a and b reconverge (both reach j within horizon) and are chosen
-        // before a stray cold block c that goes nowhere shared.
-        let mut fb = FunctionBuilder::new("f", 1);
-        let e = fb.create_block();
-        let a = fb.create_block();
-        let b = fb.create_block();
-        let j = fb.create_block();
-        let stray = fb.create_block();
-        fb.switch_to(e);
-        let c = fb.cmp_lt(Operand::Reg(fb.param(0)), Operand::Imm(0));
-        fb.branch(c, a, b);
-        fb.switch_to(a);
-        fb.jump(j);
-        fb.switch_to(b);
-        fb.jump(j);
-        fb.switch_to(j);
-        fb.ret(None);
-        fb.switch_to(stray);
-        fb.ret(None);
-        let f = fb.build_unverified();
-        let p = BreadthFirstLookahead::default();
-        // stray discovered first (order 0) but does not reconverge.
-        let cs = vec![
-            cand(stray.0, 0, 0, 0.5),
-            cand(a.0, 1, 0, 0.25),
-            cand(b.0, 2, 0, 0.25),
-        ];
-        assert_eq!(p.select(&f, e, &cs), Some(1), "prefer reconverging arm");
-    }
-
-    #[test]
     fn policy_kind_instantiates() {
         for kind in [
             PolicyKind::BreadthFirst,
-            PolicyKind::BreadthFirstLookahead,
             PolicyKind::DepthFirst,
             PolicyKind::Vliw,
             PolicyKind::HotFirst,

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 fn policy_by_index(i: usize) -> PolicyKind {
     match i {
         0 => PolicyKind::BreadthFirst,
-        1 => PolicyKind::BreadthFirstLookahead,
+        1 => PolicyKind::HotFirst,
         2 => PolicyKind::DepthFirst,
         _ => PolicyKind::Vliw,
     }
@@ -26,10 +26,9 @@ fn formation_config() -> impl Strategy<Value = FormationConfig> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        8usize..64,
     )
         .prop_map(
-            |(max_insts, head, tail, iterative, speculation, tail_limit)| FormationConfig {
+            |(max_insts, head, tail, iterative, speculation)| FormationConfig {
                 constraints: BlockConstraints {
                     max_insts,
                     headroom_percent: 0,
@@ -40,8 +39,6 @@ fn formation_config() -> impl Strategy<Value = FormationConfig> {
                 iterative_opt: iterative,
                 trip_aware_unroll: true,
                 speculation,
-                max_tail_dup_size: tail_limit,
-                max_merges_per_block: 32,
                 ..FormationConfig::default()
             },
         )

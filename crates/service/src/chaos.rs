@@ -6,8 +6,8 @@
 //! deadlines, and the formation cache — by submitting seeded faulty
 //! requests through the same campaign engine
 //! ([`chf_core::chaos::run_campaign`]) from several concurrent client
-//! threads and checking that every request reaches the *specified*
-//! terminal state:
+//! threads and checking that every request gets the *specified*
+//! answer:
 //!
 //! * corrupted IR is `Failed` with a typed verifier error, never compiled;
 //! * corrupted profiles still compile to behaviourally correct output;
@@ -16,7 +16,8 @@
 //! * a corrupted cache entry is detected by integrity revalidation and
 //!   degraded to a cold compile whose result is **byte-identical** to the
 //!   original — never served corrupt;
-//! * an injected worker panic is retried and the request still completes.
+//! * an injected worker panic is retried once and the request still
+//!   completes.
 //!
 //! Below 100 `fault_percent`, the fault seeds that fall outside the fault
 //! share become clean compiles drawn from a small hot set of programs, so

@@ -5,30 +5,32 @@
 //! formation pipeline (see `chf-core`). It exists because the convergent
 //! trial loop is exactly the kind of unbounded, occasionally-pathological
 //! work that must never take a daemon down with it: every failure mode has
-//! a *specified* terminal state, and the chaos harness (`chaos --service`)
+//! a *specified* answer, and the chaos harness (`chaos --service`)
 //! tests that specification rather than trusting it.
 //!
 //! ## Request lifecycle
 //!
 //! ```text
-//! submit ──► Queued ──► Running ──► Done       (full result, cacheable)
-//!    │                     │  ├───► Degraded   (deadline hit mid-formation:
-//!    │                     │  │                 the anytime partial result)
-//!    │                     │  ├───► TimedOut   (deadline hit, fail-fast
-//!    │                     │  │                 semantics requested)
-//!    │                     │  └───► Failed     (contained permanent error)
-//!    │                     └─retry─┐           (transient failures only,
-//!    │                     ▲───────┘            capped exponential backoff)
-//!    └────────────────────────────► Rejected   (queue full: load shed
-//!                                               immediately, never blocks)
+//! submit ──► in flight ──► Done       (full result, cacheable)
+//!    │            │   ├───► Degraded   (deadline hit mid-formation:
+//!    │            │   │                 the anytime partial result)
+//!    │            │   └───► Failed     (contained permanent error)
+//!    │            └─panic: retried once, immediately
+//!    └──────────────────► Rejected   (queue full: load shed
+//!                                     immediately, never blocks)
 //! ```
+//!
+//! The service keeps each answer only until its waiter takes it:
+//! [`CompileService::wait`] removes and returns it, so each id is waited on
+//! once, and a service answering requests forever holds only the ones
+//! nobody has collected yet.
 //!
 //! * **Backpressure**: the queue is bounded; a submit that finds it full is
 //!   `Rejected` synchronously. The service never blocks a client or grows
 //!   without bound.
 //! * **Fault containment**: every compile runs under `catch_unwind`. A
-//!   panic becomes [`ChfError::Panicked`] — transient by definition — and
-//!   is retried with capped exponential backoff before being reported.
+//!   panicked attempt is retried once, immediately; a second panic is
+//!   reported as [`ChfError::Panicked`].
 //! * **Deadlines**: a per-request wall-clock deadline is plumbed into the
 //!   formation loop's trial-budget checkpoint
 //!   ([`FormationConfig::deadline`](chf_core::convergent::FormationConfig)),
@@ -72,7 +74,6 @@ use shape::{ShapeCache, ShapeEntry};
 use stats::{ServiceStats, StatsCollector};
 use std::collections::VecDeque;
 use std::hash::Hasher as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -86,38 +87,6 @@ pub type RequestId = u64;
 /// the cached improvement triggers a full tournament instead of trusting the
 /// stale winner.
 const GUARD_BAND_PERMILLE: i64 = 20;
-
-/// Retry policy for *transient* failures ([`ChfError::is_transient`]):
-/// capped exponential backoff. Permanent errors are never retried — they
-/// are deterministic in the input.
-#[derive(Copy, Clone, Debug)]
-pub struct RetryPolicy {
-    /// Attempts beyond the first (0 disables retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(8),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): `base * 2^(retry-1)`,
-    /// capped at `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32 << retry.saturating_sub(1).min(16);
-        (self.base_backoff * factor).min(self.max_backoff)
-    }
-}
 
 /// Static configuration of a [`CompileService`].
 #[derive(Clone, Debug)]
@@ -137,8 +106,6 @@ pub struct ServiceConfig {
     pub shape_cache_capacity: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Transient-failure retry policy.
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -149,7 +116,6 @@ impl Default for ServiceConfig {
             cache_capacity: 1024,
             shape_cache_capacity: 1024,
             default_deadline: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -159,14 +125,13 @@ impl Default for ServiceConfig {
 pub struct RequestOptions {
     /// Wall-clock budget for the compile, measured from the moment a worker
     /// starts it (queue wait is governed by backpressure, not deadlines).
-    /// Overrides [`ServiceConfig::default_deadline`].
+    /// Overrides [`ServiceConfig::default_deadline`]. An expired deadline
+    /// answers `Degraded`, with the anytime partial artifact.
     pub deadline: Option<Duration>,
-    /// Report deadline expiry as `TimedOut` (no artifact) instead of the
-    /// default graceful `Degraded` (anytime partial artifact).
-    pub fail_on_deadline: bool,
     /// Fault-injection hook: panic inside the worker on the first N compile
     /// attempts of this request. Exercises the containment + retry path
-    /// deterministically; 0 (the default) injects nothing.
+    /// deterministically: 1 recovers on the retry, 2 or more fails; 0 (the
+    /// default) injects nothing.
     pub inject_panics: u32,
 }
 
@@ -220,42 +185,28 @@ impl CompileRequest {
     }
 }
 
-/// Lifecycle states. `Queued` and `Running` are transient; the rest are
-/// terminal.
+/// How a request ended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RequestStatus {
-    /// Accepted; waiting for a worker.
-    Queued,
-    /// A worker is compiling it (possibly on a retry attempt).
-    Running,
     /// Compiled fully.
     Done,
     /// Deadline expired mid-formation; the response carries the anytime
     /// partial result (valid, verified, behaviour-preserving — just fewer
     /// merges than an unbounded run).
     Degraded,
-    /// Deadline expired and the request asked for fail-fast semantics.
-    TimedOut,
     /// Shed at submission: the bounded queue was full.
     Rejected,
-    /// Contained permanent error (verifier rejection, parse failure, or a
-    /// transient failure that exhausted its retries).
+    /// Contained error (verifier rejection, parse failure, or a compile
+    /// that panicked on its retry too).
     Failed,
 }
 
-impl RequestStatus {
-    /// Whether this state ends the lifecycle.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, RequestStatus::Queued | RequestStatus::Running)
-    }
-}
-
-/// Terminal outcome of a request.
+/// The answer to a request.
 #[derive(Clone, Debug)]
 pub struct CompileResponse {
     /// The request this answers.
     pub id: RequestId,
-    /// Terminal status.
+    /// How the request ended.
     pub status: RequestStatus,
     /// The compiled artifact (`Done` always; `Degraded` carries the partial
     /// result).
@@ -264,12 +215,12 @@ pub struct CompileResponse {
     pub error: Option<ChfError>,
     /// Whether the artifact was served from the formation cache.
     pub cache_hit: bool,
-    /// Compile attempts beyond the first.
+    /// Compile attempts beyond the first (0, or 1 after a panic).
     pub retries: u32,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait: Duration,
-    /// Wall time of the (final) compile attempt, zero for cache hits and
-    /// rejections.
+    /// Wall time a worker spent on the request, both attempts of a retried
+    /// compile included; zero for cache hits and rejections.
     pub compile_time: Duration,
 }
 
@@ -319,12 +270,6 @@ pub struct TournamentOutcome {
     pub entrants_run: usize,
 }
 
-enum State {
-    Queued,
-    Running,
-    Terminal(Box<CompileResponse>),
-}
-
 /// One queued unit of work: a program compiled once per member's trial
 /// budget, by one formation run.
 struct Job {
@@ -346,13 +291,14 @@ struct Member {
 }
 
 struct Inner {
-    retry: RetryPolicy,
     default_deadline: Option<Duration>,
     queue_capacity: usize,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    states: Mutex<FxHashMap<RequestId, State>>,
-    states_cv: Condvar,
+    /// Each request from `submit` until its waiter takes the answer: `None`
+    /// while it is in flight, then the answer.
+    answers: Mutex<FxHashMap<RequestId, Option<Box<CompileResponse>>>>,
+    answers_cv: Condvar,
     cache: FormationCache,
     shapes: ShapeCache,
     stats: StatsCollector,
@@ -376,13 +322,12 @@ impl CompileService {
             .unwrap_or(1);
         let workers = parallel::clamp_jobs(Some(&config.workers.to_string()), avail);
         let inner = Arc::new(Inner {
-            retry: config.retry,
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            states: Mutex::new(FxHashMap::default()),
-            states_cv: Condvar::new(),
+            answers: Mutex::new(FxHashMap::default()),
+            answers_cv: Condvar::new(),
             cache: FormationCache::new(config.cache_capacity),
             shapes: ShapeCache::new(config.shape_cache_capacity),
             stats: StatsCollector::default(),
@@ -401,9 +346,9 @@ impl CompileService {
         }
     }
 
-    /// Submit a request. Always returns an id whose lifecycle terminates:
-    /// parse failures terminate as `Failed`, a full queue as `Rejected`
-    /// (both synchronously), cache hits as `Done` without queueing.
+    /// Submit a request. Always returns an id that gets an answer: parse
+    /// failures answer `Failed`, a full queue `Rejected` (both
+    /// synchronously), cache hits `Done` without queueing.
     ///
     /// The one-budget case of [`CompileService::submit_budgets`].
     pub fn submit(&self, req: CompileRequest) -> RequestId {
@@ -511,11 +456,11 @@ impl CompileService {
                 }
                 return ids;
             }
-            let mut states = inner.states.lock().expect("states lock");
+            let mut answers = inner.answers.lock().expect("answers lock");
             for m in &members {
-                states.insert(m.id, State::Queued);
+                answers.insert(m.id, None);
             }
-            drop(states);
+            drop(answers);
             q.push_back(Job {
                 members,
                 function,
@@ -533,46 +478,43 @@ impl CompileService {
         finish(&self.inner, resp);
     }
 
-    /// Current lifecycle state, or `None` for an unknown id.
-    pub fn status(&self, id: RequestId) -> Option<RequestStatus> {
-        let states = self.inner.states.lock().expect("states lock");
-        states.get(&id).map(|s| match s {
-            State::Queued => RequestStatus::Queued,
-            State::Running => RequestStatus::Running,
-            State::Terminal(r) => r.status,
-        })
-    }
-
-    /// Block until `id` reaches a terminal state and return its response.
+    /// Block until `id` is answered, then take the answer: the service
+    /// keeps it no longer.
     ///
     /// # Panics
-    /// Panics on an id this service never issued.
+    /// Panics on an id this service never issued, or one already waited on.
     pub fn wait(&self, id: RequestId) -> CompileResponse {
         self.wait_deadline(id, None)
             .expect("deadline-free wait always terminates")
     }
 
-    /// [`CompileService::wait`] bounded by `timeout`; `None` when the
-    /// request is still in flight at expiry.
+    /// [`CompileService::wait`] bounded by `timeout`; `None`, with the
+    /// answer still owed to a later wait, when the request is in flight at
+    /// expiry.
     pub fn wait_timeout(&self, id: RequestId, timeout: Duration) -> Option<CompileResponse> {
         self.wait_deadline(id, Some(Instant::now() + timeout))
     }
 
     fn wait_deadline(&self, id: RequestId, until: Option<Instant>) -> Option<CompileResponse> {
-        let mut states = self.inner.states.lock().expect("states lock");
+        let mut answers = self.inner.answers.lock().expect("answers lock");
         loop {
-            match states.get(&id) {
-                Some(State::Terminal(r)) => return Some((**r).clone()),
-                Some(_) => {}
-                None => panic!("unknown request id {id}"),
+            match answers.get(&id) {
+                Some(Some(_)) => return answers.remove(&id).flatten().map(|answer| *answer),
+                Some(None) => {}
+                None => {
+                    // Unlocked first: a misused id must not poison the
+                    // service for every other waiter.
+                    drop(answers);
+                    panic!("unknown or already collected request id {id}");
+                }
             }
             match until {
                 None => {
-                    states = self
+                    answers = self
                         .inner
-                        .states_cv
-                        .wait(states)
-                        .expect("states lock poisoned");
+                        .answers_cv
+                        .wait(answers)
+                        .expect("answers lock poisoned");
                 }
                 Some(d) => {
                     let now = Instant::now();
@@ -581,10 +523,10 @@ impl CompileService {
                     }
                     let (guard, _timeout) = self
                         .inner
-                        .states_cv
-                        .wait_timeout(states, d - now)
-                        .expect("states lock poisoned");
-                    states = guard;
+                        .answers_cv
+                        .wait_timeout(answers, d - now)
+                        .expect("answers lock poisoned");
+                    answers = guard;
                 }
             }
         }
@@ -806,8 +748,8 @@ impl CompileService {
         self.inner.cache.corrupt_entry(&key, seed)
     }
 
-    /// Stop the workers and join them. Queued-but-unstarted jobs are marked
-    /// `Rejected` so no waiter hangs.
+    /// Stop the workers and join them. Queued-but-unstarted jobs are
+    /// answered `Rejected` so no waiter hangs.
     pub fn shutdown(mut self) {
         self.shutdown_impl();
     }
@@ -823,8 +765,8 @@ impl CompileService {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Terminate anything still queued: a shut-down service must leave
-        // no request in a non-terminal state.
+        // Answer anything still queued: a shut-down service must leave no
+        // request in flight.
         let drained: Vec<Job> = {
             let mut q = self.inner.queue.lock().expect("queue lock");
             q.drain(..).collect()
@@ -878,10 +820,10 @@ fn shape_key(f: &Function, profile: &ProfileData, config: &TournamentConfig) -> 
 }
 
 fn finish(inner: &Inner, resp: CompileResponse) {
-    let mut states = inner.states.lock().expect("states lock");
-    states.insert(resp.id, State::Terminal(Box::new(resp)));
-    drop(states);
-    inner.states_cv.notify_all();
+    let mut answers = inner.answers.lock().expect("answers lock");
+    answers.insert(resp.id, Some(Box::new(resp)));
+    drop(answers);
+    inner.answers_cv.notify_all();
 }
 
 fn worker_loop(inner: &Inner) {
@@ -898,19 +840,14 @@ fn worker_loop(inner: &Inner) {
                 q = inner.queue_cv.wait(q).expect("queue lock poisoned");
             }
         };
-        let mut states = inner.states.lock().expect("states lock");
-        for m in &job.members {
-            states.insert(m.id, State::Running);
-        }
-        drop(states);
         for resp in run_job(inner, &job) {
             finish(inner, resp);
         }
     }
 }
 
-/// Run one job to a terminal response per member: input verification, the
-/// contained compile with deadline, and the transient-failure retry loop.
+/// Run one job to an answer per member: input verification, then the
+/// contained compile with its deadline, retried once if it panics.
 fn run_job(inner: &Inner, job: &Job) -> Vec<CompileResponse> {
     let start = Instant::now();
     let queue_wait = start - job.enqueued;
@@ -953,83 +890,50 @@ fn run_job(inner: &Inner, job: &Job) -> Vec<CompileResponse> {
     config.deadline = deadline;
     let budgets: Vec<Option<usize>> = job.members.iter().map(|m| m.budget).collect();
 
-    let mut retries = 0u32;
-    loop {
-        let attempt_no = retries + 1;
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if job.options.inject_panics >= attempt_no {
-                panic!("chf-service injected worker fault (attempt {attempt_no})");
-            }
-            StatsCollector::bump(&inner.stats.formations);
-            try_compile_budgets(&job.function, &job.profile, &config, &budgets)
-        }));
-        let results = attempt.unwrap_or_else(|payload| {
-            let error = ChfError::Panicked {
-                context: "service worker",
-                message: parallel::panic_message(payload.as_ref()),
-            };
-            vec![Err(error); budgets.len()]
-        });
-        let transient = results
-            .iter()
-            .any(|r| r.as_ref().is_err_and(ChfError::is_transient));
-        if transient && retries < inner.retry.max_retries {
-            retries += 1;
-            for _ in &job.members {
-                StatsCollector::bump(&inner.stats.retries);
-            }
-            std::thread::sleep(inner.retry.backoff(retries));
-            continue;
+    let (results, retries) = parallel::retry_once(|attempt| {
+        if job.options.inject_panics >= attempt {
+            panic!("chf-service injected worker fault (attempt {attempt})");
         }
-        let elapsed = start.elapsed();
-        return job
-            .members
-            .iter()
-            .zip(results)
-            .map(|(m, result)| {
-                let compiled = match result {
-                    Ok(compiled) => compiled,
-                    Err(error) => {
-                        StatsCollector::bump(&inner.stats.failed);
-                        let error = Some(error);
-                        return respond(m.id, RequestStatus::Failed, None, error, retries, elapsed);
-                    }
-                };
-                inner.stats.record_compile(elapsed, compiled.stats.trials);
-                if compiled.stats.deadline_hit {
-                    // Poison-safety: partial results are never cached.
-                    if job.options.fail_on_deadline {
-                        StatsCollector::bump(&inner.stats.timed_out);
-                        respond(m.id, RequestStatus::TimedOut, None, None, retries, elapsed)
-                    } else {
-                        StatsCollector::bump(&inner.stats.degraded);
-                        let compiled = Some(compiled);
-                        respond(
-                            m.id,
-                            RequestStatus::Degraded,
-                            compiled,
-                            None,
-                            retries,
-                            elapsed,
-                        )
-                    }
-                } else {
-                    if let Some(key) = m.key {
-                        inner.cache.insert(key, &compiled);
-                    }
-                    StatsCollector::bump(&inner.stats.done);
-                    respond(
-                        m.id,
-                        RequestStatus::Done,
-                        Some(compiled),
-                        None,
-                        retries,
-                        elapsed,
-                    )
+        StatsCollector::bump(&inner.stats.formations);
+        try_compile_budgets(&job.function, &job.profile, &config, &budgets)
+    });
+    let retried = u64::from(retries) * job.members.len() as u64;
+    inner.stats.retries.fetch_add(retried, Ordering::Relaxed);
+    let results = results.unwrap_or_else(|message| {
+        let error = ChfError::Panicked {
+            context: "service worker",
+            message,
+        };
+        vec![Err(error); budgets.len()]
+    });
+    let elapsed = start.elapsed();
+    job.members
+        .iter()
+        .zip(results)
+        .map(|(m, result)| {
+            let compiled = match result {
+                Ok(compiled) => compiled,
+                Err(error) => {
+                    StatsCollector::bump(&inner.stats.failed);
+                    let error = Some(error);
+                    return respond(m.id, RequestStatus::Failed, None, error, retries, elapsed);
                 }
-            })
-            .collect();
-    }
+            };
+            inner.stats.record_compile(elapsed, compiled.stats.trials);
+            // Poison-safety: partial results are never cached.
+            let status = if compiled.stats.deadline_hit {
+                StatsCollector::bump(&inner.stats.degraded);
+                RequestStatus::Degraded
+            } else {
+                if let Some(key) = m.key {
+                    inner.cache.insert(key, &compiled);
+                }
+                StatsCollector::bump(&inner.stats.done);
+                RequestStatus::Done
+            };
+            respond(m.id, status, Some(compiled), None, retries, elapsed)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1106,7 +1010,7 @@ mod tests {
     #[test]
     fn shutdown_terminates_queued_requests() {
         // One worker, deep queue, every job panics once to slow the drain;
-        // shutdown must leave nothing in a non-terminal state.
+        // shutdown must answer every request, run or drained.
         let svc = CompileService::new(ServiceConfig {
             workers: 1,
             queue_capacity: 64,
@@ -1121,28 +1025,45 @@ mod tests {
             .collect();
         let inner = Arc::clone(&svc.inner);
         svc.shutdown();
-        let states = inner.states.lock().unwrap();
+        let answers = inner.answers.lock().unwrap();
         for id in ids {
-            match states.get(&id) {
-                Some(State::Terminal(_)) => {}
-                other => panic!(
-                    "request {id} not terminal after shutdown: {:?}",
-                    other.map(|_| "non-terminal")
-                ),
-            }
+            assert!(
+                matches!(answers.get(&id), Some(Some(_))),
+                "request {id} not answered after shutdown"
+            );
         }
     }
 
     #[test]
-    fn backoff_is_capped_exponential() {
-        let r = RetryPolicy {
-            max_retries: 5,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
+    fn waiting_takes_every_answer_out_of_the_service() {
+        let svc = CompileService::new(ServiceConfig::default());
+        let reqs: Vec<CompileRequest> = (0..4).map(|i| request_for(30 + i).0).collect();
+        let wait_all = |ids: Vec<RequestId>| {
+            for id in ids {
+                svc.wait(id);
+            }
         };
-        assert_eq!(r.backoff(1), Duration::from_millis(1));
-        assert_eq!(r.backoff(2), Duration::from_millis(2));
-        assert_eq!(r.backoff(3), Duration::from_millis(4));
-        assert_eq!(r.backoff(4), Duration::from_millis(4));
+        // Cold compiles answered by workers, then cache hits and a parse
+        // failure answered on the submitting thread.
+        wait_all(reqs.iter().map(|r| svc.submit(r.clone())).collect());
+        let bad = CompileRequest::source("fn broken(\n");
+        wait_all(
+            reqs.into_iter()
+                .chain([bad])
+                .map(|r| svc.submit(r))
+                .collect(),
+        );
+        assert_eq!(svc.stats().cache_hits, 4);
+        assert!(svc.inner.answers.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "already collected request id")]
+    fn a_second_wait_on_a_collected_id_panics() {
+        let svc = CompileService::new(ServiceConfig::default());
+        let (req, _) = request_for(5);
+        let id = svc.submit(req);
+        svc.wait(id);
+        svc.wait(id);
     }
 }

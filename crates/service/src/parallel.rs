@@ -14,15 +14,15 @@
 //! A panic inside a `par_map` job unwinds its worker thread and poisons the
 //! whole run — one bad workload kills a table that took minutes to build.
 //! [`par_map_isolated`] prevents that: each job runs under
-//! `std::panic::catch_unwind`, and a panicked job is retried **once**
-//! (compilation and simulation are deterministic, so the retry is not
-//! wishful thinking about flakiness — it distinguishes an environmental
-//! failure, e.g. a transient allocation failure, from a deterministic bug;
-//! a job that panics twice is reported as poisoned). The returned
-//! `Result<R, String>` carries the panic payload's message so the caller
-//! can degrade to a marked table row / CSV sentinel instead of dying. Input
-//! order (and therefore byte-determinism of the rendered output for
-//! non-poisoned rows) is preserved exactly as with [`par_map`].
+//! `std::panic::catch_unwind`, and a panicked job is retried **once**,
+//! immediately (`retry_once`, the rule the compile service's workers
+//! share). Compilation and simulation are deterministic, so a genuine bug
+//! panics again and the job is reported as poisoned; the retry recovers a
+//! job whose panic did not come from its input, such as an injected fault.
+//! The returned `Result<R, String>` carries the panic payload's message so
+//! the caller can degrade to a marked table row / CSV sentinel instead of
+//! dying. Input order (and therefore byte-determinism of the rendered
+//! output for non-poisoned rows) is preserved exactly as with [`par_map`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,7 +54,7 @@ pub fn workers() -> usize {
 }
 
 /// Render a `catch_unwind` payload as a human-readable message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -107,6 +107,20 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Run `work` under `catch_unwind`, retrying it once, immediately, if it
+/// panics. `work` gets the attempt number (1, then 2). Returns its result,
+/// or the first panic's message when both attempts panicked, and the
+/// retries spent (0 or 1).
+pub(crate) fn retry_once<R>(work: impl Fn(u32) -> R) -> (Result<R, String>, u32) {
+    match catch_unwind(AssertUnwindSafe(|| work(1))) {
+        Ok(r) => (Ok(r), 0),
+        Err(first) => {
+            let second = catch_unwind(AssertUnwindSafe(|| work(2)));
+            (second.map_err(|_| panic_message(first.as_ref())), 1)
+        }
+    }
+}
+
 /// [`par_map`] with per-job panic isolation: a job that panics is retried
 /// once; a second panic yields `Err(message)` in that job's slot instead of
 /// tearing down the run. See the module docs for the retry rationale.
@@ -116,15 +130,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map(items, workers, |item| {
-        match catch_unwind(AssertUnwindSafe(|| work(item))) {
-            Ok(r) => Ok(r),
-            Err(first) => match catch_unwind(AssertUnwindSafe(|| work(item))) {
-                Ok(r) => Ok(r),
-                Err(_) => Err(panic_message(first.as_ref())),
-            },
-        }
-    })
+    par_map(items, workers, |item| retry_once(|_| work(item)).0)
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 #   scripts/verify.sh test       # cargo test -q --workspace (every crate's
 #                                # unit, property and integration tests),
 #                                # then prints the suite's wall seconds
-#   scripts/verify.sh smoke      # whole_program --smoke
+#   scripts/verify.sh smoke      # whole_program --smoke, then the ablation
+#                                # bin (asserts every compiled micro
+#                                # returns its expected value)
 #   scripts/verify.sh tournament # policy-tournament gate: portfolio
 #                                # dominance over every fixed column,
 #                                # winner determinism at 1/2/8 workers,
@@ -98,10 +100,15 @@ run_test() {
 
 # Cycle-simulates a bounded prefix of the SPEC-like composite workloads
 # end-to-end through the event-driven core and checks the
-# measured-vs-model comparison is produced.
+# measured-vs-model comparison is produced. Then runs the ablation study
+# (~0.3 s), whose private formation pipeline fails if any of the 24
+# micros returns a wrong value under any ablated configuration or timing
+# model.
 run_smoke() {
     echo "==> whole_program --smoke (whole-program cycle-simulation smoke)"
     cargo run --release -p chf-bench --bin whole_program -- --smoke
+    echo "==> ablation (design-choice ablation; checks every micro's return value)"
+    cargo run --release -p chf-bench --bin ablation
 }
 
 # Runs the per-function policy-tournament gate over the 19 composites:
