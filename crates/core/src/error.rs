@@ -11,7 +11,6 @@
 
 use chf_ir::parse::ParseError;
 use chf_ir::verify::VerifyError;
-use chf_sim::functional::SimError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -24,13 +23,6 @@ pub enum ChfError {
         context: &'static str,
         /// The violation itself.
         error: VerifyError,
-    },
-    /// The functional simulator could not execute the function.
-    Sim {
-        /// Where in the pipeline the failure occurred.
-        context: &'static str,
-        /// The simulator error.
-        error: SimError,
     },
     /// The differential oracle observed a behaviour change: the transformed
     /// function disagrees with the pre-transform function on a seeded input.
@@ -59,11 +51,10 @@ pub enum ChfError {
     /// A panic escaped the compilation itself and was caught at an
     /// isolation boundary (`catch_unwind` in the compile service or the
     /// benchmark harness). Unlike the typed variants above, nothing is
-    /// known about the cause beyond the payload message, so it is the one
-    /// variant classified as *transient*: the boundary compiles once more,
-    /// immediately. Compilation is deterministic, so a bug panics again;
-    /// the retry recovers only a panic that did not come from the input,
-    /// such as an injected fault.
+    /// known about the cause beyond the payload message. The boundary
+    /// compiles once more, immediately, before reporting it: compilation is
+    /// deterministic, so a bug panics again; the retry recovers only a
+    /// panic that did not come from the input, such as an injected fault.
     Panicked {
         /// Which isolation boundary caught the panic.
         context: &'static str,
@@ -72,29 +63,11 @@ pub enum ChfError {
     },
 }
 
-impl ChfError {
-    /// Whether the failure is of the kind an isolation boundary retries
-    /// (once, immediately) before reporting it.
-    ///
-    /// Verifier violations, simulator failures, oracle mismatches, parse
-    /// errors and failed tournaments are deterministic properties of
-    /// (input, config) — retrying reproduces them byte-for-byte, so they
-    /// are permanent. A caught panic is the one failure whose cause is
-    /// unknown; it is retried once, the rule `par_map_isolated` applies to
-    /// evaluation jobs too.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ChfError::Panicked { .. })
-    }
-}
-
 impl fmt::Display for ChfError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ChfError::Verify { context, error } => {
                 write!(f, "verifier violation during {context}: {error}")
-            }
-            ChfError::Sim { context, error } => {
-                write!(f, "simulation failure during {context}: {error}")
             }
             ChfError::OracleMismatch {
                 function,
@@ -123,7 +96,6 @@ impl std::error::Error for ChfError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ChfError::Verify { error, .. } => Some(error),
-            ChfError::Sim { error, .. } => Some(error),
             ChfError::Parse { error } => Some(error),
             ChfError::OracleMismatch { .. }
             | ChfError::Tournament { .. }
@@ -155,14 +127,20 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("gcd"));
         assert!(s.contains("repro"));
+
+        let p = ChfError::Panicked {
+            context: "service worker",
+            message: "boom".into(),
+        };
+        assert!(p.to_string().contains("service worker"));
     }
 
     #[test]
     fn source_chains_to_inner_error() {
         use std::error::Error;
-        let e = ChfError::Sim {
-            context: "oracle run",
-            error: chf_sim::functional::SimError::OutOfFuel { executed: 7 },
+        let e = ChfError::Verify {
+            context: "compiled output",
+            error: VerifyError::DanglingEdge(BlockId(0), BlockId(1)),
         };
         assert!(e.source().is_some());
         let p = ChfError::Parse {
@@ -173,30 +151,5 @@ mod tests {
         };
         assert!(p.source().is_some());
         assert!(p.to_string().contains("line 3"));
-    }
-
-    #[test]
-    fn only_panics_are_transient() {
-        let panicked = ChfError::Panicked {
-            context: "service worker",
-            message: "boom".into(),
-        };
-        assert!(panicked.is_transient());
-        assert!(panicked.to_string().contains("service worker"));
-        let verify = ChfError::Verify {
-            context: "compiled output",
-            error: VerifyError::DanglingEdge(BlockId(0), BlockId(1)),
-        };
-        assert!(!verify.is_transient());
-        assert!(!ChfError::OracleMismatch {
-            function: "f".into(),
-            args: vec![],
-            repro: None,
-        }
-        .is_transient());
-        assert!(!ChfError::Tournament {
-            message: "every portfolio entrant failed".into(),
-        }
-        .is_transient());
     }
 }

@@ -357,29 +357,39 @@ mod tests {
         let empty = vec![vec![None, None]; 3];
         let err = crown(&config, &digest, base, &args, &[], empty).unwrap_err();
         assert!(err.to_string().contains("every portfolio entrant failed"));
-        assert!(!err.is_transient(), "a failed crowning reproduces: {err}");
+        assert!(matches!(err, ChfError::Tournament { .. }), "{err:?}");
     }
 
     #[test]
     fn an_input_that_fails_its_baseline_simulation_is_a_permanent_error() {
-        // The entry block jumps to a block that does not exist.
-        let (mut f, args) = loopy();
-        let entry = f.entry;
-        f.block_mut(entry).exits.last_mut().unwrap().target =
-            chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(999));
-        let err = run_tournament(
-            &f,
-            &ProfileData::default(),
-            &args,
-            &[],
-            &TournamentConfig::default(),
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string().contains("baseline simulation failed"),
-            "{err}"
-        );
-        assert!(!err.is_transient(), "a failed baseline reproduces: {err}");
+        type Corrupt = fn(&mut Function);
+        let cases: [Corrupt; 2] = [
+            // The entry block jumps to a block that does not exist.
+            |f| {
+                let entry = f.entry;
+                f.block_mut(entry).exits.last_mut().unwrap().target =
+                    chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(999));
+            },
+            // The entry id names no block.
+            |f| f.entry = chf_ir::ids::BlockId(9999),
+        ];
+        for corrupt in cases {
+            let (mut f, args) = loopy();
+            corrupt(&mut f);
+            let err = run_tournament(
+                &f,
+                &ProfileData::default(),
+                &args,
+                &[],
+                &TournamentConfig::default(),
+            )
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("baseline simulation failed"),
+                "{err}"
+            );
+            assert!(matches!(err, ChfError::Tournament { .. }), "{err:?}");
+        }
     }
 
     #[test]

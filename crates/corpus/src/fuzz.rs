@@ -29,6 +29,7 @@ fn verify_class(e: &VerifyError) -> &'static str {
         VerifyError::ExitAfterDefault(_) => "exit-after-default",
         VerifyError::DanglingEdge(..) => "dangling-edge",
         VerifyError::RegisterOutOfRange(..) => "register-out-of-range",
+        VerifyError::MissingOperand(_) => "missing-operand",
         VerifyError::MissingEntry => "missing-entry",
         VerifyError::UnreachableBlock(_) => "unreachable-block",
         VerifyError::PredicateUseBeforeDef(..) => "predicate-use-before-def",

@@ -1,13 +1,16 @@
 //! Structural IR verifier.
 //!
 //! Run after every transformation in debug builds and throughout the test
-//! suite. Catches dangling edges, malformed exit sets, and register-space
-//! violations — the classes of bugs CFG surgery (tail/head duplication) is
-//! most prone to.
+//! suite. Catches dangling edges, malformed exit sets, register-space
+//! violations and instructions missing a required operand — the classes of
+//! bugs CFG surgery (tail/head duplication) is most prone to. Both
+//! simulators run [`verify`] when they decode a function and refuse one
+//! that fails it.
 
 use crate::block::ExitTarget;
 use crate::function::Function;
 use crate::ids::BlockId;
+use crate::instr::Opcode;
 use std::fmt;
 
 /// A structural invariant violation.
@@ -25,6 +28,9 @@ pub enum VerifyError {
     /// An instruction or exit references a register beyond the function's
     /// allocated register space.
     RegisterOutOfRange(BlockId, u32),
+    /// An instruction lacks a required slot: the address or value of a
+    /// store, or the first operand or destination of any other opcode.
+    MissingOperand(BlockId),
     /// The entry block has been removed.
     MissingEntry,
     /// A block is not reachable from the entry (only reported by
@@ -53,6 +59,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::RegisterOutOfRange(b, r) => {
                 write!(f, "block {b} references unallocated register r{r}")
+            }
+            VerifyError::MissingOperand(b) => {
+                write!(f, "block {b} has an instruction missing a required operand")
             }
             VerifyError::MissingEntry => write!(f, "entry block does not exist"),
             VerifyError::UnreachableBlock(b) => {
@@ -110,6 +119,13 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
             }
         }
         for inst in &blk.insts {
+            let complete = match inst.op {
+                Opcode::Store => inst.a.is_some() && inst.b.is_some(),
+                _ => inst.a.is_some() && inst.dst.is_some(),
+            };
+            if !complete {
+                return Err(VerifyError::MissingOperand(id));
+            }
             for r in inst.uses().chain(inst.def()) {
                 if r.0 >= nregs {
                     return Err(VerifyError::RegisterOutOfRange(id, r.0));
@@ -256,6 +272,22 @@ mod tests {
             .insts
             .push(Instr::mov(Reg(500), Operand::Imm(1)));
         assert_eq!(verify(&f), Err(VerifyError::RegisterOutOfRange(entry, 500)));
+    }
+
+    #[test]
+    fn rejects_missing_operand_or_destination() {
+        let mut f = valid_fn();
+        let entry = f.entry;
+        f.block_mut(entry)
+            .insts
+            .push(Instr::add(Reg(0), Operand::Imm(1), Operand::Imm(2)));
+        assert_eq!(verify(&f), Ok(()));
+        f.block_mut(entry).insts[0].dst = None;
+        assert_eq!(verify(&f), Err(VerifyError::MissingOperand(entry)));
+        f.block_mut(entry).insts[0] = Instr::store(Operand::Imm(1), Operand::Imm(2));
+        assert_eq!(verify(&f), Ok(()));
+        f.block_mut(entry).insts[0].b = None;
+        assert_eq!(verify(&f), Err(VerifyError::MissingOperand(entry)));
     }
 
     #[test]

@@ -599,10 +599,12 @@ impl CompileService {
     ) -> Result<TournamentOutcome, ChfError> {
         let stats = &self.inner.stats;
         StatsCollector::bump(&stats.tournaments);
-        let shape = shape_key(&req.function, &req.profile, &req.config);
+        // The baseline run goes first: it refuses malformed IR with a typed
+        // error, and the shape key walks the CFG from its entry.
         let (digest, base_score) =
             baseline(&req.function, &req.args, &req.memory, req.config.metric)
                 .map_err(|message| ChfError::Tournament { message })?;
+        let shape = shape_key(&req.function, &req.profile, &req.config);
 
         if let Some(entry) = self.inner.shapes.get(shape) {
             StatsCollector::bump(&stats.shape_hits);

@@ -2,13 +2,19 @@
 //!
 //! The collector is written for the worker hot path: terminal-state and
 //! cache counters are relaxed atomics, and only the latency recorder takes
-//! a lock (appending one `u64` per completed compile). [`ServiceStats`] is
-//! a point-in-time snapshot assembled on demand — computing percentiles at
+//! a lock (writing one `u64` per completed compile into a window of the
+//! most recent `LATENCY_WINDOW` (4096) samples, so a service that answers
+//! requests forever keeps a bounded log). [`ServiceStats`] is a
+//! point-in-time snapshot assembled on demand — computing percentiles at
 //! snapshot time keeps the record path O(1).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// Cold-compile latencies kept for the percentiles: the most recent ones.
+pub(crate) const LATENCY_WINDOW: usize = 4096;
 
 /// Lock-free counter cluster + locked latency log.
 #[derive(Default)]
@@ -30,8 +36,10 @@ pub(crate) struct StatsCollector {
     pub shape_misses: AtomicU64,
     pub guard_fallbacks: AtomicU64,
     pub formations: AtomicU64,
-    /// Wall latency of every completed compile (cold path), microseconds.
-    latencies: Mutex<Vec<u64>>,
+    pub compiles: AtomicU64,
+    /// Wall latency of the most recent [`LATENCY_WINDOW`] completed
+    /// compiles (cold path), microseconds, oldest first.
+    latencies: Mutex<VecDeque<u64>>,
 }
 
 impl StatsCollector {
@@ -43,11 +51,22 @@ impl StatsCollector {
         let us = wall.as_micros().min(u128::from(u64::MAX)) as u64;
         self.compile_micros.fetch_add(us, Ordering::Relaxed);
         self.trials.fetch_add(trials as u64, Ordering::Relaxed);
-        self.latencies.lock().expect("stats lock").push(us);
+        Self::bump(&self.compiles);
+        let mut lat = self.latencies.lock().expect("stats lock");
+        if lat.len() == LATENCY_WINDOW {
+            lat.pop_front();
+        }
+        lat.push_back(us);
     }
 
     pub fn snapshot(&self) -> ServiceStats {
-        let mut lat = self.latencies.lock().expect("stats lock").clone();
+        let mut lat: Vec<u64> = self
+            .latencies
+            .lock()
+            .expect("stats lock")
+            .iter()
+            .copied()
+            .collect();
         lat.sort_unstable();
         let pick = |q: f64| -> u64 {
             if lat.is_empty() {
@@ -75,7 +94,7 @@ impl StatsCollector {
             guard_fallbacks: self.guard_fallbacks.load(Ordering::Relaxed),
             formations: self.formations.load(Ordering::Relaxed),
             trials,
-            compiles: lat.len() as u64,
+            compiles: self.compiles.load(Ordering::Relaxed),
             p50_compile_us: pick(0.50),
             p99_compile_us: pick(0.99),
             trials_per_sec: if compile_micros == 0 {
@@ -137,9 +156,11 @@ pub struct ServiceStats {
     pub trials: u64,
     /// Compiles whose latency was recorded (cold completions).
     pub compiles: u64,
-    /// Median cold-compile latency, microseconds.
+    /// Median latency of the most recent cold compiles (up to 4096),
+    /// microseconds.
     pub p50_compile_us: u64,
-    /// 99th-percentile cold-compile latency, microseconds.
+    /// 99th-percentile latency of the most recent cold compiles (up to
+    /// 4096), microseconds.
     pub p99_compile_us: u64,
     /// Formation trials per second of compile wall time.
     pub trials_per_sec: f64,
@@ -224,6 +245,26 @@ mod tests {
         assert_eq!(s.p99_compile_us, 1000);
         assert_eq!(s.trials, 50);
         assert!(s.trials_per_sec > 0.0);
+    }
+
+    #[test]
+    fn latency_log_keeps_only_the_most_recent_window() {
+        let c = StatsCollector::default();
+        // Slow compiles first, then a full window of fast ones: the slow
+        // ones leave the log, so the percentiles no longer see them.
+        for _ in 0..100 {
+            c.record_compile(Duration::from_secs(1), 1);
+        }
+        for us in 1..=LATENCY_WINDOW as u64 {
+            c.record_compile(Duration::from_micros(us), 1);
+        }
+        assert_eq!(c.latencies.lock().unwrap().len(), LATENCY_WINDOW);
+        let s = c.snapshot();
+        assert_eq!(s.compiles, LATENCY_WINDOW as u64 + 100);
+        assert_eq!(s.trials, LATENCY_WINDOW as u64 + 100);
+        // Nearest-rank picks over 1..=4096 µs.
+        assert_eq!(s.p50_compile_us, 2049);
+        assert_eq!(s.p99_compile_us, 4055);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! winner determinism across worker counts.
 
 use chf_core::tournament::TournamentConfig;
-use chf_core::PolicyKind;
+use chf_core::{ChfError, PolicyKind};
 use chf_ir::testgen::{generate, GenConfig};
 use chf_service::{
     CompileRequest, CompileService, RequestStatus, ServiceConfig, TournamentRequest,
@@ -207,16 +207,26 @@ fn a_winner_crowned_from_partial_artifacts_is_not_shape_cached() {
 
 #[test]
 fn an_input_that_fails_its_baseline_simulation_is_a_permanent_error() {
-    let mut req = tournament_request(7);
-    // Send every exit of the entry block to a block that does not exist.
-    let entry = req.function.entry;
-    for exit in &mut req.function.block_mut(entry).exits {
-        exit.target = chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(9999));
+    type Corrupt = fn(&mut TournamentRequest);
+    let cases: [Corrupt; 2] = [
+        // Send every exit of the entry block to a block that does not exist.
+        |req| {
+            let entry = req.function.entry;
+            for exit in &mut req.function.block_mut(entry).exits {
+                exit.target = chf_ir::block::ExitTarget::Block(chf_ir::ids::BlockId(9999));
+            }
+        },
+        // The entry id names no block.
+        |req| req.function.entry = chf_ir::ids::BlockId(9999),
+    ];
+    for corrupt in cases {
+        let mut req = tournament_request(7);
+        corrupt(&mut req);
+        let err = service(1).compile_tournament(&req).unwrap_err();
+        assert!(
+            err.to_string().contains("baseline simulation failed"),
+            "{err}"
+        );
+        assert!(matches!(err, ChfError::Tournament { .. }), "{err:?}");
     }
-    let err = service(1).compile_tournament(&req).unwrap_err();
-    assert!(
-        err.to_string().contains("baseline simulation failed"),
-        "{err}"
-    );
-    assert!(!err.is_transient(), "a failed baseline reproduces: {err}");
 }

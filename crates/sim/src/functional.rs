@@ -25,11 +25,11 @@
 //! [`ProfileData`] maps once at the end), and loop trip tracking walks the
 //! precomputed dense loop bitsets instead of hash sets. The uninitialized-
 //! read check is a const-generic parameter, so the default no-check path
-//! compiles with zero residue of it. Irregular instructions — broken IR from
-//! the fault-injection harness — take a cold slow path that replays the
-//! original [`Instr`] with the legacy per-instruction semantics, preserving
-//! the interpreter's *lazy* error discipline exactly (an error surfaces only
-//! when control reaches it, at the same read, in the same order).
+//! compiles with zero residue of it. Decoding verifies the function once,
+//! so the dispatch loop runs only verified IR: it never bounds-checks a
+//! register, never meets a missing operand, and always finds a firing exit
+//! (a malformed function is refused with [`SimError::Malformed`] before
+//! its first block).
 //!
 //! [`run`] lowers internally per call; callers that execute the same
 //! function repeatedly should lower once and use [`run_lowered`].
@@ -38,8 +38,9 @@ use crate::lower::{LExitKind, LKind, LoweredProgram, TripInfo, NONE};
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::{BlockId, Reg};
-use chf_ir::instr::{Instr, Opcode, Operand};
+use chf_ir::instr::Opcode;
 use chf_ir::profile::ProfileData;
+use chf_ir::verify::VerifyError;
 use std::fmt;
 
 /// Configuration for a functional run.
@@ -79,11 +80,11 @@ impl RunConfig {
 /// Runtime error during simulation (functional or timing).
 ///
 /// The first two variants are *input* errors — legal programs that merely
-/// run too long or read uninitialized state. The remaining variants are
-/// *malformed-IR* errors: the simulators are total over verified IR, but the
-/// fault-injection harness and the differential oracle deliberately feed
-/// them broken functions, and a broken function must surface as an `Err`
-/// the caller can classify — never as a panic.
+/// run too long or read uninitialized state — and the only errors execution
+/// can raise. The simulators run verified IR only: a function that fails
+/// [`chf_ir::verify::verify`] is refused with [`SimError::Malformed`] when
+/// it is decoded, before any block executes, so broken input surfaces as an
+/// `Err` the caller can classify, never as a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// The block budget was exhausted (probable infinite loop).
@@ -99,30 +100,8 @@ pub enum SimError {
         /// The offending register.
         reg: Reg,
     },
-    /// Control transferred to a removed or never-created block.
-    DanglingTarget {
-        /// The nonexistent block control tried to enter.
-        target: BlockId,
-    },
-    /// An instruction or exit referenced a register outside the function's
-    /// allocated register space.
-    RegisterOutOfRange {
-        /// The block containing the reference.
-        block: BlockId,
-        /// The out-of-range register number.
-        reg: u32,
-    },
-    /// An instruction was missing a required operand or destination slot.
-    MalformedInstruction {
-        /// The block containing the instruction.
-        block: BlockId,
-    },
-    /// No exit fired — every exit was predicated and none held (verified IR
-    /// always ends in an unpredicated default).
-    NoFiringExit {
-        /// The block whose exit set was not total.
-        block: BlockId,
-    },
+    /// The function failed verification; nothing was executed.
+    Malformed(VerifyError),
 }
 
 impl fmt::Display for SimError {
@@ -134,26 +113,19 @@ impl fmt::Display for SimError {
             SimError::UninitializedRead { block, reg } => {
                 write!(f, "uninitialized read of {reg} in block {block}")
             }
-            SimError::DanglingTarget { target } => {
-                write!(f, "control transferred to nonexistent block {target}")
-            }
-            SimError::RegisterOutOfRange { block, reg } => {
-                write!(f, "block {block} references unallocated register r{reg}")
-            }
-            SimError::MalformedInstruction { block } => {
-                write!(
-                    f,
-                    "block {block} contains an instruction missing a required operand"
-                )
-            }
-            SimError::NoFiringExit { block } => {
-                write!(f, "no exit of block {block} fired (exit set is not total)")
-            }
+            SimError::Malformed(e) => write!(f, "malformed IR: {e}"),
         }
     }
 }
 
-impl std::error::Error for SimError {}
+impl std::error::Error for SimError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SimError::Malformed(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// The observable outcome and metrics of one functional run.
 #[derive(Clone, Debug)]
@@ -228,15 +200,11 @@ pub(crate) fn eval(op: Opcode, a: i64, b: i64) -> i64 {
 
 pub(crate) struct Machine {
     pub(crate) regs: Vec<i64>,
-    written: Vec<bool>,
+    pub(crate) written: Vec<bool>,
     pub(crate) mem: FxHashMap<i64, i64>,
 }
 
 impl Machine {
-    pub(crate) fn new(f: &Function, args: &[i64], mem_init: &[(i64, i64)]) -> Machine {
-        Machine::with_layout(f.reg_count() as usize, f.params, args, mem_init)
-    }
-
     pub(crate) fn with_layout(
         nregs: usize,
         params: u32,
@@ -251,34 +219,6 @@ impl Machine {
         }
         let mem = mem_init.iter().copied().collect();
         Machine { regs, written, mem }
-    }
-
-    pub(crate) fn read(&self, r: Reg, block: BlockId, check: bool) -> Result<i64, SimError> {
-        let i = r.index();
-        if i >= self.regs.len() {
-            return Err(SimError::RegisterOutOfRange { block, reg: r.0 });
-        }
-        if check && !self.written[i] {
-            return Err(SimError::UninitializedRead { block, reg: r });
-        }
-        Ok(self.regs[i])
-    }
-
-    pub(crate) fn operand(&self, o: Operand, block: BlockId, check: bool) -> Result<i64, SimError> {
-        match o {
-            Operand::Reg(r) => self.read(r, block, check),
-            Operand::Imm(v) => Ok(v),
-        }
-    }
-
-    pub(crate) fn write(&mut self, r: Reg, v: i64, block: BlockId) -> Result<(), SimError> {
-        let i = r.index();
-        if i >= self.regs.len() {
-            return Err(SimError::RegisterOutOfRange { block, reg: r.0 });
-        }
-        self.regs[i] = v;
-        self.written[i] = true;
-        Ok(())
     }
 }
 
@@ -345,9 +285,9 @@ impl<'a> TripState<'a> {
 /// internally; see [`run_lowered`] to amortize the decode over many runs).
 ///
 /// # Errors
-/// Returns [`SimError::OutOfFuel`] if `config.max_blocks` dynamic blocks
-/// execute without returning, or [`SimError::UninitializedRead`] in strict
-/// mode.
+/// Returns [`SimError::Malformed`] if `f` does not verify,
+/// [`SimError::OutOfFuel`] if `config.max_blocks` dynamic blocks execute
+/// without returning, or [`SimError::UninitializedRead`] in strict mode.
 pub fn run(
     f: &Function,
     args: &[i64],
@@ -368,6 +308,7 @@ pub fn run_lowered(
     mem_init: &[(i64, i64)],
     config: &RunConfig,
 ) -> Result<FuncResult, SimError> {
+    p.check()?;
     if config.check_uninit {
         run_lowered_impl::<true>(p, args, mem_init, config)
     } else {
@@ -397,7 +338,7 @@ fn run_lowered_impl<const CHECK: bool>(
     let mut insts_fetched = 0u64;
 
     let mut cur = p.entry;
-    let ret = 'outer: loop {
+    let ret = loop {
         if blocks_executed >= config.max_blocks {
             return Err(SimError::OutOfFuel {
                 executed: blocks_executed,
@@ -413,20 +354,6 @@ fn run_lowered_impl<const CHECK: bool>(
         insts_fetched += lb.size as u64;
 
         for inst in &p.insts[lb.inst_start as usize..lb.inst_end as usize] {
-            if let LKind::Slow(si) = inst.kind {
-                // Cold path: replay the original instruction with the legacy
-                // per-instruction semantics (same reads, same error order).
-                let s = &p.slow[si as usize];
-                if let Some(pr) = s.inst.pred {
-                    let v = m.read(pr.reg, lb.id, CHECK)?;
-                    if (v != 0) != pr.if_true {
-                        continue;
-                    }
-                }
-                insts_executed += 1;
-                exec_inst(&mut m, &s.inst, lb.id, CHECK)?;
-                continue;
-            }
             if inst.pred_reg != NONE {
                 let pi = inst.pred_reg as usize;
                 if CHECK && !m.written[pi] {
@@ -520,69 +447,45 @@ fn run_lowered_impl<const CHECK: bool>(
                     };
                     m.mem.insert(addr, v);
                 }
-                LKind::Slow(_) => unreachable!("handled above"),
             }
         }
 
-        for j in lb.exit_start..lb.exit_end {
-            let e = &p.exits[j as usize];
-            if let Some(r) = e.pred_oor {
-                return Err(SimError::RegisterOutOfRange {
+        // The first exit whose predicate holds fires; verified IR ends
+        // every block in an unpredicated default, so the scan stops there.
+        let mut j = lb.exit_start as usize;
+        let e = loop {
+            let e = &p.exits[j];
+            if e.pred_reg == NONE {
+                break e;
+            }
+            let pi = e.pred_reg as usize;
+            if CHECK && !m.written[pi] {
+                return Err(SimError::UninitializedRead {
                     block: lb.id,
-                    reg: r,
+                    reg: Reg(e.pred_reg),
                 });
             }
-            if e.pred_reg != NONE {
-                let pi = e.pred_reg as usize;
-                if CHECK && !m.written[pi] {
+            if (m.regs[pi] != 0) == e.pred_if_true {
+                break e;
+            }
+            j += 1;
+        };
+        exit_counts[j] += 1;
+        match e.kind {
+            LExitKind::Goto(next) => cur = next,
+            LExitKind::RetNone => break None,
+            LExitKind::RetImm(v) => break Some(v),
+            LExitKind::RetReg(r) => {
+                let ri = r as usize;
+                if CHECK && !m.written[ri] {
                     return Err(SimError::UninitializedRead {
                         block: lb.id,
-                        reg: Reg(e.pred_reg),
+                        reg: Reg(r),
                     });
                 }
-                if (m.regs[pi] != 0) != e.pred_if_true {
-                    continue;
-                }
-            }
-            exit_counts[j as usize] += 1;
-            match e.kind {
-                LExitKind::Goto(next) => {
-                    cur = next;
-                    continue 'outer;
-                }
-                LExitKind::Dangling(target) => {
-                    // The legacy loop only discovers the dangling target at
-                    // the top of the next iteration, after the fuel check.
-                    if blocks_executed >= config.max_blocks {
-                        return Err(SimError::OutOfFuel {
-                            executed: blocks_executed,
-                        });
-                    }
-                    return Err(SimError::DanglingTarget { target });
-                }
-                LExitKind::RetNone => break 'outer None,
-                LExitKind::RetImm(v) => break 'outer Some(v),
-                LExitKind::RetReg(r) => {
-                    let ri = r as usize;
-                    if CHECK && !m.written[ri] {
-                        return Err(SimError::UninitializedRead {
-                            block: lb.id,
-                            reg: Reg(r),
-                        });
-                    }
-                    break 'outer Some(m.regs[ri]);
-                }
-                LExitKind::RetRegOor(r) => {
-                    return Err(SimError::RegisterOutOfRange {
-                        block: lb.id,
-                        reg: r,
-                    });
-                }
+                break Some(m.regs[ri]);
             }
         }
-        // Verified IR always ends in an unpredicated default exit, but
-        // chaos-injected IR may not.
-        return Err(SimError::NoFiringExit { block: lb.id });
     };
 
     if let Some(t) = trips.as_mut() {
@@ -612,36 +515,6 @@ fn run_lowered_impl<const CHECK: bool>(
         memory: m.mem,
         profile,
     })
-}
-
-pub(crate) fn exec_inst(
-    m: &mut Machine,
-    inst: &Instr,
-    cur: BlockId,
-    check: bool,
-) -> Result<(), SimError> {
-    let malformed = || SimError::MalformedInstruction { block: cur };
-    match inst.op {
-        Opcode::Load => {
-            let addr = m.operand(inst.a.ok_or_else(malformed)?, cur, check)?;
-            let v = m.mem.get(&addr).copied().unwrap_or(0);
-            m.write(inst.dst.ok_or_else(malformed)?, v, cur)?;
-        }
-        Opcode::Store => {
-            let addr = m.operand(inst.a.ok_or_else(malformed)?, cur, check)?;
-            let v = m.operand(inst.b.ok_or_else(malformed)?, cur, check)?;
-            m.mem.insert(addr, v);
-        }
-        op => {
-            let a = m.operand(inst.a.ok_or_else(malformed)?, cur, check)?;
-            let b = match inst.b {
-                Some(o) => m.operand(o, cur, check)?,
-                None => 0,
-            };
-            m.write(inst.dst.ok_or_else(malformed)?, eval(op, a, b), cur)?;
-        }
-    }
-    Ok(())
 }
 
 /// Run `f` on the given inputs and return its profile, for stamping onto the
@@ -836,10 +709,10 @@ mod tests {
     }
 
     #[test]
-    fn broken_ir_errors_stay_lazy() {
-        // A malformed instruction on a never-taken path must not error; the
-        // same instruction on the taken path errors with the legacy variant.
-        let mut fb = FunctionBuilder::new("lazy", 1);
+    fn broken_ir_is_refused_before_execution() {
+        // A malformed instruction errs whether or not control would reach
+        // it: decoding refuses the function before its first block.
+        let mut fb = FunctionBuilder::new("cold_fault", 1);
         let e = fb.create_block();
         let cold = fb.create_block();
         let hot = fb.create_block();
@@ -854,15 +727,12 @@ mod tests {
         let mut f = fb.build().unwrap();
         // Corrupt the cold block: missing operand.
         f.block_mut(BlockId(1)).insts[0].a = None;
-        // Not reached: runs fine.
-        assert_eq!(
-            run(&f, &[0], &[], &RunConfig::default()).unwrap().ret,
-            Some(7)
-        );
-        // Reached: the legacy error, lazily.
-        assert_eq!(
-            run(&f, &[99], &[], &RunConfig::default()).unwrap_err(),
-            SimError::MalformedInstruction { block: BlockId(1) }
-        );
+        let refused = SimError::Malformed(VerifyError::MissingOperand(BlockId(1)));
+        for arg in [0, 99] {
+            assert_eq!(
+                run(&f, &[arg], &[], &RunConfig::default()).unwrap_err(),
+                refused
+            );
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! **once** into dense blocks with flat operand indices, packed dependence
 //! metadata, LSQ store maps, and exit tables, and the handle is reusable
 //! across runs (the oracle, the benchmark harness, and whole-program
-//! simulation all lower once and simulate many times).
+//! simulation all lower once and simulate many times). Decoding runs
+//! [`chf_ir::verify::verify`] once, and both simulators refuse a function
+//! that fails it with [`SimError::Malformed`] before executing a block, so
+//! execution only ever meets verified IR.
 //!
 //! * [`functional`] — a fast interpreter that executes a program, checks
 //!   dynamic invariants, collects execution profiles (block counts, edge
@@ -26,8 +29,9 @@
 //!
 //! * [`timing_legacy`] (feature `legacy-sim`, default-on for one release) —
 //!   the original direct-interpretation cores, kept as the differential
-//!   reference: the rewritten engines must agree with them cycle-for-cycle
-//!   and bit-for-bit (`tests/differential.rs`).
+//!   reference: on verified IR the rewritten engines must agree with them
+//!   cycle-for-cycle and bit-for-bit (`tests/differential.rs`), and they
+//!   refuse unverified IR with the same decode-time check.
 //!
 //! The [`predictor`] module provides the next-block (exit) predictor shared
 //! by the timing model.

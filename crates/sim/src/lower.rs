@@ -17,32 +17,27 @@
 //!   for the LSQ, and the per-instruction *def-is-live-out* bit the timing
 //!   model's commit rule needs (this replaces a `Liveness::compute` +
 //!   hash-set probe per simulated block commit);
-//! * the timing model's eager register-range sweep is folded into decoding
-//!   (`LoweredProgram::timing_reject`), preserving its exact scan order;
 //! * loop structure for trip-count profiling is derived lazily from the
 //!   lowered CFG (`TripInfo`), so a pure timing simulation never pays for
 //!   a dominator analysis.
 //!
-//! # Degenerate IR and lazy error semantics
+//! # Malformed IR
 //!
-//! The simulators are deliberately total over *broken* IR (the chaos
-//! harness feeds them corrupted functions), and the functional interpreter's
-//! errors are **lazy**: a malformed instruction only errs when control
-//! reaches it with a true predicate. Lowering must not make those errors
-//! eager, so any instruction that statically cannot take the fast path — a
-//! missing required operand or an out-of-range register anywhere in it — is
-//! lowered to `LKind::Slow`, an index into a side table holding the
-//! original [`Instr`]. The slow path replays the legacy per-instruction
-//! semantics (including predication and error order) exactly; well-formed
-//! programs never contain a slow instruction. Exits get the same treatment
-//! via `LExitKind::Dangling` / `LExit::pred_oor` / out-of-range return
-//! registers.
+//! Decoding runs [`chf_ir::verify::verify`] once. A function that fails it
+//! decodes to an empty program carrying the first violation, and both
+//! simulators (and the legacy cores) return it as [`SimError::Malformed`]
+//! before executing a block. Every decoded program is therefore verified
+//! IR: registers are in range, required operands are present, exits
+//! target live blocks, and every block ends in an unpredicated default
+//! exit. The only errors left to execution are [`SimError::OutOfFuel`]
+//! and [`SimError::UninitializedRead`].
 
 use crate::functional::SimError;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
-use chf_ir::instr::{Instr, Opcode, Operand};
+use chf_ir::instr::{Opcode, Operand};
+use chf_ir::verify::{verify, VerifyError};
 use std::sync::OnceLock;
 
 /// Sentinel for "no register in this slot" in the packed fields.
@@ -57,14 +52,10 @@ pub(crate) enum LKind {
     Load,
     /// `mem[a] = b`.
     Store,
-    /// Irregular instruction (missing operand or out-of-range register):
-    /// index into [`LoweredProgram::slow`], replayed via the legacy
-    /// per-instruction semantics.
-    Slow(u32),
 }
 
 /// One pre-decoded instruction. All register fields are flat indices,
-/// guaranteed in-bounds unless `kind` is [`LKind::Slow`].
+/// guaranteed in-bounds.
 #[derive(Clone, Debug)]
 pub(crate) struct LInst {
     /// Original opcode (drives `eval` and the latency charge).
@@ -95,34 +86,17 @@ pub(crate) struct LInst {
     pub stores_before: u16,
 }
 
-/// Side-table entry for an irregular instruction. (The corresponding
-/// [`LInst`] still carries the packed predicate/def/liveness fields the
-/// timing model needs; the slow table holds only the original instruction
-/// for the functional replay.)
-#[derive(Clone, Debug)]
-pub(crate) struct SlowInst {
-    /// The original instruction, replayed by the slow path.
-    pub inst: Instr,
-}
-
 /// Lowered control transfer of an exit.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) enum LExitKind {
     /// Jump to a dense block index.
     Goto(u32),
-    /// Jump to a removed/never-created block: taking this exit raises
-    /// [`SimError::DanglingTarget`] (after the next block's fuel check,
-    /// matching the interpreter's error point).
-    Dangling(BlockId),
     /// `return` with no value.
     RetNone,
     /// `return #imm`.
     RetImm(i64),
-    /// `return r` with an in-range register.
+    /// `return r`.
     RetReg(u32),
-    /// `return r` with an out-of-range register: firing raises
-    /// [`SimError::RegisterOutOfRange`] after the exit is counted.
-    RetRegOor(u32),
 }
 
 /// One pre-decoded exit.
@@ -131,9 +105,6 @@ pub(crate) struct LExit {
     /// Predicate register or [`NONE`]; guaranteed in range.
     pub pred_reg: u32,
     pub pred_if_true: bool,
-    /// Set when the predicate register is out of range: evaluating this exit
-    /// raises [`SimError::RegisterOutOfRange`] (the read comes first).
-    pub pred_oor: Option<u32>,
     pub kind: LExitKind,
     /// The original target, kept for the next-block predictor so its hashed
     /// history and table keys are bit-identical to the legacy model's.
@@ -152,17 +123,18 @@ pub(crate) struct LBlock {
     pub id: BlockId,
     pub inst_start: u32,
     pub inst_end: u32,
+    /// Exits `exit_start..exit_end`; never empty, and the last one is
+    /// unpredicated.
     pub exit_start: u32,
     pub exit_end: u32,
     /// `Block::size()`: instruction slots incl. exits (fetch accounting).
     pub size: u32,
-    /// Static next-block prediction: the first exit's target (`None` iff
-    /// the block has no exits, in which case `NoFiringExit` fires first).
-    pub fallback: Option<ExitTarget>,
-    /// The block ends in exactly one exit, unpredicated and with an
-    /// in-range (or absent) predicate register: the timing model's exit
-    /// scan degenerates to "exit 0 fires at `dispatch + 1`", so it can be
-    /// resolved in one batched step with no predicate reads.
+    /// Static next-block prediction: the first exit's target.
+    pub fallback: ExitTarget,
+    /// The block ends in exactly one exit, which is therefore its
+    /// unpredicated default: the timing model's exit scan degenerates to
+    /// "exit 0 fires at `dispatch + 1`", so it can be resolved in one
+    /// batched step with no predicate reads.
     pub single_uncond_exit: bool,
 }
 
@@ -179,116 +151,62 @@ pub struct LoweredProgram {
     pub(crate) blocks: Vec<LBlock>,
     pub(crate) insts: Vec<LInst>,
     pub(crate) exits: Vec<LExit>,
-    pub(crate) slow: Vec<SlowInst>,
     /// Dense index of the entry block.
     pub(crate) entry: u32,
-    /// Register-space size; all fast-path register fields are `< nregs`.
+    /// Register-space size; all register fields are `< nregs`.
     pub(crate) nregs: usize,
     pub(crate) params: u32,
-    /// The timing model's eager out-of-range sweep result, computed in the
-    /// legacy scan order (blocks ascending; per instruction uses then def;
-    /// per exit predicate then return register). `Some` makes
-    /// `simulate_timing` fail immediately, exactly as before.
-    pub(crate) timing_reject: Option<SimError>,
+    /// The source function's first verifier violation. A malformed program
+    /// decodes to no blocks, and the simulators refuse to run it.
+    malformed: Option<VerifyError>,
     /// `BlockId::index() → dense index` (or [`NONE`] for holes).
     pub(crate) block_index: Vec<u32>,
     trip_info: OnceLock<TripInfo>,
 }
 
 impl LoweredProgram {
-    /// Decode `f` into the dense representation. Total: broken IR lowers to
-    /// slow instructions / dangling exits whose errors surface lazily at
-    /// execution, never here.
+    /// Decode `f` into the dense representation. Total: a function that
+    /// fails [`verify`] decodes to an empty program that both simulators
+    /// refuse with [`SimError::Malformed`].
     pub fn lower(f: &Function) -> LoweredProgram {
-        let nregs = f.reg_count();
-        // The timing model's eager out-of-range sweep, in its exact legacy
-        // scan order (blocks ascending; per instruction uses then def; per
-        // exit predicate then return register). Run it *before* liveness:
-        // the liveness bit-matrix indexes by register number and is only
-        // safe — and only needed — on register-clean programs (the timing
-        // model rejects dirty ones before simulating, and the functional
-        // interpreter never reads `def_live_out`).
-        let mut timing_reject = None;
-        'sweep: for (id, blk) in f.blocks() {
-            for inst in &blk.insts {
-                for r in inst.uses().chain(inst.def()) {
-                    if r.index() >= nregs as usize {
-                        timing_reject = Some(SimError::RegisterOutOfRange {
-                            block: id,
-                            reg: r.0,
-                        });
-                        break 'sweep;
-                    }
-                }
-            }
-            for e in &blk.exits {
-                if let Some(pr) = e.pred {
-                    if pr.reg.index() >= nregs as usize {
-                        timing_reject = Some(SimError::RegisterOutOfRange {
-                            block: id,
-                            reg: pr.reg.0,
-                        });
-                        break 'sweep;
-                    }
-                }
-                if let ExitTarget::Return(Some(Operand::Reg(r))) = e.target {
-                    if r.index() >= nregs as usize {
-                        timing_reject = Some(SimError::RegisterOutOfRange {
-                            block: id,
-                            reg: r.0,
-                        });
-                        break 'sweep;
-                    }
-                }
-            }
-        }
-        let liveness = if timing_reject.is_none() {
-            Some(chf_ir::liveness::Liveness::compute(f))
-        } else {
-            None
-        };
-
-        // Pass 1: dense renumbering.
-        let mut block_index = vec![NONE; f.block_slots()];
-        let mut ids = Vec::new();
-        for id in f.block_ids() {
-            block_index[id.index()] = ids.len() as u32;
-            ids.push(id);
-        }
-
         let mut p = LoweredProgram {
-            blocks: Vec::with_capacity(ids.len()),
+            blocks: Vec::new(),
             insts: Vec::new(),
             exits: Vec::new(),
-            slow: Vec::new(),
-            entry: block_index[f.entry.index()],
-            nregs: nregs as usize,
+            entry: 0,
+            nregs: f.reg_count() as usize,
             params: f.params,
-            timing_reject,
-            block_index,
+            malformed: None,
+            block_index: Vec::new(),
             trip_info: OnceLock::new(),
         };
+        if let Err(e) = verify(f) {
+            p.malformed = Some(e);
+            return p;
+        }
+        let liveness = chf_ir::liveness::Liveness::compute(f);
 
-        // Pass 2: decode blocks in id order (the timing sweep's order).
+        // Pass 1: dense renumbering.
+        p.block_index = vec![NONE; f.block_slots()];
+        let mut ids = Vec::new();
+        for id in f.block_ids() {
+            p.block_index[id.index()] = ids.len() as u32;
+            ids.push(id);
+        }
+        p.entry = p.block_index[f.entry.index()];
+        p.blocks.reserve(ids.len());
+
+        // Pass 2: decode blocks in id order.
         for &id in &ids {
             let blk = f.block(id);
-            let live_out = liveness.as_ref().map(|lv| lv.live_out(id));
+            let live_out = liveness.live_out(id);
             let inst_start = p.insts.len() as u32;
             let mut stores = 0u16;
             for inst in &blk.insts {
-                let def_live_out = match (&live_out, inst.def()) {
-                    (Some(lo), Some(d)) => lo.contains(&d),
-                    _ => false,
-                };
-                let kind = if irregular(inst, nregs) {
-                    p.slow.push(SlowInst { inst: inst.clone() });
-                    LKind::Slow(p.slow.len() as u32 - 1)
-                } else {
-                    match inst.op {
-                        Opcode::Load => LKind::Load,
-                        Opcode::Store => LKind::Store,
-                        _ => LKind::Alu,
-                    }
+                let kind = match inst.op {
+                    Opcode::Load => LKind::Load,
+                    Opcode::Store => LKind::Store,
+                    _ => LKind::Alu,
                 };
                 let (a_reg, a_imm) = lower_operand(inst.a);
                 let (b_reg, b_imm) = lower_operand(inst.b);
@@ -307,7 +225,7 @@ impl LoweredProgram {
                     pred_reg,
                     pred_if_true,
                     latency: inst.op.latency() as u8,
-                    def_live_out,
+                    def_live_out: inst.def().is_some_and(|d| live_out.contains(&d)),
                     stores_before: stores,
                 });
                 if inst.op == Opcode::Store {
@@ -316,42 +234,25 @@ impl LoweredProgram {
             }
             let exit_start = p.exits.len() as u32;
             for e in &blk.exits {
-                let (pred_reg, pred_if_true, pred_oor) = match e.pred {
-                    None => (NONE, true, None),
-                    Some(pr) if pr.reg.index() >= nregs as usize => {
-                        (NONE, pr.if_true, Some(pr.reg.0))
-                    }
-                    Some(pr) => (pr.reg.0, pr.if_true, None),
+                let (pred_reg, pred_if_true) = match e.pred {
+                    Some(pr) => (pr.reg.0, pr.if_true),
+                    None => (NONE, true),
                 };
                 let kind = match e.target {
-                    ExitTarget::Block(t) => match p.block_index.get(t.index()) {
-                        Some(&d) if d != NONE => LExitKind::Goto(d),
-                        _ => LExitKind::Dangling(t),
-                    },
+                    ExitTarget::Block(t) => LExitKind::Goto(p.block_index[t.index()]),
                     ExitTarget::Return(None) => LExitKind::RetNone,
                     ExitTarget::Return(Some(Operand::Imm(v))) => LExitKind::RetImm(v),
-                    ExitTarget::Return(Some(Operand::Reg(r))) => {
-                        if r.index() >= nregs as usize {
-                            LExitKind::RetRegOor(r.0)
-                        } else {
-                            LExitKind::RetReg(r.0)
-                        }
-                    }
+                    ExitTarget::Return(Some(Operand::Reg(r))) => LExitKind::RetReg(r.0),
                 };
                 p.exits.push(LExit {
                     pred_reg,
                     pred_if_true,
-                    pred_oor,
                     kind,
                     orig: e.target,
                     hist_tag: crate::predictor::ExitPredictor::history_tag(&e.target),
                 });
             }
             let exit_end = p.exits.len() as u32;
-            let single_uncond_exit = exit_end == exit_start + 1 && {
-                let e = &p.exits[exit_start as usize];
-                e.pred_reg == NONE && e.pred_oor.is_none()
-            };
             p.blocks.push(LBlock {
                 id,
                 inst_start,
@@ -359,11 +260,22 @@ impl LoweredProgram {
                 exit_start,
                 exit_end,
                 size: blk.size() as u32,
-                fallback: blk.exits.first().map(|e| e.target),
-                single_uncond_exit,
+                fallback: blk.exits[0].target,
+                single_uncond_exit: exit_end == exit_start + 1,
             });
         }
         p
+    }
+
+    /// Refuse a program whose source function failed verification.
+    ///
+    /// # Errors
+    /// [`SimError::Malformed`] with the first violation.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        match &self.malformed {
+            Some(e) => Err(SimError::Malformed(e.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Number of (live) blocks.
@@ -392,21 +304,6 @@ fn lower_operand(o: Option<Operand>) -> (u32, i64) {
         Some(Operand::Reg(r)) => (r.0, 0),
         Some(Operand::Imm(v)) => (NONE, v),
         None => (NONE, 0),
-    }
-}
-
-/// Whether `inst` must take the slow path: any out-of-range register, or a
-/// missing *required* operand (`a`/`dst` for value ops, `a`/`b` for stores).
-/// A missing `b` on a value op is regular (reads as 0); a present-but-unused
-/// operand (e.g. `b` on a `mov`) is regular too — the fast paths read it
-/// exactly where the interpreter would.
-fn irregular(inst: &Instr, nregs: u32) -> bool {
-    if inst.uses().chain(inst.def()).any(|r| r.0 >= nregs) {
-        return true;
-    }
-    match inst.op {
-        Opcode::Store => inst.a.is_none() || inst.b.is_none(),
-        _ => inst.a.is_none() || inst.dst.is_none(),
     }
 }
 
@@ -579,8 +476,7 @@ mod tests {
         let f = generate(11, &GenConfig::default());
         let p = LoweredProgram::lower(&f);
         assert_eq!(p.n_blocks(), f.block_count());
-        assert!(p.slow.is_empty(), "well-formed IR has no slow instructions");
-        assert!(p.timing_reject.is_none());
+        assert_eq!(p.check(), Ok(()));
         // Every register field in bounds.
         for i in &p.insts {
             for r in [i.dst, i.a_reg, i.b_reg, i.pred_reg] {
@@ -593,29 +489,34 @@ mod tests {
     }
 
     #[test]
-    fn broken_references_lower_to_slow_and_dangling() {
+    fn malformed_ir_decodes_to_its_first_violation() {
         let mut fb = FunctionBuilder::new("broken", 1);
         let e = fb.create_block();
         fb.switch_to(e);
         let x = fb.add(reg(Reg(0)), Operand::Imm(1));
         fb.ret(Some(reg(x)));
         let mut f = fb.build().unwrap();
-        // Corrupt: out-of-range operand and a dangling exit target.
+        // Corrupt: an out-of-range operand and a dangling exit target. The
+        // verifier checks a block's exits before its instructions.
         let entry = f.entry;
         f.block_mut(entry).insts[0].a = Some(Operand::Reg(Reg(999)));
-        f.block_mut(entry)
-            .exits
-            .push(chf_ir::block::Exit::jump(BlockId(77)));
+        f.block_mut(entry).exits[0].target = ExitTarget::Block(BlockId(77));
         let p = LoweredProgram::lower(&f);
-        assert_eq!(p.slow.len(), 1);
-        assert!(matches!(
-            p.timing_reject,
-            Some(SimError::RegisterOutOfRange { reg: 999, .. })
-        ));
-        assert!(p
-            .exits
-            .iter()
-            .any(|e| matches!(e.kind, LExitKind::Dangling(BlockId(77)))));
+        assert_eq!(
+            p.check(),
+            Err(SimError::Malformed(VerifyError::DanglingEdge(
+                entry,
+                BlockId(77)
+            )))
+        );
+        assert_eq!((p.n_blocks(), p.n_exits()), (0, 0));
+        f.block_mut(entry).exits[0].target = ExitTarget::Return(None);
+        assert_eq!(
+            LoweredProgram::lower(&f).check(),
+            Err(SimError::Malformed(VerifyError::RegisterOutOfRange(
+                entry, 999
+            )))
+        );
     }
 
     /// The lazily-computed dense loop structure must agree with the IR-level

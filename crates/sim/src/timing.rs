@@ -51,11 +51,12 @@
 //!
 //! Because every event time is the max of already-known event times, the
 //! calendar never needs to revisit a bucket: the simulation advances
-//! monotonically, one pass over the dynamic instruction stream. The result
-//! is **cycle-for-cycle identical** to the legacy model
+//! monotonically, one pass over the dynamic instruction stream. On verified
+//! IR the result is **cycle-for-cycle identical** to the legacy model
 //! ([`crate::timing_legacy::simulate_timing_legacy`], behind the
 //! `legacy-sim` feature), which `tests/differential.rs` and the table-1
-//! golden cycle snapshot enforce.
+//! golden cycle snapshot enforce; both refuse unverified IR with the same
+//! [`SimError::Malformed`] before simulating.
 //!
 //! Callers that simulate the same function many times should lower once
 //! via [`LoweredProgram::lower`] and call [`simulate_timing_lowered`];
@@ -362,10 +363,8 @@ impl TimingTrace {
 /// see [`simulate_timing_lowered`] to amortize the decode over many runs).
 ///
 /// # Errors
-/// Returns [`SimError::OutOfFuel`] if the block budget is exhausted, or a
-/// malformed-IR [`SimError`] variant if `f` does not verify (the model is
-/// total over verified IR but must degrade gracefully on broken input —
-/// see the fault-injection harness in `chf-core`).
+/// Returns [`SimError::Malformed`] if `f` does not verify, or
+/// [`SimError::OutOfFuel`] if the block budget is exhausted.
 pub fn simulate_timing(
     f: &Function,
     args: &[i64],
@@ -380,8 +379,7 @@ pub fn simulate_timing(
 /// [`TimingTrace`] (dispatch/resolve/commit cycles, prediction outcomes).
 ///
 /// # Errors
-/// Returns [`SimError::OutOfFuel`] if the block budget is exhausted, or a
-/// malformed-IR [`SimError`] variant if `f` does not verify.
+/// As [`simulate_timing`].
 pub fn simulate_timing_traced(
     f: &Function,
     args: &[i64],
@@ -699,13 +697,7 @@ impl<'p> Engine<'p> {
         config: &'p TimingConfig,
         args: &[i64],
         mem_init: &[(i64, i64)],
-    ) -> Result<Self, SimError> {
-        // The legacy model's eager out-of-range sweep, precomputed at
-        // lowering in the same scan order: reject before executing
-        // anything.
-        if let Some(e) = &p.timing_reject {
-            return Err(e.clone());
-        }
+    ) -> Self {
         // One slot per architectural register holding both the current
         // value and the cycle it becomes available: every operand read
         // touches (and bounds-checks) a single array instead of parallel
@@ -723,7 +715,7 @@ impl<'p> Engine<'p> {
                 config.block_overhead + (b.size as u64).div_ceil(config.fetch_bandwidth as u64)
             })
             .collect();
-        Ok(Engine {
+        Engine {
             p,
             config,
             rf,
@@ -742,7 +734,7 @@ impl<'p> Engine<'p> {
             exact: config.memory_ordering == MemoryOrdering::Exact,
             map_cycles,
             cur: p.entry,
-        })
+        }
     }
 
     /// Execute one dynamic block: dispatch, operand wake-up, exit
@@ -873,16 +865,6 @@ impl<'p> Engine<'p> {
                     }
                     any_store_done = any_store_done.max(done);
                 }
-                LKind::Slow(_) => {
-                    // An executed irregular instruction is missing a
-                    // required operand (out-of-range registers were
-                    // rejected eagerly above): the legacy model errors
-                    // inside its execution step, discarding all state, so
-                    // the error value is the only observable — the operand
-                    // reads and counter bumps above are pure and die with
-                    // the run.
-                    return Err(SimError::MalformedInstruction { block: lb.id });
-                }
             }
         }
 
@@ -897,51 +879,33 @@ impl<'p> Engine<'p> {
             // untouched.
             exits[0]
         } else {
-            let mut fired = None;
-            for e in exits {
-                if let Some(r) = e.pred_oor {
-                    // Unreachable when `timing_reject` is honored (the
-                    // sweep found it first), but degrade identically
-                    // regardless.
-                    return Err(SimError::RegisterOutOfRange {
-                        block: lb.id,
-                        reg: r,
-                    });
-                }
+            // The first exit whose predicate holds fires; verified IR ends
+            // every block in an unpredicated default, so the scan stops
+            // there.
+            let mut j = 0;
+            loop {
+                let e = &exits[j];
                 if e.pred_reg == NONE {
-                    fired = Some(e);
-                    break;
+                    break *e;
                 }
                 let s = rf[e.pred_reg as usize];
                 resolve = resolve.max(s.t);
                 if (s.val != 0) == e.pred_if_true {
-                    fired = Some(e);
-                    break;
+                    break *e;
                 }
+                j += 1;
             }
-            // Verified IR always ends in an unpredicated default exit;
-            // injected faults can leave the exit set non-total.
-            *fired.ok_or(SimError::NoFiringExit { block: lb.id })?
         };
         // A returned value is a block output.
-        match fe.kind {
-            LExitKind::RetReg(r) => outputs_done = outputs_done.max(rf[r as usize].t),
-            LExitKind::RetRegOor(r) => {
-                // As with `pred_oor`: the eager sweep fires first.
-                return Err(SimError::RegisterOutOfRange {
-                    block: lb.id,
-                    reg: r,
-                });
-            }
-            _ => {}
+        if let LExitKind::RetReg(r) = fe.kind {
+            outputs_done = outputs_done.max(rf[r as usize].t);
         }
 
         // --- Prediction: next-block target (static fallback: the first
         // exit's target, the compiler's most-likely-first ordering). ---
-        let fallback = lb.fallback.unwrap_or(fe.orig);
         let correct = self
             .predictor
-            .update_tagged(lb.id, fallback, fe.orig, fe.hist_tag);
+            .update_tagged(lb.id, lb.fallback, fe.orig, fe.hist_tag);
         if !correct {
             // Flush event: the next block cannot even begin fetching until
             // the exit resolves, plus the flush penalty.
@@ -987,20 +951,9 @@ impl<'p> Engine<'p> {
                 self.cur = next;
                 Ok(EngineStep::Continue)
             }
-            LExitKind::Dangling(target) => {
-                // The legacy model only discovers a dangling target at the
-                // top of the next iteration, after the fuel check.
-                if self.blocks_executed >= self.config.max_blocks {
-                    return Err(SimError::OutOfFuel {
-                        executed: self.blocks_executed,
-                    });
-                }
-                Err(SimError::DanglingTarget { target })
-            }
             LExitKind::RetNone => Ok(EngineStep::Done(None)),
             LExitKind::RetImm(v) => Ok(EngineStep::Done(Some(v))),
             LExitKind::RetReg(r) => Ok(EngineStep::Done(Some(rf[r as usize].val))),
-            LExitKind::RetRegOor(_) => unreachable!("handled at resolve"),
         }
     }
 
@@ -1044,7 +997,8 @@ fn simulate_lowered_impl(
     config: &TimingConfig,
     mut trace: Option<&mut TimingTrace>,
 ) -> Result<TimingResult, SimError> {
-    let mut eng = Engine::new(p, config, args, mem_init)?;
+    p.check()?;
+    let mut eng = Engine::new(p, config, args, mem_init);
     let ret = loop {
         match eng.step(trace.as_deref_mut())? {
             EngineStep::Continue => {}

@@ -5,11 +5,14 @@
 //! These are the original per-block interpreters: the timing model walks
 //! `chf_ir` structures directly, re-matching `Option<Operand>` slots and
 //! probing a hash map per issued instruction, and the functional loop
-//! re-hashes profile keys per block. They are slow but simple, and the
-//! rewritten cores must agree with them **exactly** — same cycles, same
-//! counters, same return value and memory digest, same error on broken IR.
-//! `tests/differential.rs` enforces this over generated programs, and the
-//! table-1 golden cycle snapshot pins the agreed numbers.
+//! re-hashes profile keys per block. They are slow but simple, and on
+//! verified IR the rewritten cores must agree with them **exactly** — same
+//! cycles, same counters, same return value and memory digest, same
+//! errors. `tests/differential.rs` enforces this over generated programs,
+//! and the table-1 golden cycle snapshot pins the agreed numbers. Both
+//! entry points take the rewritten cores' decode-time check first, so
+//! unverified IR gets the same [`SimError::Malformed`] from old and new
+//! engines and the interpreters below only ever see verified IR.
 //!
 //! One deliberate change is landed even here: the `MemoryOrdering::Exact`
 //! LSQ path used to rescan every earlier store in the block per load
@@ -18,17 +21,73 @@
 //! builds assert the map agrees with the original rescan on every load, so
 //! the reference stays honest while the fix applies to both paths.
 
-use crate::functional::{exec_inst, FuncResult, Machine, RunConfig, SimError};
+use crate::functional::{eval, FuncResult, Machine, RunConfig, SimError};
 use crate::predictor::ExitPredictor;
 use crate::timing::{MemoryOrdering, TimingConfig, TimingResult};
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
-use chf_ir::ids::BlockId;
-use chf_ir::instr::{Opcode, Operand};
+use chf_ir::ids::{BlockId, Reg};
+use chf_ir::instr::{Instr, Opcode, Operand};
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
+use chf_ir::verify::verify;
 use std::collections::VecDeque;
+
+impl Machine {
+    fn new(f: &Function, args: &[i64], mem_init: &[(i64, i64)]) -> Machine {
+        Machine::with_layout(f.reg_count() as usize, f.params, args, mem_init)
+    }
+
+    fn read(&self, r: Reg, block: BlockId, check: bool) -> Result<i64, SimError> {
+        let i = r.index();
+        if check && !self.written[i] {
+            return Err(SimError::UninitializedRead { block, reg: r });
+        }
+        Ok(self.regs[i])
+    }
+
+    fn operand(&self, o: Operand, block: BlockId, check: bool) -> Result<i64, SimError> {
+        match o {
+            Operand::Reg(r) => self.read(r, block, check),
+            Operand::Imm(v) => Ok(v),
+        }
+    }
+
+    fn write(&mut self, r: Reg, v: i64) {
+        self.regs[r.index()] = v;
+        self.written[r.index()] = true;
+    }
+}
+
+/// A required operand or destination slot, which verified IR always fills.
+fn required<T>(slot: Option<T>) -> T {
+    slot.expect("verified IR fills every required slot")
+}
+
+fn exec_inst(m: &mut Machine, inst: &Instr, cur: BlockId, check: bool) -> Result<(), SimError> {
+    match inst.op {
+        Opcode::Load => {
+            let addr = m.operand(required(inst.a), cur, check)?;
+            let v = m.mem.get(&addr).copied().unwrap_or(0);
+            m.write(required(inst.dst), v);
+        }
+        Opcode::Store => {
+            let addr = m.operand(required(inst.a), cur, check)?;
+            let v = m.operand(required(inst.b), cur, check)?;
+            m.mem.insert(addr, v);
+        }
+        op => {
+            let a = m.operand(required(inst.a), cur, check)?;
+            let b = match inst.b {
+                Some(o) => m.operand(o, cur, check)?,
+                None => 0,
+            };
+            m.write(required(inst.dst), eval(op, a, b));
+        }
+    }
+    Ok(())
+}
 
 /// Tracks issue-slot occupancy per cycle, pruned as time advances (the
 /// original open-addressing-by-probe structure; the rewritten engine uses a
@@ -75,50 +134,16 @@ impl IssueSlots {
 /// behaviour [`crate::timing::simulate_timing`] must reproduce.
 ///
 /// # Errors
-/// Returns [`SimError::OutOfFuel`] if the block budget is exhausted, or a
-/// malformed-IR [`SimError`] variant if `f` does not verify.
+/// As [`crate::timing::simulate_timing`].
 pub fn simulate_timing_legacy(
     f: &Function,
     args: &[i64],
     mem_init: &[(i64, i64)],
     config: &TimingConfig,
 ) -> Result<TimingResult, SimError> {
+    verify(f).map_err(SimError::Malformed)?;
     let mut m = Machine::new(f, args, mem_init);
     let nregs = f.reg_count() as usize;
-    // Reject out-of-range register references up front: the dense `avail`
-    // vector below (and the liveness bitsets) index by register number, so
-    // this single O(insts) sweep makes every later lookup in-bounds by
-    // construction instead of a panic waiting for corrupted IR.
-    for (id, blk) in f.blocks() {
-        for inst in &blk.insts {
-            for r in inst.uses().chain(inst.def()) {
-                if r.index() >= nregs {
-                    return Err(SimError::RegisterOutOfRange {
-                        block: id,
-                        reg: r.0,
-                    });
-                }
-            }
-        }
-        for e in &blk.exits {
-            if let Some(p) = e.pred {
-                if p.reg.index() >= nregs {
-                    return Err(SimError::RegisterOutOfRange {
-                        block: id,
-                        reg: p.reg.0,
-                    });
-                }
-            }
-            if let ExitTarget::Return(Some(Operand::Reg(r))) = e.target {
-                if r.index() >= nregs {
-                    return Err(SimError::RegisterOutOfRange {
-                        block: id,
-                        reg: r.0,
-                    });
-                }
-            }
-        }
-    }
     let liveness = chf_ir::liveness::Liveness::compute(f);
     // Cycle at which each register's current value becomes available.
     let mut avail: Vec<u64> = vec![0; nregs];
@@ -146,9 +171,7 @@ pub fn simulate_timing_legacy(
         }
         blocks_executed += 1;
 
-        let blk = f
-            .try_block(cur)
-            .ok_or(SimError::DanglingTarget { target: cur })?;
+        let blk = f.block(cur);
         let size = blk.size() as u64;
         insts_fetched += size;
 
@@ -210,12 +233,7 @@ pub fn simulate_timing_legacy(
                 match config.memory_ordering {
                     MemoryOrdering::Oracle => {}
                     MemoryOrdering::Exact => {
-                        let addr = m.operand(
-                            inst.a
-                                .ok_or(SimError::MalformedInstruction { block: cur })?,
-                            cur,
-                            false,
-                        )?;
+                        let addr = m.operand(required(inst.a), cur, false)?;
                         let wait = store_done.get(&addr).copied().unwrap_or(0);
                         #[cfg(debug_assertions)]
                         {
@@ -238,12 +256,7 @@ pub fn simulate_timing_legacy(
             let done = issue + inst.op.latency();
             if inst.op == Opcode::Store {
                 outputs_done = outputs_done.max(done);
-                let addr = m.operand(
-                    inst.a
-                        .ok_or(SimError::MalformedInstruction { block: cur })?,
-                    cur,
-                    false,
-                )?;
+                let addr = m.operand(required(inst.a), cur, false)?;
                 if cfg!(debug_assertions) {
                     block_stores.push((addr, done));
                 }
@@ -278,9 +291,8 @@ pub fn simulate_timing_legacy(
                 }
             }
         }
-        // Verified IR always ends in an unpredicated default exit; injected
-        // faults can leave the exit set non-total.
-        let target = fired.ok_or(SimError::NoFiringExit { block: cur })?;
+        // Verified IR always ends in an unpredicated default exit.
+        let target = required(fired);
         // A returned value is a block output.
         if let ExitTarget::Return(Some(Operand::Reg(r))) = target {
             outputs_done = outputs_done.max(avail[r.index()]);
@@ -300,7 +312,7 @@ pub fn simulate_timing_legacy(
         // register writes must all have resolved. ---
         let live_out = liveness.live_out(cur);
         for &r in written_this_block.iter() {
-            if live_out.contains(&chf_ir::ids::Reg(r)) {
+            if live_out.contains(&Reg(r)) {
                 outputs_done = outputs_done.max(avail[r as usize]);
             }
         }
@@ -406,6 +418,7 @@ pub fn run_legacy(
     mem_init: &[(i64, i64)],
     config: &RunConfig,
 ) -> Result<FuncResult, SimError> {
+    verify(f).map_err(SimError::Malformed)?;
     let mut m = Machine::new(f, args, mem_init);
     let mut profile = ProfileData::default();
     let mut trips = if config.collect_trip_counts {
@@ -432,9 +445,7 @@ pub fn run_legacy(
             t.on_block(cur, &mut profile);
         }
 
-        let blk = f
-            .try_block(cur)
-            .ok_or(SimError::DanglingTarget { target: cur })?;
+        let blk = f.block(cur);
         insts_fetched += blk.size() as u64;
 
         for inst in &blk.insts {
@@ -474,9 +485,7 @@ pub fn run_legacy(
                 }
             }
         }
-        // Verified IR always ends in an unpredicated default exit, but
-        // chaos-injected IR may not.
-        return Err(SimError::NoFiringExit { block: cur });
+        unreachable!("verified IR ends every block in an unpredicated exit");
     };
 
     if let Some(t) = trips.as_mut() {

@@ -1,20 +1,24 @@
 //! Differential oracle for the event-driven rewrite: the new engines must
 //! agree with the retained legacy cores *exactly* — cycle-for-cycle on the
 //! timing side, bit-for-bit on the functional side — over generated
-//! programs, all memory orderings, corrupted IR, and fuel exhaustion.
+//! programs, all memory orderings, and fuel exhaustion; and every engine
+//! must refuse corrupted IR with the same verifier error.
 //!
 //! This suite is the contract that lets `legacy-sim` be dropped after one
 //! release: any divergence here is a bug in the rewrite, never a "new
 //! behaviour".
 #![cfg(feature = "legacy-sim")]
 
+use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::ids::{BlockId, Reg};
-use chf_ir::instr::Operand;
+use chf_ir::instr::{Operand, Pred};
 use chf_ir::testgen::{generate, GenConfig};
-use chf_sim::functional::{run, RunConfig, SimError};
-use chf_sim::timing::{simulate_timing, MemoryOrdering, TimingConfig};
+use chf_ir::verify::{verify, VerifyError};
+use chf_sim::functional::{run, run_lowered, RunConfig, SimError};
+use chf_sim::timing::{simulate_timing, simulate_timing_lowered, MemoryOrdering, TimingConfig};
 use chf_sim::timing_legacy::{run_legacy, simulate_timing_legacy};
+use chf_sim::LoweredProgram;
 use proptest::prelude::*;
 
 const ORDERINGS: [MemoryOrdering; 3] = [
@@ -137,68 +141,94 @@ fn looped() -> Function {
     fb.build().unwrap()
 }
 
-/// Corrupted programs (the chaos suite's bread and butter) must surface the
-/// *same* lazy error, at the same point, from old and new engines.
+/// Corrupted programs (the chaos suite's bread and butter) are refused by
+/// every engine, old and new, with the same verifier error and without a
+/// panic.
 #[test]
-fn corrupted_ir_errors_agree() {
+fn every_engine_refuses_malformed_ir_alike() {
     type Corrupt = fn(&mut Function);
-    let cases: [(&str, Corrupt); 4] = [
-        ("oor-operand", |f| {
-            let e = f.entry;
-            f.block_mut(e).insts[0].a = Some(Operand::Reg(Reg(999)));
-        }),
-        ("missing-operand", |f| {
-            let e = f.entry;
-            f.block_mut(e).insts[0].a = None;
-        }),
-        ("dangling-exit", |f| {
-            let e = f.entry;
-            f.block_mut(e).exits.clear();
-            f.block_mut(e)
-                .exits
-                .push(chf_ir::block::Exit::jump(BlockId(77)));
-        }),
-        ("oor-return", |f| {
-            let e = f.entry;
-            f.block_mut(e).exits.clear();
-            f.block_mut(e)
-                .exits
-                .push(chf_ir::block::Exit::ret(Some(Operand::Reg(Reg(4444)))));
-        }),
+    let body = BlockId(1);
+    let cases: [(Corrupt, VerifyError); 11] = [
+        (
+            |f| f.block_mut(BlockId(1)).insts[0].a = Some(Operand::Reg(Reg(999))),
+            VerifyError::RegisterOutOfRange(body, 999),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).insts[1].dst = Some(Reg(998)),
+            VerifyError::RegisterOutOfRange(body, 998),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).insts[0].pred = Some(Pred::on_true(Reg(997))),
+            VerifyError::RegisterOutOfRange(body, 997),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).exits[0].pred = Some(Pred::on_true(Reg(996))),
+            VerifyError::RegisterOutOfRange(body, 996),
+        ),
+        (
+            |f| {
+                f.block_mut(BlockId(2)).exits[0].target =
+                    ExitTarget::Return(Some(Operand::Reg(Reg(4444))))
+            },
+            VerifyError::RegisterOutOfRange(BlockId(2), 4444),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).insts[0].b = None,
+            VerifyError::MissingOperand(body),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).insts[1].dst = None,
+            VerifyError::MissingOperand(body),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).exits[1].target = ExitTarget::Block(BlockId(77)),
+            VerifyError::DanglingEdge(body, BlockId(77)),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).exits[1].pred = Some(Pred::on_true(Reg(0))),
+            VerifyError::NoDefaultExit(body),
+        ),
+        (
+            |f| f.block_mut(BlockId(1)).exits.clear(),
+            VerifyError::NoExits(body),
+        ),
+        (|f| f.entry = BlockId(9999), VerifyError::MissingEntry),
     ];
-    for (name, corrupt) in cases {
-        let mut f = looped();
+    let base = looped();
+    assert_eq!(verify(&base), Ok(()));
+    assert_eq!(
+        (base.block(body).insts.len(), base.block(body).exits.len()),
+        (4, 2),
+        "the corruptions index `looped`'s loop body"
+    );
+    let (args, rc, tc) = ([5, 0], RunConfig::default(), TimingConfig::trips());
+    for (corrupt, expected) in cases {
+        let mut f = base.clone();
         corrupt(&mut f);
-        // Trip-count collection is off here: the legacy engine runs
-        // `LoopForest::of` eagerly, which is not total over dangling exits
-        // (it panics), whereas the lowered `TripInfo` tolerates them. The
-        // comparison below is about *execution* semantics.
-        let rc = RunConfig {
-            collect_trip_counts: false,
-            ..RunConfig::default()
-        };
-        let tc = TimingConfig::trips();
-        for args in [[0i64, 0], [5, 0]] {
-            let ev_f = run(&f, &args, &[], &rc);
-            let lg_f = run_legacy(&f, &args, &[], &rc);
+        let p = LoweredProgram::lower(&f);
+        let answers = [
+            ("run", run(&f, &args, &[], &rc).err()),
+            ("run_lowered", run_lowered(&p, &args, &[], &rc).err()),
+            ("run_legacy", run_legacy(&f, &args, &[], &rc).err()),
+            (
+                "simulate_timing",
+                simulate_timing(&f, &args, &[], &tc).err(),
+            ),
+            (
+                "simulate_timing_lowered",
+                simulate_timing_lowered(&p, &args, &[], &tc).err(),
+            ),
+            (
+                "simulate_timing_legacy",
+                simulate_timing_legacy(&f, &args, &[], &tc).err(),
+            ),
+        ];
+        for (engine, answer) in answers {
             assert_eq!(
-                ev_f.as_ref().err(),
-                lg_f.as_ref().err(),
-                "functional error mismatch: {name} args {args:?}"
+                answer,
+                Some(SimError::Malformed(expected.clone())),
+                "{engine}"
             );
-            if let (Ok(ev), Ok(lg)) = (&ev_f, &lg_f) {
-                assert_eq!(ev.digest(), lg.digest(), "{name} args {args:?}");
-            }
-            let ev_t = simulate_timing(&f, &args, &[], &tc);
-            let lg_t = simulate_timing_legacy(&f, &args, &[], &tc);
-            match (ev_t, lg_t) {
-                (Ok(ev), Ok(lg)) => assert_timing_eq(&f, tc.memory_ordering, &ev, &lg),
-                (ev, lg) => assert_eq!(
-                    ev.err(),
-                    lg.err(),
-                    "timing error mismatch: {name} args {args:?}"
-                ),
-            }
         }
     }
 }

@@ -9,7 +9,11 @@
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
 #   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
-#                                # -- -D warnings (tests, benches, bins)
+#                                # -- -D warnings (tests, benches, bins),
+#                                # then the same for chf-sim alone with
+#                                # --no-default-features (feature
+#                                # unification turns legacy-sim on in
+#                                # the workspace build)
 #   scripts/verify.sh doc        # cargo doc --workspace --no-deps with
 #                                # warnings denied (broken or private
 #                                # intra-doc links fail)
@@ -77,6 +81,8 @@ run_build() {
 run_lint() {
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> cargo clippy -p chf-sim --no-default-features --all-targets -- -D warnings"
+    cargo clippy -p chf-sim --no-default-features --all-targets -- -D warnings
 }
 
 # Rustdoc with warnings denied: a link to a deleted, renamed, private or

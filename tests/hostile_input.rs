@@ -1,22 +1,32 @@
 //! Hostile-input probe: every corpus program, mutated at the text level
 //! (lines dropped, duplicated or swapped, tokens deleted, numbers made
-//! extreme, the text truncated), goes through parsing, full verification,
-//! and a compile under a random, often absurd, profile. Each mutant must
-//! end in `Ok` or a typed error; a panic at any stage fails the test and
-//! names the mutant's file and seed.
+//! extreme, the text truncated), goes through parsing, both simulators,
+//! full verification, and a compile under a random, often absurd, profile.
+//! The parser only accepts structurally valid IR, so the simulators also
+//! run a copy of each parsed mutant broken in memory, which they must
+//! refuse as malformed. Each mutant must end in `Ok` or a typed error; a
+//! panic at any stage fails the test and names the mutant's file and seed.
 
 use chf::core::pipeline::{try_compile, CompileConfig};
 use chf::core::PolicyKind;
+use chf::ir::block::{Exit, ExitTarget};
 use chf::ir::function::Function;
+use chf::ir::ids::{BlockId, Reg};
+use chf::ir::instr::Pred;
 use chf::ir::parse::parse_function;
 use chf::ir::profile::{ProfileData, TripHistogram};
 use chf::ir::testgen::SplitMix64;
 use chf::ir::verify::verify_full;
+use chf::sim::functional::{run, RunConfig, SimError};
+use chf::sim::timing::{simulate_timing, TimingConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Mutants drawn from each corpus program.
 const MUTANTS_PER_FILE: u64 = 48;
+
+/// Block budget of the simulator runs: mutants may loop forever.
+const SIM_BLOCKS: u64 = 1_000;
 
 /// Numbers that sit on or past the edge of what the text format, the
 /// register file, or 64-bit arithmetic allow.
@@ -146,17 +156,71 @@ fn random_profile(f: &Function, rng: &mut SplitMix64) -> ProfileData {
 #[derive(Debug, Default)]
 struct Tally {
     parse_errors: usize,
+    /// Simulator answers that refused a parsed mutant as malformed.
+    malformed_parsed: usize,
+    /// Simulator answers that refused a corrupted copy as malformed.
+    malformed_corrupted: usize,
     verify_errors: usize,
     compile_errors: usize,
     compiled: usize,
 }
 
-/// Run one mutant through the front end and the compiler.
-fn probe(text: &str, rng: &mut SplitMix64, tally: &mut Tally) {
+/// Break `f` structurally in one of four ways, chosen by `k` rather than
+/// by the mutant's RNG, so the compile half keeps its inputs.
+fn corrupt(f: &mut Function, k: u64) {
+    let entry = f.entry;
+    let ghost = BlockId(f.block_slots() as u32 + 1);
+    match k % 4 {
+        0 => f.entry = ghost,
+        1 => f.block_mut(entry).exits.clear(),
+        2 => f.block_mut(entry).exits[0].target = ExitTarget::Block(ghost),
+        _ => {
+            let bogus = Reg(f.reg_count() + 7);
+            let mut exit = Exit::ret(None);
+            exit.pred = Some(Pred::on_true(bogus));
+            f.block_mut(entry).exits.insert(0, exit);
+        }
+    }
+}
+
+/// Run `f` on both simulators under a small block budget; return how many
+/// of the two refused it as malformed.
+fn simulate(f: &Function) -> usize {
+    let args = vec![0; f.params as usize];
+    let functional = run(
+        f,
+        &args,
+        &[],
+        &RunConfig {
+            max_blocks: SIM_BLOCKS,
+            ..RunConfig::default()
+        },
+    );
+    let timing = simulate_timing(
+        f,
+        &args,
+        &[],
+        &TimingConfig {
+            max_blocks: SIM_BLOCKS,
+            ..TimingConfig::trips()
+        },
+    );
+    [functional.err(), timing.err()]
+        .iter()
+        .filter(|e| matches!(e, Some(SimError::Malformed(_))))
+        .count()
+}
+
+/// Run one mutant through the front end, the simulators and the compiler.
+fn probe(text: &str, k: u64, rng: &mut SplitMix64, tally: &mut Tally) {
     let Ok(f) = parse_function(text) else {
         tally.parse_errors += 1;
         return;
     };
+    tally.malformed_parsed += simulate(&f);
+    let mut broken = f.clone();
+    corrupt(&mut broken, k);
+    tally.malformed_corrupted += simulate(&broken);
     if verify_full(&f).is_err() {
         tally.verify_errors += 1;
         return;
@@ -195,7 +259,8 @@ fn mutated_corpus_programs_never_panic() {
             let seed = ((n as u64) << 32) | k;
             let mut rng = SplitMix64::new(seed);
             let mutant = mutate(&text, &mut rng);
-            let outcome = catch_unwind(AssertUnwindSafe(|| probe(&mutant, &mut rng, &mut tally)));
+            let outcome =
+                catch_unwind(AssertUnwindSafe(|| probe(&mutant, k, &mut rng, &mut tally)));
             if outcome.is_err() {
                 panics.push(format!("{} seed {seed}", path.display()));
             }
@@ -204,6 +269,11 @@ fn mutated_corpus_programs_never_panic() {
     assert!(panics.is_empty(), "mutants panicked: {panics:#?}");
     // The probe is only worth its time if mutants reach every stage.
     assert!(tally.parse_errors > 0, "{tally:?}");
+    // The parser verifies what it accepts; every corrupted copy is refused
+    // by both simulators.
+    let parsed = MUTANTS_PER_FILE as usize * files.len() - tally.parse_errors;
+    assert_eq!(tally.malformed_parsed, 0, "{tally:?}");
+    assert_eq!(tally.malformed_corrupted, 2 * parsed, "{tally:?}");
     assert!(tally.verify_errors + tally.compile_errors > 0, "{tally:?}");
     assert!(tally.compiled > 0, "{tally:?}");
 }
