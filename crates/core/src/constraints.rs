@@ -13,8 +13,8 @@
 //! models that estimate.
 
 use chf_ir::function::Function;
-use chf_ir::ids::BlockId;
-use chf_ir::liveness::Liveness;
+use chf_ir::ids::{BlockId, Reg};
+use chf_ir::liveness::{Liveness, RegMeet};
 use std::fmt;
 
 /// Structural limits a block must satisfy.
@@ -62,16 +62,41 @@ impl BlockConstraints {
         }
     }
 
-    /// Effective instruction budget after headroom.
+    /// Effective instruction budget after headroom. Saturates rather than
+    /// overflows: a headroom above 100% leaves no budget.
     pub fn effective_max_insts(&self) -> usize {
         if self.max_insts == usize::MAX {
             return usize::MAX;
         }
-        self.max_insts - self.max_insts * self.headroom_percent / 100
+        // `max_insts * headroom / 100`, split so the product cannot
+        // overflow for any `max_insts`.
+        let h = self.headroom_percent;
+        let reserve = (self.max_insts / 100)
+            .saturating_mul(h)
+            .saturating_add((self.max_insts % 100).saturating_mul(h) / 100);
+        self.max_insts.saturating_sub(reserve)
+    }
+
+    /// Reject constraints no block can be checked against: no register
+    /// banks (every bank index divides by it), or a headroom above 100%.
+    ///
+    /// # Errors
+    /// The first problem found.
+    pub fn validate(&self) -> Result<(), InvalidConstraints> {
+        if self.reg_banks == 0 {
+            return Err(InvalidConstraints::NoRegisterBanks);
+        }
+        if self.headroom_percent > 100 {
+            return Err(InvalidConstraints::HeadroomOver100 {
+                percent: self.headroom_percent,
+            });
+        }
+        Ok(())
     }
 
     /// Check block `b` of `f` against the constraints, using `liveness` for
-    /// the register-interface counts.
+    /// the register-interface counts. Allocates nothing: the bank counts
+    /// are read straight from the liveness rows.
     ///
     /// # Errors
     /// Returns the first violated constraint.
@@ -87,8 +112,8 @@ impl BlockConstraints {
         // additional exit path needs null-write padding for the outputs it
         // does not compute naturally. Charge one padding slot per register
         // output per extra exit.
-        let writes = liveness.register_writes(b).len();
-        let padding = blk.exits.len().saturating_sub(1) * writes;
+        let writes = liveness.register_writes(b);
+        let padding = blk.exits.len().saturating_sub(1) * writes.len();
         let size = blk.size() + padding;
         if size > self.effective_max_insts() {
             return Err(Violation::TooManyInstructions {
@@ -105,32 +130,56 @@ impl BlockConstraints {
                 max: self.max_memory_ops,
             });
         }
-
-        let mut reads = vec![0usize; self.reg_banks as usize];
-        for r in liveness.register_reads(b) {
-            let bank = (r.0 % self.reg_banks) as usize;
-            reads[bank] += 1;
-            if reads[bank] > self.reads_per_bank {
-                return Err(Violation::TooManyBankReads {
-                    block: b,
-                    bank: bank as u32,
-                    max: self.reads_per_bank,
-                });
-            }
+        let reads = liveness.register_reads(b);
+        if let Some(bank) = self.first_overfull_bank(reads, self.reads_per_bank) {
+            return Err(Violation::TooManyBankReads {
+                block: b,
+                bank,
+                max: self.reads_per_bank,
+            });
         }
-        let mut writes = vec![0usize; self.reg_banks as usize];
-        for r in liveness.register_writes(b) {
-            let bank = (r.0 % self.reg_banks) as usize;
-            writes[bank] += 1;
-            if writes[bank] > self.writes_per_bank {
-                return Err(Violation::TooManyBankWrites {
-                    block: b,
-                    bank: bank as u32,
-                    max: self.writes_per_bank,
-                });
-            }
+        if let Some(bank) = self.first_overfull_bank(writes, self.writes_per_bank) {
+            return Err(Violation::TooManyBankWrites {
+                block: b,
+                bank,
+                max: self.writes_per_bank,
+            });
         }
         Ok(())
+    }
+
+    /// The bank of register `r`.
+    fn bank(&self, r: Reg) -> u32 {
+        r.0 % self.reg_banks
+    }
+
+    /// Whether block `b`'s register reads, as `liveness` has them, plus the
+    /// registers of `extra` it does not read yet, stay within
+    /// `reads_per_bank` in every bank. Duplicates in `extra` count twice.
+    pub(crate) fn reads_fit_with(&self, liveness: &Liveness, b: BlockId, extra: &[Reg]) -> bool {
+        let reads = liveness.register_reads(b);
+        let extra = || extra.iter().filter(|r| !reads.contains(r));
+        extra().all(|r| {
+            let k = self.bank(*r);
+            let read = reads.iter().filter(|&q| self.bank(q) == k).count();
+            let added = extra().filter(|q| self.bank(**q) == k).count();
+            read.saturating_add(added) <= self.reads_per_bank
+        })
+    }
+
+    /// The bank of the first register of `regs`, in ascending order, that is
+    /// the `limit + 1`-th of its bank: the bank a running per-bank count
+    /// would report first. Counts by rescanning the registers before it,
+    /// which only the registers from index `limit` on need.
+    fn first_overfull_bank(&self, regs: RegMeet<'_>, limit: usize) -> Option<u32> {
+        if regs.len() <= limit {
+            return None;
+        }
+        regs.iter().enumerate().skip(limit).find_map(|(i, r)| {
+            let k = self.bank(r);
+            let before = regs.iter().take(i).filter(|&q| self.bank(q) == k).count();
+            (before == limit).then_some(k)
+        })
     }
 
     /// Check block `b`, computing liveness internally.
@@ -160,6 +209,31 @@ impl Default for BlockConstraints {
         Self::trips()
     }
 }
+
+/// Constraints [`BlockConstraints::validate`] rejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InvalidConstraints {
+    /// `reg_banks` is 0.
+    NoRegisterBanks,
+    /// `headroom_percent` reserves more than the whole block.
+    HeadroomOver100 {
+        /// The requested headroom.
+        percent: usize,
+    },
+}
+
+impl fmt::Display for InvalidConstraints {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvalidConstraints::NoRegisterBanks => write!(f, "reg_banks is 0"),
+            InvalidConstraints::HeadroomOver100 { percent } => {
+                write!(f, "headroom_percent {percent} is above 100")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidConstraints {}
 
 /// A violated structural constraint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -346,6 +420,96 @@ mod tests {
         fb.ret(None);
         let f = fb.build().unwrap();
         assert_eq!(BlockConstraints::unlimited().check_function(&f), Ok(()));
+    }
+
+    #[test]
+    fn effective_budget_saturates() {
+        let c = |max_insts, headroom_percent| BlockConstraints {
+            max_insts,
+            headroom_percent,
+            ..BlockConstraints::trips()
+        };
+        assert_eq!(c(128, 100).effective_max_insts(), 0);
+        assert_eq!(c(128, 1000).effective_max_insts(), 0);
+        assert_eq!(c(199, 50).effective_max_insts(), 100);
+        // Exact where `max_insts * headroom` overflows.
+        let big = usize::MAX - 1;
+        let exact = big as u128 - big as u128 * 10 / 100;
+        assert_eq!(c(big, 10).effective_max_insts() as u128, exact);
+        assert_eq!(c(usize::MAX, 10).effective_max_insts(), usize::MAX);
+        assert_eq!(
+            BlockConstraints::unlimited().effective_max_insts(),
+            usize::MAX
+        );
+    }
+
+    #[test]
+    fn validate_rejects_no_banks_and_headroom_over_100() {
+        assert_eq!(BlockConstraints::trips().validate(), Ok(()));
+        assert_eq!(BlockConstraints::unlimited().validate(), Ok(()));
+        let no_banks = BlockConstraints {
+            reg_banks: 0,
+            ..BlockConstraints::trips()
+        };
+        assert_eq!(
+            no_banks.validate(),
+            Err(InvalidConstraints::NoRegisterBanks)
+        );
+        let headroom = BlockConstraints {
+            headroom_percent: 101,
+            ..BlockConstraints::trips()
+        };
+        assert_eq!(
+            headroom.validate(),
+            Err(InvalidConstraints::HeadroomOver100 { percent: 101 })
+        );
+    }
+
+    #[test]
+    fn first_overfull_bank_matches_a_running_count() {
+        // Reads of r0..r(n): with 3 banks and a limit of 2, the first
+        // register past the limit in its bank is r6 (bank 0).
+        let mut fb = FunctionBuilder::new("f", 12);
+        let e = fb.create_block();
+        let tgt = fb.create_block();
+        fb.switch_to(e);
+        fb.jump(tgt);
+        fb.switch_to(tgt);
+        let mut acc = fb.mov(Operand::Imm(0));
+        for i in [1, 2, 4, 5, 6, 0, 9] {
+            acc = fb.add(Operand::Reg(acc), Operand::Reg(Reg(i)));
+        }
+        fb.ret(Some(Operand::Reg(acc)));
+        let f = fb.build().unwrap();
+        let c = BlockConstraints {
+            reg_banks: 3,
+            reads_per_bank: 2,
+            ..BlockConstraints::unlimited()
+        };
+        assert_eq!(
+            c.check(&f, tgt),
+            Err(Violation::TooManyBankReads {
+                block: tgt,
+                bank: 0,
+                max: 2
+            })
+        );
+        let lv = Liveness::compute(&f);
+        let running = |limit: usize| {
+            let mut counts = [0usize; 3];
+            lv.register_reads(tgt).iter().find_map(|r| {
+                let k = (r.0 % 3) as usize;
+                counts[k] += 1;
+                (counts[k] > limit).then_some(k as u32)
+            })
+        };
+        for limit in 0..5 {
+            assert_eq!(
+                c.first_overfull_bank(lv.register_reads(tgt), limit),
+                running(limit),
+                "limit {limit}"
+            );
+        }
     }
 
     #[test]

@@ -309,6 +309,10 @@ struct FormationCtx {
     later_forks: Vec<usize>,
     /// Forks taken so far, in budget order.
     forks: Vec<BudgetFork>,
+    /// Merge trials that reached the `iterative_opt` fit decision.
+    iterative_trials: usize,
+    /// Of those, the trials decided without the trial optimizer.
+    fit_first_trials: usize,
 }
 
 impl FormationCtx {
@@ -322,6 +326,8 @@ impl FormationCtx {
             next_fork: usize::MAX,
             later_forks: Vec::new(),
             forks: Vec::new(),
+            iterative_trials: 0,
+            fit_first_trials: 0,
         }
     }
 
@@ -492,23 +498,27 @@ pub fn merge_blocks_with_body(
 /// leaves `f` bit-identical to its pre-trial state — no whole-function
 /// scratch clone per trial.
 ///
-/// With `iterative_opt`, the fit decision runs the scalar pipeline scoped
-/// to the merged block ([`chf_opt::optimize_block_quick`]), which mutates
-/// nothing outside the snapshot. On success the scoped cleanup is rewound
-/// and the historical whole-function [`chf_opt::optimize_quick`] runs once
-/// per committed merge, reproducing the exact committed state of the
-/// scratch-space implementation. It shares the context's clean-block memo,
-/// so the blocks earlier commits left clean and this merge did not touch
-/// skip the block-local kernels, and DCE skips the blocks whose content and
-/// `live_out` its last clean sweep saw; global GVN and jump threading still
-/// visit every block.
+/// With `iterative_opt`, the fit decision is the one the scalar pipeline
+/// scoped to the merged block ([`chf_opt::optimize_block_quick`]) would
+/// reach. That trial optimizer cannot raise a checked count except the
+/// bank reads its global value numbering adds, so when the unoptimized
+/// block fits and every bank has room for those reads, the block fits
+/// either way and the trial optimizer is not run. It decides only the
+/// other trials, mutating nothing outside the snapshot. On success its
+/// cleanup is rewound, and the historical whole-function
+/// [`chf_opt::optimize_quick`] runs once per committed merge, reproducing
+/// the exact committed state of the scratch-space implementation. It
+/// shares the context's clean-block memo, so the blocks earlier commits
+/// left clean and this merge did not touch skip the block-local kernels,
+/// and DCE skips the blocks whose content and `live_out` its last clean
+/// sweep saw; global GVN and jump threading still visit every block.
 ///
 /// Liveness is never solved from scratch per trial. The trial clones the
 /// memo's solution after [refreshing](chf_ir::liveness::Liveness::refresh)
 /// it — a rolled-back trial restores block versions, so that refresh only
 /// re-solves what the last commit changed — and refreshes its clone after
-/// each edit: for the speculation set after duplication, in the trial
-/// optimizer's DCE, and for the fit check.
+/// each edit: for the speculation set after duplication, for the fit check
+/// of the unoptimized block, and in and after the trial optimizer.
 fn merge_blocks_in_ctx(
     f: &mut Function,
     hb: BlockId,
@@ -588,40 +598,74 @@ fn merge_blocks_in_ctx(
     } else {
         debug_assert!(chf_ir::verify::verify(f).is_ok(), "merge broke IR:\n{f}");
     }
-    if config.iterative_opt {
+    lv.refresh(f);
+    debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
+    let fits = config.constraints.check_with(f, hb, &lv).is_ok();
+    if !config.iterative_opt {
+        if !fits {
+            f.restore_blocks(snap);
+            return MergeOutcome::Failure;
+        }
+        ctx.invalidate();
+        return commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind);
+    }
+    ctx.iterative_trials += 1;
+    let fit_first = fits && trial_optimizer_keeps_fit(f, hb, &lv, &config.constraints);
+    ctx.fit_first_trials += usize::from(fit_first);
+    if fit_first && !cfg!(debug_assertions) {
+        // The trial optimizer cannot turn this fit into a failure, so it
+        // has nothing to decide. Commit `hb` without `combine`'s growth
+        // slack, as the rewind below does: a formed function keeps every
+        // block it commits.
+        let blk = f.block_mut(hb);
+        blk.insts.shrink_to_fit();
+        blk.exits.shrink_to_fit();
+    } else {
         // Decide on the *scoped* optimization of the merged block: same
         // scalar pipeline, same two-round budget, but only `hb` is mutated
-        // so the snapshot stays a complete undo record.
+        // so the snapshot stays a complete undo record. Test builds also
+        // run it on fit-first trials, to check that it keeps their fit.
         let merged = f.block(hb).clone();
         chf_opt::optimize_block_quick(f, hb, &mut lv);
         lv.refresh(f);
         debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-        if config.constraints.check_with(f, hb, &lv).is_err() {
+        let fits = config.constraints.check_with(f, hb, &lv).is_ok();
+        assert!(
+            fits || !fit_first,
+            "trial optimization broke the fit of {hb}:\n{f}"
+        );
+        if !fits {
             f.restore_blocks(snap);
             return MergeOutcome::Failure;
         }
-        // Commit: rewind the decision's scoped cleanup, then run the
-        // whole-function quick optimization the scratch-space trial used to
-        // run, so the committed state matches it exactly.
+        // Rewind the decision's scoped cleanup.
         *f.block_mut(hb) = merged;
-        chf_opt::optimize_quick(f, &mut ctx.clean);
-        ctx.invalidate();
-        if !f.contains_block(hb) {
-            // Optimization proved the whole block unreachable (cannot
-            // happen for reachable seeds, but stay safe): the cleanup is
-            // already committed; report failure so expansion stops here.
-            return MergeOutcome::Failure;
-        }
-        return commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind);
     }
-    lv.refresh(f);
-    debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-    if config.constraints.check_with(f, hb, &lv).is_err() {
-        f.restore_blocks(snap);
+    // Commit: the whole-function quick optimization the scratch-space trial
+    // used to run, so the committed state matches it exactly.
+    chf_opt::optimize_quick(f, &mut ctx.clean);
+    ctx.invalidate();
+    if !f.contains_block(hb) {
+        // Optimization proved the whole block unreachable (cannot happen
+        // for reachable seeds, but stay safe): the cleanup is already
+        // committed; report failure so expansion stops here.
         return MergeOutcome::Failure;
     }
-    ctx.invalidate();
     commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind)
+}
+
+/// Whether [`chf_opt::optimize_block_quick`] on the merged block `hb`, which
+/// fits `c` unoptimized (`lv` describes `f`), leaves it fitting. Of the
+/// checked counts only the bank reads can rise, and only by the rewrites of
+/// global value numbering (see `optimize_block_quick`), so it suffices that
+/// every bank can take all the registers those could add.
+fn trial_optimizer_keeps_fit(
+    f: &Function,
+    hb: BlockId,
+    lv: &chf_ir::liveness::Liveness,
+    c: &BlockConstraints,
+) -> bool {
+    c.reads_fit_with(lv, hb, &chf_opt::gvn::scoped_rewrite_sources(f, hb))
 }
 
 /// Shared tail of the two commit paths: run the differential oracle (when
@@ -946,14 +990,27 @@ pub fn form_hyperblocks_forked(
     profile: Option<&ProfileData>,
     fork_budgets: &[usize],
 ) -> (FormationStats, Vec<BudgetFork>) {
+    let mut ctx = FormationCtx::new();
+    ctx.fork_at(fork_budgets, config.trial_budget);
+    let stats = form_in_ctx(f, policy, config, profile, &mut ctx);
+    (stats, ctx.forks)
+}
+
+/// The body of [`form_hyperblocks_forked`], in the caller's context: the
+/// forks are left in `ctx.forks`.
+fn form_in_ctx(
+    f: &mut Function,
+    policy: &mut dyn Policy,
+    config: &FormationConfig,
+    profile: Option<&ProfileData>,
+    ctx: &mut FormationCtx,
+) -> FormationStats {
     policy.prepare(f);
     let policy: &dyn Policy = policy;
     // One context for the whole run: the headers map is built once, and the
     // loop forest computed for it seeds the trial cache of the first
     // expansion (it stays valid until the first committed merge).
-    let mut ctx = FormationCtx::new();
-    ctx.fork_at(fork_budgets, config.trial_budget);
-    let headers = original_headers(f, &mut ctx);
+    let headers = original_headers(f, ctx);
     // Seed ordering decides who gets first claim on the trial budget. The
     // weight is computed before any merge rewrites the CFG, and the sort is
     // total (descending weight, ascending block id), so the visit order —
@@ -980,15 +1037,7 @@ pub fn form_hyperblocks_forked(
             continue;
         }
         let forked = ctx.forks.len();
-        let s = expand_block(
-            f,
-            b,
-            policy,
-            config,
-            profile,
-            headers.get(&b).copied(),
-            &mut ctx,
-        );
+        let s = expand_block(f, b, policy, config, profile, headers.get(&b).copied(), ctx);
         for fork in &mut ctx.forks[forked..] {
             fork.stats.merge(&stats);
             finish_fork(fork, &seeds[i + 1..], policy, config, profile, &headers);
@@ -996,7 +1045,7 @@ pub fn form_hyperblocks_forked(
         stats.merge(&s);
     }
     chf_ir::cfg::remove_unreachable(f);
-    (stats, ctx.forks)
+    stats
 }
 
 /// Finish `fork` as its capped run would after the seed it forked in: each
@@ -1355,5 +1404,93 @@ mod tests {
         assert_eq!(stats.merges, 0);
         assert!(stats.budget_skipped > 0);
         assert_eq!(f.block_count(), before, "zero budget must not transform");
+    }
+
+    /// A merge whose block sits on the bank-0 read limit, where global
+    /// value numbering rewrites `d = add p1, 5` in the merged block to a
+    /// copy of `pr`, defined by the same expression in the entry block:
+    /// `pr` (bank 0) becomes a ninth bank-0 read. Returns the function,
+    /// the block merged into and the block merged.
+    fn gvn_tips_a_bank(pr_bank: u32) -> (Function, BlockId, BlockId) {
+        let mut fb = FunctionBuilder::new("f", 40);
+        let e = fb.create_block();
+        let h = fb.create_block();
+        let s = fb.create_block();
+        let p1 = reg(chf_ir::ids::Reg(1));
+        fb.switch_to(e);
+        let mut pr = fb.fresh_reg();
+        while pr.0 % 4 != pr_bank {
+            pr = fb.fresh_reg();
+        }
+        fb.push(chf_ir::instr::Instr::add(pr, p1, Operand::Imm(5)));
+        fb.jump(h);
+        fb.switch_to(h);
+        let mut acc = fb.mov(Operand::Imm(0));
+        for i in 0..8 {
+            acc = fb.add(reg(acc), reg(chf_ir::ids::Reg(i * 4)));
+        }
+        fb.jump(s);
+        fb.switch_to(s);
+        let d = fb.add(p1, Operand::Imm(5));
+        let r = fb.add(reg(acc), reg(d));
+        fb.ret(Some(reg(r)));
+        (fb.build().unwrap(), h, s)
+    }
+
+    #[test]
+    fn fit_first_falls_back_when_gvn_can_tip_a_bank() {
+        let (mut f, h, s) = gvn_tips_a_bank(0);
+        let config = FormationConfig::default();
+        let mut ctx = FormationCtx::new();
+        let outcome = merge_blocks_in_ctx(&mut f, h, s, &config, None, &mut ctx);
+        assert_eq!(outcome, MergeOutcome::Failure);
+        assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 0));
+        // The unoptimized block fits; only the trial optimizer's rewrite
+        // fails it, as the full trial optimizer decides.
+        let (mut f, h, s) = gvn_tips_a_bank(0);
+        assert_eq!(
+            merge_blocks_with_body(&mut f, h, s, &config, None),
+            MergeOutcome::Failure
+        );
+        let no_opt = FormationConfig {
+            iterative_opt: false,
+            ..FormationConfig::default()
+        };
+        assert_eq!(
+            merge_blocks_with_body(&mut f, h, s, &no_opt, None),
+            MergeOutcome::Success(DuplicationKind::None)
+        );
+        // With `pr` in another bank there is room, and nothing is left for
+        // the trial optimizer to decide.
+        let (mut f, h, s) = gvn_tips_a_bank(1);
+        let mut ctx = FormationCtx::new();
+        let outcome = merge_blocks_in_ctx(&mut f, h, s, &config, None, &mut ctx);
+        assert_eq!(outcome, MergeOutcome::Success(DuplicationKind::None));
+        assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 1));
+    }
+
+    #[test]
+    fn most_micro_trials_skip_the_trial_optimizer() {
+        let (mut trials, mut skipped) = (0, 0);
+        for w in chf_workloads::microbenchmarks() {
+            let mut f = w.function.clone();
+            w.profile.apply(&mut f);
+            let mut ctx = FormationCtx::new();
+            let config = FormationConfig::default();
+            form_in_ctx(
+                &mut f,
+                &mut BreadthFirst,
+                &config,
+                Some(&w.profile),
+                &mut ctx,
+            );
+            trials += ctx.iterative_trials;
+            skipped += ctx.fit_first_trials;
+        }
+        assert!(trials > 0);
+        assert!(
+            2 * skipped >= trials,
+            "{skipped} of {trials} iterative trials skipped the trial optimizer"
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! [`crate::convergent::MergeOutcome::Skipped`] and surfaced by
 //! [`crate::pipeline::try_compile`], never panicked.
 
+use crate::constraints::InvalidConstraints;
 use chf_ir::parse::ParseError;
 use chf_ir::verify::VerifyError;
 use std::fmt;
@@ -40,6 +41,13 @@ pub enum ChfError {
     Parse {
         /// The parse failure.
         error: ParseError,
+    },
+    /// The compile configuration's block constraints are unusable (see
+    /// [`crate::constraints::BlockConstraints::validate`]); rejected before
+    /// any compile work starts.
+    Constraints {
+        /// What is wrong with them.
+        error: InvalidConstraints,
     },
     /// A policy tournament could not crown a winner, for a reason that
     /// reproduces on every attempt: the uncompiled input fails its baseline
@@ -84,6 +92,7 @@ impl fmt::Display for ChfError {
                 Ok(())
             }
             ChfError::Parse { error } => write!(f, "parse error: {error}"),
+            ChfError::Constraints { error } => write!(f, "invalid block constraints: {error}"),
             ChfError::Tournament { message } => write!(f, "tournament failed: {message}"),
             ChfError::Panicked { context, message } => {
                 write!(f, "panic caught during {context}: {message}")
@@ -97,6 +106,7 @@ impl std::error::Error for ChfError {
         match self {
             ChfError::Verify { error, .. } => Some(error),
             ChfError::Parse { error } => Some(error),
+            ChfError::Constraints { error } => Some(error),
             ChfError::OracleMismatch { .. }
             | ChfError::Tournament { .. }
             | ChfError::Panicked { .. } => None,

@@ -208,7 +208,8 @@ pub fn compile(f: &Function, profile: &ProfileData, config: &CompileConfig) -> C
 ///
 /// # Errors
 /// [`crate::ChfError::Verify`] when the compiled output is structurally
-/// invalid.
+/// invalid; [`crate::ChfError::Constraints`] when `config.constraints` is
+/// unusable.
 pub fn try_compile(
     f: &Function,
     profile: &ProfileData,
@@ -229,12 +230,19 @@ pub fn try_compile(
 /// never reaches there shares the run's artifact. Each distinct artifact
 /// is then finished once: scalar optimization, the backend, verification
 /// and utilization.
+///
+/// # Errors
+/// Every result is [`crate::ChfError::Constraints`] when
+/// `config.constraints` fails [`BlockConstraints::validate`].
 pub fn try_compile_budgets(
     f: &Function,
     profile: &ProfileData,
     config: &CompileConfig,
     budgets: &[Option<usize>],
 ) -> Vec<Result<Compiled, crate::ChfError>> {
+    if let Err(error) = config.constraints.validate() {
+        return vec![Err(crate::ChfError::Constraints { error }); budgets.len()];
+    }
     let mut f = f.clone();
     profile.apply(&mut f);
     let mut stats = FormationStats::default();
@@ -368,7 +376,9 @@ fn finish(
 /// future split pass would act on.
 fn block_utilization(f: &Function, c: &BlockConstraints) -> (u32, u32, u32) {
     let liveness = chf_ir::liveness::Liveness::compute(f);
-    let bank_ports = c.reg_banks as usize * (c.reads_per_bank + c.writes_per_bank);
+    // Saturating: `BlockConstraints::unlimited` has `usize::MAX` ports.
+    let bank_ports =
+        (c.reg_banks as usize).saturating_mul(c.reads_per_bank.saturating_add(c.writes_per_bank));
     let (mut n, mut insts_pm, mut mem_pm, mut bank_pm) = (0usize, 0usize, 0usize, 0usize);
     for (id, blk) in f.blocks() {
         n += 1;
@@ -536,6 +546,58 @@ mod tests {
                     base.digest(),
                     "{:?}/{iter_opt} changed behaviour",
                     policy
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unlimited_constraints_compile() {
+        let (f, args) = workload();
+        let profile = profile_run(&f, &args, &[]).unwrap();
+        let config = CompileConfig {
+            constraints: BlockConstraints::unlimited(),
+            ..CompileConfig::convergent()
+        };
+        let c = try_compile(&f, &profile, &config).expect("unlimited constraints compile");
+        let r = run(&c.function, &args, &[], &RunConfig::default()).unwrap();
+        let base = run(&f, &args, &[], &RunConfig::default()).unwrap();
+        assert_eq!(r.digest(), base.digest());
+    }
+
+    #[test]
+    fn unusable_constraints_are_a_typed_error_for_every_budget() {
+        use crate::constraints::InvalidConstraints;
+        let (f, args) = workload();
+        let profile = profile_run(&f, &args, &[]).unwrap();
+        for (constraints, expected) in [
+            (
+                BlockConstraints {
+                    reg_banks: 0,
+                    ..BlockConstraints::trips()
+                },
+                InvalidConstraints::NoRegisterBanks,
+            ),
+            (
+                BlockConstraints {
+                    headroom_percent: 101,
+                    ..BlockConstraints::trips()
+                },
+                InvalidConstraints::HeadroomOver100 { percent: 101 },
+            ),
+        ] {
+            let config = CompileConfig {
+                constraints,
+                ..CompileConfig::convergent()
+            };
+            let results = try_compile_budgets(&f, &profile, &config, &[Some(4), None]);
+            assert_eq!(results.len(), 2);
+            for r in results {
+                assert_eq!(
+                    r,
+                    Err(crate::ChfError::Constraints {
+                        error: expected.clone()
+                    })
                 );
             }
         }

@@ -17,7 +17,7 @@
 //! `u64` word per 64 registers — and the transfer function is three
 //! word-wide bit operations per word instead of per-register hash probes.
 //! The solution is *kept* in that form: accessors hand out [`RegSet`] views
-//! over the rows (and [`RegSetBuf`] for the read/write intersections)
+//! over the rows (and [`RegMeet`] views of the read/write intersections)
 //! rather than materializing hash sets nobody asked for. Iteration order
 //! over a [`RegSet`] is ascending register number, which is deterministic
 //! across runs and platforms.
@@ -110,8 +110,90 @@ impl<'a> RegSet<'a> {
     }
 }
 
-/// An owned register set, as returned by the intersection accessors
-/// ([`Liveness::register_reads`] / [`Liveness::register_writes`]).
+/// A borrowed view of the registers in both of two liveness rows, as
+/// returned by [`Liveness::register_reads`] and
+/// [`Liveness::register_writes`]: the intersection is read word by word,
+/// never stored.
+#[derive(Clone, Copy, Debug)]
+pub struct RegMeet<'a> {
+    a: &'a [u64],
+    b: &'a [u64],
+}
+
+impl<'a> RegMeet<'a> {
+    fn words(&self) -> impl Iterator<Item = u64> + 'a {
+        self.a.iter().zip(self.b).map(|(x, y)| x & y)
+    }
+
+    /// Whether `r` is in the set.
+    #[inline]
+    pub fn contains(&self, r: &Reg) -> bool {
+        let i = r.index();
+        match (self.a.get(i / 64), self.b.get(i / 64)) {
+            (Some(x), Some(y)) => (x & y) >> (i % 64) & 1 != 0,
+            _ => false,
+        }
+    }
+
+    /// Iterate the members in ascending register order.
+    pub fn iter(&self) -> RegMeetIter<'a> {
+        RegMeetIter {
+            meet: *self,
+            next_word: 0,
+            rest: 0,
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.words().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.words().all(|w| w == 0)
+    }
+
+    /// Materialize into a hash set (for callers that mutate the result).
+    pub fn to_set(&self) -> FxHashSet<Reg> {
+        self.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for RegMeet<'a> {
+    type Item = Reg;
+    type IntoIter = RegMeetIter<'a>;
+    fn into_iter(self) -> RegMeetIter<'a> {
+        self.iter()
+    }
+}
+
+/// Ascending-order iterator over a [`RegMeet`].
+#[derive(Clone, Debug)]
+pub struct RegMeetIter<'a> {
+    meet: RegMeet<'a>,
+    /// The word after the one `rest` came from.
+    next_word: usize,
+    /// The members of word `next_word - 1` not yet returned.
+    rest: u64,
+}
+
+impl Iterator for RegMeetIter<'_> {
+    type Item = Reg;
+    fn next(&mut self) -> Option<Reg> {
+        while self.rest == 0 {
+            let w = self.next_word;
+            self.rest = self.meet.a.get(w)? & self.meet.b.get(w)?;
+            self.next_word += 1;
+        }
+        let bit = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        Some(Reg(((self.next_word - 1) * 64 + bit) as u32))
+    }
+}
+
+/// An owned register set, for callers that edit a set as they go (DCE's
+/// running live set).
 #[derive(Clone, Debug, Default)]
 pub struct RegSetBuf {
     words: Vec<u64>,
@@ -146,62 +228,6 @@ impl RegSetBuf {
     pub fn remove(&mut self, r: Reg) {
         let i = r.index();
         self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Iterate the members in ascending register order.
-    pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        iter_words(&self.words)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.as_set().len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.as_set().is_empty()
-    }
-
-    /// Materialize into a hash set.
-    pub fn to_set(&self) -> FxHashSet<Reg> {
-        self.iter().collect()
-    }
-}
-
-/// Owning ascending-order iterator over a [`RegSetBuf`].
-pub struct RegSetIntoIter {
-    words: Vec<u64>,
-    w: usize,
-}
-
-impl Iterator for RegSetIntoIter {
-    type Item = Reg;
-
-    fn next(&mut self) -> Option<Reg> {
-        while self.w < self.words.len() {
-            let word = self.words[self.w];
-            if word == 0 {
-                self.w += 1;
-                continue;
-            }
-            let bit = word.trailing_zeros();
-            self.words[self.w] = word & (word - 1);
-            return Some(Reg((self.w * 64 + bit as usize) as u32));
-        }
-        None
-    }
-}
-
-impl IntoIterator for RegSetBuf {
-    type Item = Reg;
-    type IntoIter = RegSetIntoIter;
-
-    fn into_iter(self) -> RegSetIntoIter {
-        RegSetIntoIter {
-            words: self.words,
-            w: 0,
-        }
     }
 }
 
@@ -544,22 +570,20 @@ impl Liveness {
     /// Register-file *reads* of block `b`: upward-exposed register uses.
     /// These are the values the block must fetch through TRIPS read
     /// instructions.
-    pub fn register_reads(&self, b: BlockId) -> RegSetBuf {
-        let ue = self.row(SEC_GENS, b);
-        let li = self.row(SEC_IN, b);
-        RegSetBuf {
-            words: ue.iter().zip(li).map(|(a, b)| a & b).collect(),
+    pub fn register_reads(&self, b: BlockId) -> RegMeet<'_> {
+        RegMeet {
+            a: self.row(SEC_GENS, b),
+            b: self.row(SEC_IN, b),
         }
     }
 
     /// Register-file *writes* of block `b`: defs that are live past the
     /// block. These are the values the block must commit through TRIPS write
     /// instructions.
-    pub fn register_writes(&self, b: BlockId) -> RegSetBuf {
-        let d = self.row(SEC_DEFS, b);
-        let lo = self.row(SEC_OUT, b);
-        RegSetBuf {
-            words: d.iter().zip(lo).map(|(a, b)| a & b).collect(),
+    pub fn register_writes(&self, b: BlockId) -> RegMeet<'_> {
+        RegMeet {
+            a: self.row(SEC_DEFS, b),
+            b: self.row(SEC_OUT, b),
         }
     }
 }

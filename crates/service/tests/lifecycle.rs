@@ -1,7 +1,8 @@
 //! Lifecycle edge cases of the compile service: backpressure at zero
 //! capacity, degraded-by-deadline responses, the one retry of a panicked
-//! compile, and the determinism guarantees of the formation cache (byte-identical hits,
-//! worker-count independence).
+//! compile, typed failures for unusable constraints, and the determinism
+//! guarantees of the formation cache (byte-identical hits, worker-count
+//! independence).
 
 use chf_core::ChfError;
 use chf_ir::testgen::{generate, GenConfig};
@@ -189,6 +190,27 @@ fn statuses_progress_to_terminal() {
         .expect("request must be answered");
     assert_eq!(resp.status, RequestStatus::Done);
     assert_eq!(svc.stats().terminal(), 1);
+}
+
+#[test]
+fn unusable_constraints_fail_typed_without_a_retry() {
+    use chf_core::constraints::InvalidConstraints;
+    let svc = CompileService::new(ServiceConfig::default());
+    for (reg_banks, headroom_percent, expected) in [
+        (0, 10, InvalidConstraints::NoRegisterBanks),
+        (4, 150, InvalidConstraints::HeadroomOver100 { percent: 150 }),
+    ] {
+        let (mut req, _) = busy_request(3);
+        req.config.constraints.reg_banks = reg_banks;
+        req.config.constraints.headroom_percent = headroom_percent;
+        let resp = svc.wait(svc.submit(req));
+        assert_eq!(resp.status, RequestStatus::Failed);
+        assert_eq!(resp.retries, 0, "a typed error is not retried");
+        assert!(resp.compiled.is_none());
+        assert_eq!(resp.error, Some(ChfError::Constraints { error: expected }));
+    }
+    let stats = svc.stats();
+    assert_eq!((stats.failed, stats.retries), (2, 0));
 }
 
 #[test]
