@@ -42,8 +42,8 @@ fn main() {
                     .unwrap();
             trace.check().unwrap();
             // Aggregate residency (commit - dispatch) per static block.
-            let mut per_block: std::collections::HashMap<_, (u64, u64)> =
-                std::collections::HashMap::new();
+            let mut per_block: std::collections::BTreeMap<_, (u64, u64)> =
+                std::collections::BTreeMap::new();
             for e in &trace.events {
                 let entry = per_block.entry(e.block).or_insert((0, 0));
                 entry.0 += e.commit - e.dispatch;

@@ -191,12 +191,11 @@ pub fn inject(f: &mut Function, profile: &mut ProfileData, kind: FaultKind, rng:
             });
         }
         FaultKind::ScrambledEdgeProfile => {
-            // Rotate the edge counts among entries (sorted keys, so the
+            // Rotate the edge counts among entries (in key order, so the
             // permutation is seed-stable) and scale each to an extreme,
             // then push block counts to 0 or `u64::MAX`. The IR stays
             // valid; only the ordering signals are garbage.
-            let mut keys: Vec<(BlockId, usize)> = profile.exit_counts.keys().copied().collect();
-            keys.sort_unstable();
+            let keys: Vec<(BlockId, usize)> = profile.exit_counts.keys().copied().collect();
             if !keys.is_empty() {
                 let mut vals: Vec<u64> = keys.iter().map(|k| profile.exit_counts[k]).collect();
                 let rot = rng.below(vals.len() as u64) as usize;
@@ -647,6 +646,33 @@ mod tests {
             let mut p = profile_run(&f, &[3, 7], &[]).unwrap();
             inject(&mut f, &mut p, kind, &mut rng);
             chf_ir::verify::verify_full(&f).unwrap();
+        }
+    }
+
+    #[test]
+    fn profile_faults_build_the_same_profile_from_the_same_seed() {
+        // Two profiles built apart must take one fault identically: the
+        // injector walks the profile's maps, so their order must not
+        // depend on a per-map random seed.
+        let f = generate(3, &GenConfig::default());
+        for kind in [
+            FaultKind::ZeroTripCount,
+            FaultKind::OverflowedTripCount,
+            FaultKind::TruncatedEdgeProfile,
+            FaultKind::ScrambledEdgeProfile,
+        ] {
+            let faulty = || {
+                let mut f = f.clone();
+                let mut p = profile_run(&f, &[3, 7], &[]).unwrap();
+                inject(&mut f, &mut p, kind, &mut SplitMix64::new(5));
+                p
+            };
+            let (a, b) = (faulty(), faulty());
+            assert!(
+                a.exit_counts.len() > 8,
+                "{kind}: too small a profile to tell"
+            );
+            assert_eq!(a, b, "{kind}");
         }
     }
 

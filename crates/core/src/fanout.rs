@@ -151,7 +151,7 @@ pub fn insert_fanout(f: &mut Function, max_targets: usize) -> FanoutStats {
         while j < f.block(b).insts.len() {
             let multi: Vec<Reg> = {
                 let inst = &f.block(b).insts[j];
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = chf_ir::fxhash::FxHashSet::default();
                 let mut dup = Vec::new();
                 for u in inst.uses() {
                     if !seen.insert(u) && !dup.contains(&u) {

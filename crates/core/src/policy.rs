@@ -20,9 +20,9 @@
 //!   updates (the bzip2_3 and parser_1 pathologies of §7.2).
 
 use chf_ir::function::Function;
+use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::BlockId;
 use chf_ir::instr::Operand;
-use std::collections::HashMap;
 
 /// A candidate successor for merging, annotated by the driver.
 #[derive(Clone, Debug)]
@@ -109,7 +109,7 @@ const VLIW_HEIGHT_RATIO: f64 = 2.0;
 /// The VLIW (Mahlke-style) path-based heuristic.
 #[derive(Debug, Default)]
 pub struct Vliw {
-    heights: HashMap<BlockId, u64>,
+    heights: FxHashMap<BlockId, u64>,
     mean_height: f64,
 }
 
@@ -126,7 +126,7 @@ impl Vliw {
 /// Dependence height of a block: the longest latency-weighted chain through
 /// its instructions under sequential register dependences.
 pub fn dependence_height(f: &Function, b: BlockId) -> u64 {
-    let mut done: HashMap<chf_ir::ids::Reg, u64> = HashMap::new();
+    let mut done: FxHashMap<chf_ir::ids::Reg, u64> = FxHashMap::default();
     let mut height = 0u64;
     for inst in &f.block(b).insts {
         let mut ready = 0u64;

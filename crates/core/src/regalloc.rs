@@ -19,10 +19,10 @@
 
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
+use chf_ir::fxhash::{FxHashMap, FxHashSet};
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::{Instr, Operand};
 use chf_ir::liveness::Liveness;
-use std::collections::{HashMap, HashSet};
 
 /// Register-file shape of the target.
 #[derive(Clone, Debug)]
@@ -58,9 +58,9 @@ pub struct AllocStats {
 /// Cross-block register pressure: for each block boundary, the number of
 /// live values. Returns the maximum and, for spill-candidate selection, the
 /// number of boundaries at which each register is live.
-fn pressure(f: &Function, lv: &Liveness) -> (usize, HashMap<Reg, usize>) {
+fn pressure(f: &Function, lv: &Liveness) -> (usize, FxHashMap<Reg, usize>) {
     let mut max_pressure = 0;
-    let mut liveness_span: HashMap<Reg, usize> = HashMap::new();
+    let mut liveness_span: FxHashMap<Reg, usize> = FxHashMap::default();
     for b in f.block_ids() {
         let out = lv.live_out(b);
         max_pressure = max_pressure.max(out.len());
@@ -125,7 +125,7 @@ fn spill_register(f: &mut Function, r: Reg, slot: i64, lv: &Liveness) -> usize {
 pub fn allocate_registers(f: &mut Function, spec: &RegFileSpec) -> AllocStats {
     let mut stats = AllocStats::default();
     let mut next_slot = spec.spill_base;
-    let mut spilled: HashSet<Reg> = HashSet::new();
+    let mut spilled: FxHashSet<Reg> = FxHashSet::default();
 
     loop {
         let lv = Liveness::compute(f);

@@ -57,9 +57,9 @@ pub fn best_split_point(f: &Function, b: BlockId) -> usize {
 
     // For each register: last def index and last use index within the block
     // (use = operands, predicates, exits).
-    use std::collections::HashMap;
-    let mut first_def: HashMap<chf_ir::ids::Reg, usize> = HashMap::new();
-    let mut last_use: HashMap<chf_ir::ids::Reg, usize> = HashMap::new();
+    use chf_ir::fxhash::FxHashMap;
+    let mut first_def: FxHashMap<chf_ir::ids::Reg, usize> = FxHashMap::default();
+    let mut last_use: FxHashMap<chf_ir::ids::Reg, usize> = FxHashMap::default();
     for (k, inst) in blk.insts.iter().enumerate() {
         for u in inst.uses() {
             last_use.insert(u, k);

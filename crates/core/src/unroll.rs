@@ -20,10 +20,10 @@
 use crate::constraints::BlockConstraints;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
+use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
-use std::collections::HashMap;
 
 /// Knobs for the discrete passes.
 #[derive(Clone, Debug)]
@@ -63,8 +63,9 @@ pub struct UnrollStats {
 /// edges are remapped to the copies; edges leaving the body are preserved.
 /// Back edges (to `header`) are left pointing at the *original* header; the
 /// caller rewires them as peeling or unrolling requires.
-fn copy_body(f: &mut Function, body: &[BlockId], header: BlockId) -> HashMap<BlockId, BlockId> {
-    let map: HashMap<BlockId, BlockId> = body.iter().map(|&b| (b, f.duplicate_block(b))).collect();
+fn copy_body(f: &mut Function, body: &[BlockId], header: BlockId) -> FxHashMap<BlockId, BlockId> {
+    let map: FxHashMap<BlockId, BlockId> =
+        body.iter().map(|&b| (b, f.duplicate_block(b))).collect();
     for (&old, &new) in &map {
         let _ = old;
         let blk = f.block_mut(new);

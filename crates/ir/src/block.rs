@@ -2,6 +2,8 @@
 
 use crate::ids::{BlockId, Reg};
 use crate::instr::{Instr, Operand, Pred};
+use crate::regtable::RegTable;
+use std::cell::RefCell;
 
 /// Where control transfers when an [`Exit`] fires.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -86,6 +88,99 @@ pub struct Block {
     pub name: Option<String>,
 }
 
+/// One register's positive-implication fact while [`Block::dedupe_exits`]
+/// walks a block: how often the register has been defined so far, and the
+/// registers its truth implies by its last definition, each with its own
+/// definition count at that point. `and a, b` implies both conjuncts;
+/// `ne x, #0` and `mov x` are truth-preserving aliases of `x`. A fact is
+/// stale once any register it names is defined again.
+#[derive(Copy, Clone, Default, Debug)]
+struct Implies {
+    defs: u32,
+    of: [Option<(Reg, u32)>; 2],
+}
+
+/// Per-thread scratch of [`Block::dedupe_exits`].
+#[derive(Debug)]
+struct Implications {
+    /// Whether `facts` describes the block of the current call.
+    built: bool,
+    facts: RegTable<Implies>,
+    seen: RegTable<bool>,
+    stack: Vec<Reg>,
+}
+
+thread_local! {
+    static IMPLICATIONS: RefCell<Implications> = const {
+        RefCell::new(Implications {
+            built: false,
+            facts: RegTable::new(),
+            seen: RegTable::new(),
+            stack: Vec::new(),
+        })
+    };
+}
+
+impl Implications {
+    /// Whether firing on `from` implies firing on `to`, transitively
+    /// through the facts that hold at the end of `insts`. Those are exactly
+    /// the guard structure if-conversion builds, so exits guarded by a
+    /// conjunction collapse into the exit guarded by a conjunct when both
+    /// go to the same place.
+    fn implies(&mut self, insts: &[Instr], from: Reg, to: Reg) -> bool {
+        if !self.built {
+            self.build(insts);
+        }
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(x) = self.stack.pop() {
+            let fact = self.facts.get(x);
+            if fact
+                .of
+                .iter()
+                .flatten()
+                .any(|&(r, defs)| self.facts.get(r).defs != defs)
+            {
+                continue;
+            }
+            for &(y, _) in fact.of.iter().flatten() {
+                if y == to {
+                    return true;
+                }
+                if !self.seen.get(y) {
+                    self.seen.set(y, true);
+                    self.stack.push(y);
+                }
+            }
+        }
+        false
+    }
+
+    fn build(&mut self, insts: &[Instr]) {
+        use crate::instr::Opcode;
+        self.facts.clear();
+        for inst in insts {
+            let Some(d) = inst.def() else { continue };
+            let fact = self.facts.get_mut(d);
+            fact.defs += 1;
+            fact.of = [None; 2];
+            if inst.pred.is_some() {
+                continue;
+            }
+            let of = match (inst.op, inst.a, inst.b) {
+                (Opcode::And, Some(Operand::Reg(a)), Some(Operand::Reg(b))) => [Some(a), Some(b)],
+                (Opcode::CmpNe, Some(Operand::Reg(x)), Some(Operand::Imm(0)))
+                | (Opcode::Mov, Some(Operand::Reg(x)), None) => [Some(x), None],
+                _ => continue,
+            };
+            let of = of.map(|r| r.map(|r| (r, self.facts.get(r).defs)));
+            self.facts.get_mut(d).of = of;
+        }
+        self.built = true;
+    }
+}
+
 impl Block {
     /// An empty block (no instructions, no exits yet).
     pub fn new() -> Self {
@@ -154,55 +249,30 @@ impl Block {
         n
     }
 
-    /// Positive-predicate implication facts from the block's instructions:
-    /// for each register whose *last* def is an unpredicated `and` of two
-    /// registers, firing on it implies firing on each conjunct
-    /// (transitively). This is exactly the guard structure if-conversion
-    /// builds, so exits guarded by a conjunction collapse into the exit
-    /// guarded by a conjunct when both go to the same place.
-    fn positive_implications(&self) -> crate::fxhash::FxHashMap<Reg, Vec<Reg>> {
-        use crate::fxhash::FxHashMap;
-        use crate::instr::{Opcode, Operand};
-        // Per register: the registers its truth directly implies, according
-        // to its last definition. `and a, b` implies both conjuncts;
-        // `ne x, #0` and `mov x` are truth-preserving aliases of `x`.
-        let mut direct: FxHashMap<Reg, Vec<Reg>> = FxHashMap::default();
-        for inst in &self.insts {
-            let Some(d) = inst.def() else { continue };
-            direct.remove(&d);
-            // Redefining d also invalidates facts that mention d on their
-            // right-hand side: their registers' values have moved on.
-            direct.retain(|_, v| !v.contains(&d));
-            if inst.pred.is_some() {
-                continue;
+    /// Rewrite every register the block names through `map`: destinations,
+    /// operands, instruction and exit guards, and returned values.
+    pub fn rename_regs(&mut self, mut map: impl FnMut(Reg) -> Reg) {
+        for inst in &mut self.insts {
+            for o in inst.a.iter_mut().chain(inst.b.iter_mut()) {
+                if let Operand::Reg(r) = o {
+                    *r = map(*r);
+                }
             }
-            match (inst.op, inst.a, inst.b) {
-                (Opcode::And, Some(Operand::Reg(a)), Some(Operand::Reg(b))) => {
-                    direct.insert(d, vec![a, b]);
-                }
-                (Opcode::CmpNe, Some(Operand::Reg(x)), Some(Operand::Imm(0)))
-                | (Opcode::Mov, Some(Operand::Reg(x)), None) => {
-                    direct.insert(d, vec![x]);
-                }
-                _ => {}
+            if let Some(d) = inst.dst.as_mut() {
+                *d = map(*d);
+            }
+            if let Some(p) = inst.pred.as_mut() {
+                p.reg = map(p.reg);
             }
         }
-        // Transitive closure (bounded by chain depth).
-        let mut implied: FxHashMap<Reg, Vec<Reg>> = FxHashMap::default();
-        for &r in direct.keys() {
-            let mut out = Vec::new();
-            let mut stack = vec![r];
-            while let Some(x) = stack.pop() {
-                for &y in direct.get(&x).into_iter().flatten() {
-                    if !out.contains(&y) {
-                        out.push(y);
-                        stack.push(y);
-                    }
-                }
+        for e in &mut self.exits {
+            if let Some(p) = e.pred.as_mut() {
+                p.reg = map(p.reg);
             }
-            implied.insert(r, out);
+            if let ExitTarget::Return(Some(Operand::Reg(r))) = &mut e.target {
+                *r = map(*r);
+            }
         }
-        implied
     }
 
     /// Remove redundant exits. Two rules, applied to a fixpoint:
@@ -218,57 +288,53 @@ impl Block {
     /// changed. This is the branch-removal cleanup that keeps merged
     /// hyperblocks' exit lists canonical — e.g. after both arms of a
     /// diamond merge, the two exits to the join collapse into one.
+    ///
+    /// One pass from the last exit to the first reaches the fixpoint:
+    /// dropping exit `i` changes neither rule for the exits after it. The
+    /// implication facts of rule 2 are built only when two adjacent exits
+    /// with distinct positive guards share a target, in one walk over the
+    /// instructions, into per-thread [`RegTable`]s that are never zeroed.
+    /// So a call costs time linear in the block, whatever its register
+    /// numbers.
     pub fn dedupe_exits(&mut self) -> bool {
-        let implied = self.positive_implications();
-        let implies = |a: Option<Pred>, b: Option<Pred>| -> bool {
-            match (a, b) {
-                (_, None) => true,
-                (Some(pa), Some(pb)) if pa.if_true && pb.if_true => {
-                    pa.reg == pb.reg
-                        || implied
-                            .get(&pa.reg)
-                            .map(|v| v.contains(&pb.reg))
-                            .unwrap_or(false)
-                }
-                _ => false,
-            }
-        };
-        let mut changed = false;
-        loop {
-            let n = self.exits.len();
-            if n < 2 {
-                return changed;
-            }
-            let mut drop_at: Option<usize> = None;
-            'scan: for i in (0..n - 1).rev() {
-                if self.exits[i].pred.is_none() {
-                    continue;
-                }
-                // Rule 2: adjacent same-target with implication.
-                if self.exits[i + 1].target == self.exits[i].target
-                    && implies(self.exits[i].pred, self.exits[i + 1].pred)
-                {
-                    drop_at = Some(i);
-                    break;
-                }
-                // Rule 1: uniform suffix.
-                for j in i + 1..n {
-                    if self.exits[j].target != self.exits[i].target {
-                        continue 'scan;
-                    }
-                }
-                drop_at = Some(i);
-                break;
-            }
-            match drop_at {
-                None => return changed,
-                Some(i) => {
-                    let removed = self.exits.remove(i);
-                    self.exits[i].count += removed.count;
-                    changed = true;
-                }
-            }
+        let n = self.exits.len();
+        if n < 2 {
+            return false;
         }
+        IMPLICATIONS.with_borrow_mut(|facts| {
+            facts.built = false;
+            let mut changed = false;
+            // `exits[w..]` are the exits kept so far; `suffix` is the target
+            // they all share, if they share one.
+            let mut w = n - 1;
+            let mut suffix = Some(self.exits[w].target);
+            for i in (0..n - 1).rev() {
+                let e = self.exits[i];
+                let next = self.exits[w];
+                let drop = e.pred.is_some()
+                    && (suffix == Some(e.target)
+                        || (next.target == e.target
+                            && match (e.pred, next.pred) {
+                                (_, None) => true,
+                                (Some(pa), Some(pb)) if pa.if_true && pb.if_true => {
+                                    pa.reg == pb.reg || facts.implies(&self.insts, pa.reg, pb.reg)
+                                }
+                                _ => false,
+                            }));
+                if drop {
+                    self.exits[w].count += e.count;
+                    changed = true;
+                } else {
+                    if suffix != Some(e.target) {
+                        suffix = None;
+                    }
+                    w -= 1;
+                    self.exits[w] = e;
+                }
+            }
+            self.exits.drain(..w);
+            changed
+        })
     }
 
     /// Probability that a dynamic execution of this block takes `exit_idx`,

@@ -54,6 +54,7 @@ pub mod loops;
 pub mod parse;
 pub mod print;
 pub mod profile;
+pub mod regtable;
 pub mod stats;
 pub mod testgen;
 pub mod verify;

@@ -23,7 +23,7 @@ use crate::function::Function;
 use crate::ids::{BlockId, Reg};
 use crate::instr::{Instr, Opcode, Operand, Pred};
 use crate::verify::verify;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parse failure, with the 1-based source line.
@@ -208,7 +208,7 @@ fn take_paren_suffix<'a>(s: &'a str, key: &str) -> (Option<f64>, &'a str) {
 fn parse_exit(
     body: &str,
     line: usize,
-    labels: &mut HashMap<String, usize>,
+    labels: &mut BTreeMap<String, usize>,
 ) -> Result<(Exit, Option<usize>), ParseError> {
     let (count, body) = take_paren_suffix(body, "count");
     let (pred, rest) = take_pred(body, line)?;
@@ -291,7 +291,7 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     }
 
     // Blocks.
-    let mut labels: HashMap<String, usize> = HashMap::new();
+    let mut labels: BTreeMap<String, usize> = BTreeMap::new();
     // (label slot, block, per-exit label slots)
     let mut blocks: Vec<(usize, Block, Vec<Option<usize>>)> = Vec::new();
 
@@ -361,7 +361,7 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     // Assemble: label slots are assigned in first-appearance order, and we
     // create function blocks in *definition* order; map slots to ids.
     let mut f = Function::new(name, params);
-    let mut slot_to_id: HashMap<usize, BlockId> = HashMap::new();
+    let mut slot_to_id: BTreeMap<usize, BlockId> = BTreeMap::new();
     for (i, (slot, _, _)) in blocks.iter().enumerate() {
         let id = if i == 0 {
             f.entry

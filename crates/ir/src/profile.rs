@@ -9,7 +9,7 @@
 
 use crate::function::Function;
 use crate::ids::BlockId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Histogram of loop trip counts for a single loop header.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -74,14 +74,19 @@ impl TripHistogram {
 }
 
 /// Raw profile data measured on one program run (or merged over runs).
-#[derive(Clone, Debug, Default)]
+///
+/// The maps are ordered, so iterating one visits its keys in the same
+/// order in every process: code that walks a profile (the fault injector
+/// drops and scrambles entries by position) builds the same result from
+/// the same seed.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileData {
     /// Dynamic execution count per block.
-    pub block_counts: HashMap<BlockId, u64>,
+    pub block_counts: BTreeMap<BlockId, u64>,
     /// Dynamic taken count per `(block, exit index)`.
-    pub exit_counts: HashMap<(BlockId, usize), u64>,
+    pub exit_counts: BTreeMap<(BlockId, usize), u64>,
     /// Trip-count histogram per loop header.
-    pub trip_histograms: HashMap<BlockId, TripHistogram>,
+    pub trip_histograms: BTreeMap<BlockId, TripHistogram>,
 }
 
 impl ProfileData {
@@ -127,25 +132,6 @@ impl ProfileData {
     /// Profiled execution count of `b` (0 when unprofiled).
     pub fn block_count(&self, b: BlockId) -> u64 {
         self.block_counts.get(&b).copied().unwrap_or(0)
-    }
-
-    /// Profiled taken count of exit `exit` of block `b` (0 when
-    /// unprofiled) — the raw edge weight the profile-guided orderings
-    /// consume before [`ProfileData::apply`] stamps it onto the CFG.
-    pub fn edge_count(&self, b: BlockId, exit: usize) -> u64 {
-        self.exit_counts.get(&(b, exit)).copied().unwrap_or(0)
-    }
-
-    /// Index of the hottest recorded out-edge of `b`, if any edge of `b`
-    /// was profiled. Deterministic: ties break toward the lowest exit
-    /// index, so profile-guided orderings built on top stay byte-stable.
-    pub fn hottest_exit(&self, b: BlockId) -> Option<usize> {
-        self.exit_counts
-            .iter()
-            .filter(|((blk, _), n)| *blk == b && **n > 0)
-            .map(|((_, i), n)| (*i, *n))
-            .max_by(|(i, n), (j, m)| n.cmp(m).then(j.cmp(i)))
-            .map(|(i, _)| i)
     }
 }
 
@@ -209,25 +195,8 @@ mod tests {
     fn raw_count_accessors() {
         let mut p = ProfileData::default();
         p.block_counts.insert(BlockId(3), 44);
-        p.exit_counts.insert((BlockId(3), 0), 11);
-        p.exit_counts.insert((BlockId(3), 1), 33);
-        p.exit_counts.insert((BlockId(4), 0), 99);
         assert_eq!(p.block_count(BlockId(3)), 44);
         assert_eq!(p.block_count(BlockId(9)), 0);
-        assert_eq!(p.edge_count(BlockId(3), 1), 33);
-        assert_eq!(p.edge_count(BlockId(9), 0), 0);
-        assert_eq!(p.hottest_exit(BlockId(3)), Some(1));
-        assert_eq!(p.hottest_exit(BlockId(4)), Some(0));
-        assert_eq!(p.hottest_exit(BlockId(9)), None);
-    }
-
-    #[test]
-    fn hottest_exit_ties_break_low() {
-        let mut p = ProfileData::default();
-        p.exit_counts.insert((BlockId(0), 2), 7);
-        p.exit_counts.insert((BlockId(0), 0), 7);
-        p.exit_counts.insert((BlockId(0), 1), 7);
-        assert_eq!(p.hottest_exit(BlockId(0)), Some(0));
     }
 
     #[test]

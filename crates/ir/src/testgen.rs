@@ -503,8 +503,7 @@ pub mod mutate {
     /// consume. The IR is untouched.
     pub fn perturb_profile(p: &mut ProfileData, rng: &mut SplitMix64) -> bool {
         let mut changed = false;
-        let mut edges: Vec<(BlockId, usize)> = p.exit_counts.keys().copied().collect();
-        edges.sort_unstable();
+        let edges: Vec<(BlockId, usize)> = p.exit_counts.keys().copied().collect();
         for k in edges {
             if rng.chance(40) {
                 let n = p.exit_counts.get_mut(&k).expect("key from iteration");
@@ -516,8 +515,7 @@ pub mod mutate {
                 changed = true;
             }
         }
-        let mut blocks: Vec<BlockId> = p.block_counts.keys().copied().collect();
-        blocks.sort_unstable();
+        let blocks: Vec<BlockId> = p.block_counts.keys().copied().collect();
         for b in blocks {
             if rng.chance(25) {
                 let n = p.block_counts.get_mut(&b).expect("key from iteration");

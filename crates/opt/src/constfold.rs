@@ -2,8 +2,12 @@
 
 use crate::clean::Kernel;
 use crate::{CleanBlocks, Pass};
+use chf_ir::block::Block;
 use chf_ir::function::Function;
+use chf_ir::ids::Reg;
 use chf_ir::instr::{Instr, Opcode, Operand};
+use chf_ir::regtable::RegTable;
+use std::cell::RefCell;
 
 /// Folds instructions whose operands are immediates and applies safe
 /// algebraic identities (`x+0`, `x*1`, `x*0`, `x-x`, …), rewriting them to
@@ -131,21 +135,48 @@ fn simplify(inst: &Instr) -> Option<Instr> {
     }
 }
 
+/// What boolean simplification knows of one register: how often the block
+/// has defined it so far, whether it holds 0 or 1, and the guard `g` (with
+/// `g`'s definition count at that point) of a comparison `[g]` that last
+/// defined it, which is stale once `g` is defined again.
+#[derive(Copy, Clone, Debug, Default)]
+struct BoolInfo {
+    defs: u32,
+    is_bool: bool,
+    cond: Option<(Reg, u32)>,
+}
+
+thread_local! {
+    static BOOLS: RefCell<RegTable<BoolInfo>> = const { RefCell::new(RegTable::new()) };
+}
+
 /// Per-block boolean-value tracking: a register is *boolean* after an
 /// unpredicated comparison, a logical op over booleans, or a copy of a
 /// boolean. Guard chains built by if-conversion are boolean throughout, so
-/// `ne g, #0` and `and g, #1` collapse to copies.
-fn simplify_booleans(blk: &mut chf_ir::block::Block) -> bool {
-    use std::collections::{HashMap, HashSet};
-    let mut bools: HashSet<chf_ir::ids::Reg> = HashSet::new();
-    // `cond_bools[r] = g`: r's last def is a comparison predicated on
-    // `[g]` — boolean whenever g fired, so `and g, r` is boolean.
-    let mut cond_bools: HashMap<chf_ir::ids::Reg, chf_ir::ids::Reg> = HashMap::new();
+/// `ne g, #0` and `and g, #1` collapse to copies. Linear in the block: the
+/// facts live in a per-thread [`RegTable`], and a redefinition invalidates
+/// the facts that name the register by bumping its definition count.
+fn simplify_booleans(blk: &mut Block) -> bool {
+    BOOLS.with_borrow_mut(|regs| {
+        regs.clear();
+        simplify_booleans_with(blk, regs)
+    })
+}
+
+fn simplify_booleans_with(blk: &mut Block, regs: &mut RegTable<BoolInfo>) -> bool {
     let mut changed = false;
-    let is_bool = |bools: &HashSet<chf_ir::ids::Reg>, o: Option<Operand>| match o {
-        Some(Operand::Reg(r)) => bools.contains(&r),
+    let is_bool = |regs: &RegTable<BoolInfo>, o: Option<Operand>| match o {
+        Some(Operand::Reg(r)) => regs.get(r).is_bool,
         Some(Operand::Imm(v)) => v == 0 || v == 1,
         None => false,
+    };
+    // `cond_bool(r) == Some(g)`: r's last def is a comparison predicated
+    // on `[g]` — boolean whenever g fired, so `and g, r` is boolean.
+    let cond_bool = |regs: &RegTable<BoolInfo>, r: Reg| {
+        regs.get(r)
+            .cond
+            .filter(|&(g, defs)| regs.get(g).defs == defs)
+            .map(|(g, _)| g)
     };
     for inst in &mut blk.insts {
         // Rewrite using the *pre-instruction* boolean state.
@@ -156,22 +187,22 @@ fn simplify_booleans(blk: &mut chf_ir::block::Block) -> bool {
         };
         let new = match (inst.op, inst.a, inst.b) {
             (Opcode::CmpNe, Some(a @ Operand::Reg(_)), Some(Operand::Imm(0)))
-                if is_bool(&bools, Some(a)) =>
+                if is_bool(regs, Some(a)) =>
             {
                 Some(rebuild(inst, a))
             }
             (Opcode::And, Some(a @ Operand::Reg(_)), Some(Operand::Imm(1)))
-                if is_bool(&bools, Some(a)) =>
+                if is_bool(regs, Some(a)) =>
             {
                 Some(rebuild(inst, a))
             }
             (Opcode::And, Some(Operand::Imm(1)), Some(b @ Operand::Reg(_)))
-                if is_bool(&bools, Some(b)) =>
+                if is_bool(regs, Some(b)) =>
             {
                 Some(rebuild(inst, b))
             }
             (Opcode::And, Some(a @ Operand::Reg(x)), Some(Operand::Reg(y)))
-                if x == y && is_bool(&bools, Some(a)) =>
+                if x == y && is_bool(regs, Some(a)) =>
             {
                 Some(rebuild(inst, a))
             }
@@ -183,34 +214,33 @@ fn simplify_booleans(blk: &mut chf_ir::block::Block) -> bool {
         }
         // Update tracking.
         if let Some(d) = inst.def() {
-            cond_bools.remove(&d);
-            cond_bools.retain(|_, g| *g != d);
+            let slot = regs.get_mut(d);
+            slot.defs += 1;
+            slot.cond = None;
             let and_cond_bool = inst.op == Opcode::And
                 && match (inst.a, inst.b) {
                     (Some(Operand::Reg(a)), Some(Operand::Reg(b))) => {
-                        (bools.contains(&a) && cond_bools.get(&b) == Some(&a))
-                            || (bools.contains(&b) && cond_bools.get(&a) == Some(&b))
+                        (regs.get(a).is_bool && cond_bool(regs, b) == Some(a))
+                            || (regs.get(b).is_bool && cond_bool(regs, a) == Some(b))
                     }
                     _ => false,
                 };
             let op_is_bool = inst.op.is_compare()
                 || (matches!(inst.op, Opcode::And | Opcode::Or | Opcode::Xor)
-                    && is_bool(&bools, inst.a)
-                    && is_bool(&bools, inst.b))
+                    && is_bool(regs, inst.a)
+                    && is_bool(regs, inst.b))
                 || and_cond_bool
-                || (inst.op == Opcode::Mov && is_bool(&bools, inst.a));
-            if op_is_bool && inst.pred.is_none() {
-                bools.insert(d);
-            } else {
-                bools.remove(&d);
-                if inst.op.is_compare() {
-                    if let Some(p) = inst.pred {
-                        if p.if_true {
-                            cond_bools.insert(d, p.reg);
-                        }
-                    }
+                || (inst.op == Opcode::Mov && is_bool(regs, inst.a));
+            let is_bool = op_is_bool && inst.pred.is_none();
+            let cond = match inst.pred {
+                Some(p) if !is_bool && inst.op.is_compare() && p.if_true => {
+                    Some((p.reg, regs.get(p.reg).defs))
                 }
-            }
+                _ => None,
+            };
+            let slot = regs.get_mut(d);
+            slot.is_bool = is_bool;
+            slot.cond = cond;
         }
     }
     changed
@@ -219,7 +249,12 @@ fn simplify_booleans(blk: &mut chf_ir::block::Block) -> bool {
 /// Run constant folding and boolean simplification over a single block.
 /// Block-scoped entry point for the trial optimizer of convergent
 /// formation, which only needs the merged block cleaned up.
-pub fn fold_block(blk: &mut chf_ir::block::Block) -> bool {
+///
+/// Two passes over the block, each linear in it: folding looks at one
+/// instruction at a time, and boolean simplification keeps its facts in a
+/// per-thread [`RegTable`] that is never zeroed, so a call costs nothing
+/// in the register numbers the block uses.
+pub fn fold_block(blk: &mut Block) -> bool {
     let mut changed = false;
     for inst in &mut blk.insts {
         if let Some(new) = simplify(inst) {

@@ -8,15 +8,34 @@
 
 use crate::clean::Kernel;
 use crate::{CleanBlocks, Pass};
+use chf_ir::block::{Block, ExitTarget};
 use chf_ir::function::Function;
-use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::Reg;
 use chf_ir::instr::{Opcode, Operand, Pred};
+use chf_ir::regtable::RegTable;
+use std::cell::RefCell;
 
+/// A copy `dst = src` made under `pred`, with the definition counts of
+/// the source and predicate registers when it was made: it is stale once
+/// either is defined again.
 #[derive(Copy, Clone, Debug)]
 struct CopyInfo {
     src: Operand,
     pred: Option<Pred>,
+    src_defs: u32,
+    pred_defs: u32,
+}
+
+/// What the pass knows of one register: how often the block has defined
+/// it so far, and the copy its last definition made, if it was a `mov`.
+#[derive(Copy, Clone, Debug, Default)]
+struct RegInfo {
+    defs: u32,
+    copy: Option<CopyInfo>,
+}
+
+thread_local! {
+    static REGS: RefCell<RegTable<RegInfo>> = const { RefCell::new(RegTable::new()) };
 }
 
 /// The copy-propagation pass.
@@ -30,18 +49,30 @@ fn usable(info: &CopyInfo, use_pred: Option<Pred>) -> bool {
     }
 }
 
-fn invalidate(copies: &mut FxHashMap<Reg, CopyInfo>, defined: Reg) {
-    copies.retain(|dst, info| {
-        *dst != defined
-            && info.src != Operand::Reg(defined)
-            && info.pred.map(|p| p.reg) != Some(defined)
-    });
+/// The live copy into `r`: made by `r`'s last definition, with neither its
+/// source nor its predicate register defined since.
+fn copy_of(regs: &RegTable<RegInfo>, r: Reg) -> Option<CopyInfo> {
+    let info = regs.get(r).copy?;
+    let current = |o: Option<Reg>, defs: u32| o.is_none_or(|x| regs.get(x).defs == defs);
+    (current(info.src.as_reg(), info.src_defs) && current(info.pred.map(|p| p.reg), info.pred_defs))
+        .then_some(info)
 }
 
 /// Run copy propagation over one block (the block-scoped entry point used
 /// by formation's trial optimizer — the pass is intra-block anyway).
-pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
-    let mut copies: FxHashMap<Reg, CopyInfo> = FxHashMap::default();
+///
+/// Linear in the block: a redefinition invalidates the copies that read
+/// the register by bumping its definition count, not by scanning them, and
+/// the per-register table is per-thread scratch that is never zeroed (see
+/// [`RegTable`]).
+pub fn propagate_block(blk: &mut Block) -> bool {
+    REGS.with_borrow_mut(|regs| {
+        regs.clear();
+        propagate(blk, regs)
+    })
+}
+
+fn propagate(blk: &mut Block, regs: &mut RegTable<RegInfo>) -> bool {
     let mut changed = false;
 
     for inst in &mut blk.insts {
@@ -49,8 +80,8 @@ pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
         let use_pred = inst.pred;
         for o in [inst.a.as_mut(), inst.b.as_mut()].into_iter().flatten() {
             if let Operand::Reg(r) = *o {
-                if let Some(info) = copies.get(&r) {
-                    if usable(info, use_pred) {
+                if let Some(info) = copy_of(regs, r) {
+                    if usable(&info, use_pred) {
                         *o = info.src;
                         changed = true;
                     }
@@ -61,7 +92,7 @@ pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
         // copies only (a predicate operand must stay a register and must be
         // valid whenever the instruction is evaluated).
         if let Some(p) = inst.pred.as_mut() {
-            if let Some(info) = copies.get(&p.reg) {
+            if let Some(info) = copy_of(regs, p.reg) {
                 if info.pred.is_none() {
                     if let Operand::Reg(src) = info.src {
                         p.reg = src;
@@ -73,18 +104,21 @@ pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
 
         // 2. Process the definition.
         if let Some(d) = inst.def() {
-            invalidate(&mut copies, d);
+            let slot = regs.get_mut(d);
+            slot.defs += 1;
+            slot.copy = None;
             if inst.op == Opcode::Mov {
                 let src = inst.a.expect("mov has a source");
                 // Self-copies carry no information.
                 if src != Operand::Reg(d) {
-                    copies.insert(
-                        d,
-                        CopyInfo {
-                            src,
-                            pred: inst.pred,
-                        },
-                    );
+                    let defs = |r: Option<Reg>| r.map_or(0, |r| regs.get(r).defs);
+                    let copy = CopyInfo {
+                        src,
+                        pred: inst.pred,
+                        src_defs: defs(src.as_reg()),
+                        pred_defs: defs(inst.pred.map(|p| p.reg)),
+                    };
+                    regs.get_mut(d).copy = Some(copy);
                 }
             }
         }
@@ -93,7 +127,7 @@ pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
     // 3. Rewrite exits through unpredicated copies.
     for e in &mut blk.exits {
         if let Some(p) = e.pred.as_mut() {
-            if let Some(info) = copies.get(&p.reg) {
+            if let Some(info) = copy_of(regs, p.reg) {
                 if info.pred.is_none() {
                     if let Operand::Reg(src) = info.src {
                         p.reg = src;
@@ -102,9 +136,9 @@ pub fn propagate_block(blk: &mut chf_ir::block::Block) -> bool {
                 }
             }
         }
-        if let chf_ir::block::ExitTarget::Return(Some(op)) = &mut e.target {
+        if let ExitTarget::Return(Some(op)) = &mut e.target {
             if let Operand::Reg(r) = *op {
-                if let Some(info) = copies.get(&r) {
+                if let Some(info) = copy_of(regs, r) {
                     if info.pred.is_none() {
                         *op = info.src;
                         changed = true;

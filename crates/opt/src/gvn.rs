@@ -25,6 +25,8 @@ use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::{BlockId, Reg};
 use chf_ir::instr::{Instr, Opcode, Operand, Pred};
 use chf_ir::loops::blocks_in_loops;
+use chf_ir::regtable::RegTable;
+use std::cell::RefCell;
 
 /// The value-numbering pass.
 #[derive(Debug, Default)]
@@ -54,21 +56,31 @@ struct ExprKey {
     pred: Option<PredKey>,
 }
 
+/// The state of local value numbering, one per thread and reused across
+/// calls. [`LocalVn::reset`] bumps the register table's epoch and clears
+/// the expression map, which keeps its capacity.
 struct LocalVn {
-    reg_vn: FxHashMap<Reg, Vn>,
+    reg_vn: RegTable<Option<Vn>>,
     exprs: FxHashMap<ExprKey, (Reg, Vn)>,
     next_id: u32,
     epoch: u64,
 }
 
+thread_local! {
+    static LOCAL_VN: RefCell<LocalVn> = RefCell::new(LocalVn {
+        reg_vn: RegTable::new(),
+        exprs: FxHashMap::default(),
+        next_id: 0,
+        epoch: 0,
+    });
+}
+
 impl LocalVn {
-    fn new() -> Self {
-        LocalVn {
-            reg_vn: FxHashMap::default(),
-            exprs: FxHashMap::default(),
-            next_id: 0,
-            epoch: 0,
-        }
+    fn reset(&mut self) {
+        self.reg_vn.clear();
+        self.exprs.clear();
+        self.next_id = 0;
+        self.epoch = 0;
     }
 
     fn fresh(&mut self) -> Vn {
@@ -78,11 +90,11 @@ impl LocalVn {
     }
 
     fn reg(&mut self, r: Reg) -> Vn {
-        if let Some(v) = self.reg_vn.get(&r) {
-            *v
+        if let Some(v) = self.reg_vn.get(r) {
+            v
         } else {
             let v = self.fresh();
-            self.reg_vn.insert(r, v);
+            self.reg_vn.set(r, Some(v));
             v
         }
     }
@@ -120,8 +132,21 @@ fn normalize(op: Opcode, a: Vn, b: Option<Vn>) -> (Vn, Option<Vn>) {
 
 /// Run local value numbering over one block (the block-scoped entry point
 /// used by formation's trial optimizer).
+///
+/// Linear in the block: value numbers of registers live in a per-thread
+/// [`RegTable`], and the expression table is one per-thread map, cleared
+/// and reused, so a call allocates nothing once the tables have grown.
+/// Value ids follow first appearance in the block, not register numbers,
+/// so renaming a block's registers renames the result and changes nothing
+/// else.
 pub fn value_number_block(blk: &mut Block) -> bool {
-    let mut vn = LocalVn::new();
+    LOCAL_VN.with_borrow_mut(|vn| {
+        vn.reset();
+        value_number(blk, vn)
+    })
+}
+
+fn value_number(blk: &mut Block, vn: &mut LocalVn) -> bool {
     let mut changed = false;
 
     for inst in &mut blk.insts {
@@ -139,7 +164,7 @@ pub fn value_number_block(blk: &mut Block) -> bool {
                 } else {
                     vn.fresh()
                 };
-                vn.reg_vn.insert(d, new_vn);
+                vn.reg_vn.set(d, Some(new_vn));
                 continue;
             }
             _ => {}
@@ -177,7 +202,7 @@ pub fn value_number_block(blk: &mut Block) -> bool {
         {
             if let Some(&(r_prev, res_vn)) = vn.exprs.get(&key) {
                 // The holder register must still carry that value.
-                if vn.reg_vn.get(&r_prev) == Some(&res_vn) && r_prev != d {
+                if vn.reg_vn.get(r_prev) == Some(res_vn) && r_prev != d {
                     found = Some((r_prev, res_vn));
                     break;
                 }
@@ -194,7 +219,7 @@ pub fn value_number_block(blk: &mut Block) -> bool {
             } else {
                 vn.fresh()
             };
-            vn.reg_vn.insert(d, new_vn);
+            vn.reg_vn.set(d, Some(new_vn));
         } else {
             let res_vn = vn.fresh();
             let key = ExprKey {
@@ -210,7 +235,7 @@ pub fn value_number_block(blk: &mut Block) -> bool {
             } else {
                 vn.fresh()
             };
-            vn.reg_vn.insert(d, new_vn);
+            vn.reg_vn.set(d, Some(new_vn));
         }
     }
     changed

@@ -24,7 +24,10 @@
 //! pipeline the convergent formation loop invokes after every merge. A
 //! [`CleanBlocks`] memo lets repeated runs skip the blocks the block-local
 //! kernels have already left unchanged, and carries the liveness solution
-//! DCE refreshes instead of recomputing.
+//! DCE refreshes instead of recomputing. The five block-local kernels each cost time linear in their block:
+//! they keep per-register facts in per-thread, epoch-stamped
+//! [`RegTable`](chf_ir::regtable::RegTable)s, reused across calls and never
+//! zeroed, so no call pays for the register numbers a block uses.
 //!
 //! Every pass preserves observable behaviour (return value and final memory
 //! image); the test suite enforces this over thousands of generated

@@ -20,13 +20,29 @@ use crate::clean::Kernel;
 use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::function::Function;
-use chf_ir::fxhash::FxHashMap;
-use chf_ir::ids::Reg;
 use chf_ir::instr::{Instr, Opcode, Operand};
+use chf_ir::regtable::RegTable;
+use std::cell::RefCell;
 
 /// The predicate-optimization pass.
 #[derive(Debug, Default)]
 pub struct PredOpt;
+
+/// Per-thread scratch of the predicate optimizations, reused across calls
+/// (see [`RegTable`]).
+#[derive(Default)]
+struct Scratch {
+    /// `merge_complementary`: 1 + the position of each register's last
+    /// definition among the instructions kept so far (0: none).
+    last_def: RegTable<u32>,
+    /// `fold_predicates`: the constant each register holds, if known.
+    consts: RegTable<Option<i64>>,
+    keep: Vec<bool>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
 
 /// Two instructions are mergeable if their bodies are identical and their
 /// predicates are complementary.
@@ -40,64 +56,72 @@ fn mergeable(a: &Instr, b: &Instr) -> bool {
     }
 }
 
-/// Registers touched (defined) by `inst`.
-fn defines(inst: &Instr, r: Reg) -> bool {
-    inst.def() == Some(r)
-}
-
-/// Whether any instruction in `insts[i+1..j]` invalidates merging `insts[i]`
-/// with `insts[j]`: redefining an operand, the destination, or the predicate
-/// register — or, for loads, writing memory.
-fn merge_blocked(insts: &[Instr], i: usize, j: usize) -> bool {
-    let subject = &insts[i];
-    let mut watched: Vec<Reg> = subject.uses().collect();
-    watched.extend(subject.def());
-    let is_load = subject.op == Opcode::Load;
-    let is_store = subject.op == Opcode::Store;
-    for inst in &insts[i + 1..j] {
-        if watched.iter().any(|r| defines(inst, *r)) {
-            return true;
-        }
-        if (is_load || is_store) && inst.op == Opcode::Store {
-            return true;
-        }
-    }
-    false
-}
-
-fn merge_complementary(blk: &mut Block) -> bool {
+/// Merge each predicated instruction `X` with the first later `X` under
+/// the complementary predicate, if nothing between them redefines an
+/// operand, the destination or the predicate register of `X` — or, for
+/// loads and stores, writes memory. The first becomes unpredicated and the
+/// second goes. Pairs merge in order of their first instruction.
+///
+/// One forward pass finds every pair. The only candidate partner of `X`
+/// is the next definition of its destination (the next store, for a
+/// store): any later one has that definition between. So at each
+/// instruction the candidate subject is the last definition of its
+/// destination (the last store) among the instructions kept so far, and
+/// the pair is blocked iff one of the subject's operands was defined after
+/// it (or, for a load, a store came after it). A merge never makes an
+/// earlier pair valid, since its subject still defines what its removed
+/// partner did, so pairs merge exactly as a scan that restarted from the
+/// first instruction after each merge would merge them.
+fn merge_complementary(blk: &mut Block, last_def: &mut RegTable<u32>) -> bool {
+    last_def.clear();
+    let mut last_store: Option<usize> = None;
     let mut changed = false;
-    'restart: loop {
-        let n = blk.insts.len();
-        for i in 0..n {
-            if blk.insts[i].pred.is_none() {
+    let mut w = 0;
+    for r in 0..blk.insts.len() {
+        let subject = match blk.insts[r].def() {
+            Some(d) => (last_def.get(d) as usize).checked_sub(1),
+            None if blk.insts[r].op == Opcode::Store => last_store,
+            None => None,
+        };
+        if let Some(s) = subject {
+            let x = &blk.insts[s];
+            let blocked = x.uses().any(|u| last_def.get(u) as usize > s + 1)
+                || (x.op == Opcode::Load && last_store.is_some_and(|m| m > s));
+            if !blocked && mergeable(x, &blk.insts[r]) {
+                blk.insts[s].pred = None;
+                changed = true;
                 continue;
             }
-            for j in i + 1..n {
-                if mergeable(&blk.insts[i], &blk.insts[j]) && !merge_blocked(&blk.insts, i, j) {
-                    blk.insts[i].pred = None;
-                    blk.insts.remove(j);
-                    changed = true;
-                    continue 'restart;
-                }
-            }
         }
-        return changed;
+        if let Some(d) = blk.insts[r].def() {
+            last_def.set(d, w as u32 + 1);
+        }
+        if blk.insts[r].op == Opcode::Store {
+            last_store = Some(w);
+        }
+        blk.insts.swap(w, r);
+        w += 1;
     }
+    blk.insts.truncate(w);
+    changed
 }
 
 /// Constant values of registers at each point, from unpredicated
 /// `mov reg, #imm` instructions (invalidated on redefinition).
-fn fold_predicates(blk: &mut Block) -> bool {
-    let mut consts: FxHashMap<Reg, i64> = FxHashMap::default();
+fn fold_predicates(
+    blk: &mut Block,
+    consts: &mut RegTable<Option<i64>>,
+    keep: &mut Vec<bool>,
+) -> bool {
+    consts.clear();
+    keep.clear();
     let mut changed = false;
-    let mut keep: Vec<bool> = Vec::with_capacity(blk.insts.len());
 
     for inst in &mut blk.insts {
         // Resolve this instruction's predicate if constant.
         let mut retain = true;
         if let Some(p) = inst.pred {
-            if let Some(&v) = consts.get(&p.reg) {
+            if let Some(v) = consts.get(p.reg) {
                 if (v != 0) == p.if_true {
                     inst.pred = None;
                 } else {
@@ -111,12 +135,11 @@ fn fold_predicates(blk: &mut Block) -> bool {
             continue;
         }
         if let Some(d) = inst.def() {
-            consts.remove(&d);
-            if inst.op == Opcode::Mov && inst.pred.is_none() {
-                if let Some(Operand::Imm(v)) = inst.a {
-                    consts.insert(d, v);
-                }
-            }
+            let v = match (inst.op, inst.pred, inst.a) {
+                (Opcode::Mov, None, Some(Operand::Imm(v))) => Some(v),
+                _ => None,
+            };
+            consts.set(d, v);
         }
     }
 
@@ -135,8 +158,8 @@ fn fold_predicates(blk: &mut Block) -> bool {
     for e in &blk.exits {
         let mut e = *e;
         match e.pred {
-            Some(p) => match consts.get(&p.reg) {
-                Some(&v) if (v != 0) == p.if_true => {
+            Some(p) => match consts.get(p.reg) {
+                Some(v) if (v != 0) == p.if_true => {
                     // Always taken: becomes the default; drop the rest.
                     e.pred = None;
                     new_exits.push(e);
@@ -169,10 +192,13 @@ fn fold_predicates(blk: &mut Block) -> bool {
 /// entry point for formation's trial optimizer; unlike the [`Pass`], it does
 /// *not* remove blocks that become unreachable (the trial must not mutate
 /// blocks outside its snapshot).
+///
+/// Linear in the block: each rewrite is one pass over per-thread
+/// [`RegTable`]s that are never zeroed.
 pub fn optimize_block(blk: &mut Block) -> bool {
-    let mut changed = false;
-    changed |= merge_complementary(blk);
-    changed |= fold_predicates(blk);
+    let mut changed = SCRATCH.with_borrow_mut(|s| {
+        merge_complementary(blk, &mut s.last_def) | fold_predicates(blk, &mut s.consts, &mut s.keep)
+    });
     changed |= blk.dedupe_exits();
     changed
 }

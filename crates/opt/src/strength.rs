@@ -16,9 +16,14 @@ use crate::clean::Kernel;
 use crate::{CleanBlocks, Pass};
 use chf_ir::block::Block;
 use chf_ir::function::Function;
-use chf_ir::ids::Reg;
 use chf_ir::instr::{Instr, Opcode, Operand};
-use std::collections::HashSet;
+use chf_ir::regtable::RegTable;
+use std::cell::RefCell;
+
+thread_local! {
+    /// Per register: whether it provably holds a non-negative value.
+    static NON_NEGATIVE: RefCell<RegTable<bool>> = const { RefCell::new(RegTable::new()) };
+}
 
 /// The strength-reduction pass.
 #[derive(Debug, Default)]
@@ -40,13 +45,22 @@ fn power_of_two(v: i64) -> Option<u32> {
 /// non-negative values, and copies/additions of non-negative values with
 /// small enough magnitude to not overflow (we only accept compare outputs,
 /// masks, and unsigned-style counters built from them — conservative).
+///
+/// Linear in the block: the facts live in a per-thread [`RegTable`] that
+/// is never zeroed.
 pub fn reduce_block(blk: &mut Block) -> bool {
-    let mut non_negative: HashSet<Reg> = HashSet::new();
+    NON_NEGATIVE.with_borrow_mut(|non_negative| {
+        non_negative.clear();
+        reduce(blk, non_negative)
+    })
+}
+
+fn reduce(blk: &mut Block, non_negative: &mut RegTable<bool>) -> bool {
     let mut changed = false;
 
-    let operand_non_negative = |set: &HashSet<Reg>, o: Option<Operand>| match o {
+    let operand_non_negative = |set: &RegTable<bool>, o: Option<Operand>| match o {
         Some(Operand::Imm(v)) => v >= 0,
-        Some(Operand::Reg(r)) => set.contains(&r),
+        Some(Operand::Reg(r)) => set.get(r),
         None => false,
     };
 
@@ -60,12 +74,12 @@ pub fn reduce_block(blk: &mut Block) -> bool {
                         b: Some(Operand::Imm(k as i64)),
                         ..inst.clone()
                     }),
-                    Opcode::Div if operand_non_negative(&non_negative, Some(a)) => Some(Instr {
+                    Opcode::Div if operand_non_negative(non_negative, Some(a)) => Some(Instr {
                         op: Opcode::Shr,
                         b: Some(Operand::Imm(k as i64)),
                         ..inst.clone()
                     }),
-                    Opcode::Rem if operand_non_negative(&non_negative, Some(a)) => Some(Instr {
+                    Opcode::Rem if operand_non_negative(non_negative, Some(a)) => Some(Instr {
                         op: Opcode::And,
                         b: Some(Operand::Imm(c - 1)),
                         ..inst.clone()
@@ -91,22 +105,18 @@ pub fn reduce_block(blk: &mut Block) -> bool {
                         // operands are non-negative.
                         matches!(inst.a, Some(Operand::Imm(v)) if v >= 0)
                             || matches!(inst.b, Some(Operand::Imm(v)) if v >= 0)
-                            || (operand_non_negative(&non_negative, inst.a)
-                                && operand_non_negative(&non_negative, inst.b))
+                            || (operand_non_negative(non_negative, inst.a)
+                                && operand_non_negative(non_negative, inst.b))
                     }
-                    Opcode::Shr => operand_non_negative(&non_negative, inst.a),
-                    Opcode::Mov => operand_non_negative(&non_negative, inst.a),
+                    Opcode::Shr => operand_non_negative(non_negative, inst.a),
+                    Opcode::Mov => operand_non_negative(non_negative, inst.a),
                     Opcode::Rem => {
                         // x % m has the sign of x.
-                        operand_non_negative(&non_negative, inst.a)
+                        operand_non_negative(non_negative, inst.a)
                     }
                     _ => false,
                 };
-            if fact {
-                non_negative.insert(d);
-            } else {
-                non_negative.remove(&d);
-            }
+            non_negative.set(d, fact);
         }
     }
     changed

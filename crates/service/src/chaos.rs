@@ -356,6 +356,23 @@ mod tests {
     }
 
     #[test]
+    fn a_campaign_does_the_same_formation_work_on_every_run() {
+        // Every fault is built from its seed alone, profile faults
+        // included, so two runs compile the same requests with the same
+        // trials, whatever the thread timing.
+        let run = || {
+            let target = ServiceTarget::new(48, 100);
+            let r = run_campaign(0x7E57, 48, 4, &target);
+            assert!(r.ok(), "{r}");
+            let s = target.stats();
+            (r.by_kind, s.trials, s.compiles, s.done, s.failed, s.retries)
+        };
+        let (a, b) = (run(), run());
+        assert!(a.1 > 0, "the campaign ran no trial");
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn json_embeds_stats_and_kind_breakdown() {
         let r = campaign(3, 12, 4);
         let j = r.json();

@@ -225,10 +225,10 @@ mod tests {
 
     #[test]
     fn isolated_retry_recovers_transient_failures() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let _guard = HOOK_LOCK.lock().unwrap();
         // Fail each item exactly once: the retry must recover every job.
-        let failed_once: Mutex<HashSet<i32>> = Mutex::new(HashSet::new());
+        let failed_once: Mutex<BTreeSet<i32>> = Mutex::new(BTreeSet::new());
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let items: Vec<i32> = (0..8).collect();

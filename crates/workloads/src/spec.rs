@@ -9,9 +9,9 @@
 use crate::helpers::{counted_loop, if_then, if_then_else, random_memory, start, while_loop};
 use crate::Workload;
 use chf_ir::builder::FunctionBuilder;
+use chf_ir::fxhash::FxHashMap;
 use chf_ir::ids::Reg;
 use chf_ir::instr::Operand;
-use std::collections::HashMap;
 
 fn reg(r: Reg) -> Operand {
     Operand::Reg(r)
@@ -233,8 +233,8 @@ impl Phase {
     }
 
     /// Reference semantics over a sparse memory mirror.
-    fn reference(&self, mem: &mut HashMap<i64, i64>, acc: &mut i64) {
-        let load = |mem: &HashMap<i64, i64>, a: i64| mem.get(&a).copied().unwrap_or(0);
+    fn reference(&self, mem: &mut FxHashMap<i64, i64>, acc: &mut i64) {
+        let load = |mem: &FxHashMap<i64, i64>, a: i64| mem.get(&a).copied().unwrap_or(0);
         match *self {
             Phase::Mac { src, n } => {
                 for i in 0..n {
@@ -338,7 +338,7 @@ impl Phase {
 /// Build a composite workload from phases and initial memory.
 fn compose(name: &str, phases: &[Phase], mem: Vec<(i64, i64)>) -> Workload {
     // Reference run.
-    let mut mirror: HashMap<i64, i64> = mem.iter().copied().collect();
+    let mut mirror: FxHashMap<i64, i64> = mem.iter().copied().collect();
     let mut expected = 0i64;
     for p in phases {
         p.reference(&mut mirror, &mut expected);

@@ -8,7 +8,9 @@
 #                                # service
 #   scripts/verify.sh fmt        # cargo fmt --check (first CI step)
 #   scripts/verify.sh build      # cargo build --release --locked
-#   scripts/verify.sh lint       # cargo clippy --workspace --all-targets
+#   scripts/verify.sh lint       # no std HashMap/HashSet/RandomState
+#                                # outside fxhash.rs (grep), then
+#                                # cargo clippy --workspace --all-targets
 #                                # -- -D warnings (tests, benches, bins),
 #                                # then the same for chf-sim alone with
 #                                # --no-default-features (feature
@@ -78,7 +80,18 @@ run_build() {
     cargo build --release --locked
 }
 
+# Maps and sets hashed by std's `RandomState` iterate in a different order
+# in every process, so code that walks one can build different output from
+# the same input. The workspace uses `FxHashMap`/`FxHashSet` (stable hash)
+# or `BTreeMap`/`BTreeSet` instead. Clippy's `disallowed-types` cannot
+# enforce this: `FxHashMap` is std's `HashMap` with another hasher.
 run_lint() {
+    echo "==> no std HashMap, HashSet or RandomState outside crates/ir/src/fxhash.rs"
+    if grep -rnwE 'Hash(Map|Set)|RandomState' --include='*.rs' crates src tests examples |
+        grep -v '^crates/ir/src/fxhash.rs:'; then
+        echo "error: use chf_ir::fxhash::{FxHashMap, FxHashSet} or a BTreeMap/BTreeSet" >&2
+        exit 1
+    fi
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> cargo clippy -p chf-sim --no-default-features --all-targets -- -D warnings"

@@ -277,3 +277,34 @@ fn mutated_corpus_programs_never_panic() {
     assert!(tally.verify_errors + tally.compile_errors > 0, "{tally:?}");
     assert!(tally.compiled > 0, "{tally:?}");
 }
+
+/// Every suite program with its non-parameter registers renamed to the
+/// top of the register file (`rN` → `r(65534 − N)`, which the parser
+/// admits) compiles, and behaves on its reference input as the original.
+/// The optimizer's per-register scratch grows to the largest register a
+/// block names, and must neither fail nor change a decision there.
+#[test]
+fn suite_programs_with_registers_near_the_limit_compile_and_behave() {
+    let suite = chf::workloads::microbenchmarks()
+        .into_iter()
+        .chain(chf::workloads::spec_suite());
+    for w in suite {
+        let params = w.function.params;
+        let top = |r: Reg| if r.0 < params { r } else { Reg(65534 - r.0) };
+        let mut f = w.function.clone();
+        let ids: Vec<BlockId> = f.block_ids().collect();
+        for b in ids {
+            f.block_mut(b).rename_regs(top);
+        }
+        f.ensure_regs(65535);
+        let text = f.to_string();
+        let f = parse_function(&text).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        assert_eq!(f.reg_count(), 65535, "{}", w.name);
+        let compiled = try_compile(&f, &w.profile, &CompileConfig::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let config = RunConfig::default();
+        let want = run(&w.function, &w.args, &w.memory, &config).unwrap();
+        let got = run(&compiled.function, &w.args, &w.memory, &config).unwrap();
+        assert_eq!(got.digest(), want.digest(), "{}", w.name);
+    }
+}

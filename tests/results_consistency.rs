@@ -5,7 +5,7 @@
 //! `(IUPO)`, Table 3's `(IUPO)` is the whole-program convergent form, and
 //! the three SPEC-suite tables share one basic-block baseline.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn committed(name: &str) -> String {
     let path = format!("{}/results/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -59,7 +59,7 @@ fn every_results_header_names_each_column_once() {
         }
         let text = std::fs::read_to_string(&path).expect("readable CSV");
         let header = text.lines().next().unwrap_or_default();
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for column in header.split(',') {
             assert!(
                 seen.insert(column),
