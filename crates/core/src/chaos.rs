@@ -691,6 +691,25 @@ mod tests {
     }
 
     #[test]
+    fn changed_only_verification_equals_verify_on_every_trial_corruption() {
+        use chf_ir::verify::{verify, verify_changed, VerifyMemo};
+        let mut kinds = [false; 4];
+        for seed in 0..32 {
+            let mut f = generate(seed % 5, &GenConfig::default());
+            let mut memo = VerifyMemo::default();
+            assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+            // `corrupt_trial_block` picks its kind with its first draw.
+            kinds[SplitMix64::new(seed).below(4) as usize] = true;
+            let hb = pick_block(&f, &mut SplitMix64::new(!seed));
+            corrupt_trial_block(&mut f, hb, &mut SplitMix64::new(seed));
+            let full = verify(&f);
+            assert!(full.is_err(), "seed {seed}");
+            assert_eq!(verify_changed(&f, &mut memo), full, "seed {seed}");
+        }
+        assert_eq!(kinds, [true; 4], "every corruption kind");
+    }
+
+    #[test]
     fn formation_campaign_is_clean_and_client_count_invariant() {
         let target = FormationTarget::default();
         let a = run_campaign(0xC4A5, 40, 1, &target);

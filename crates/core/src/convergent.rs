@@ -15,10 +15,11 @@
 //!
 //! [`form_hyperblocks`] drives `ExpandBlock` over the whole function in
 //! descending frequency order, so hot loop bodies unroll before colder
-//! code competes for their blocks. Loop analyses are cached across trials
-//! in a formation context and invalidated only when a merge commits (a
-//! rolled-back trial leaves the CFG bit-identical, so the cache stays
-//! valid).
+//! code competes for their blocks. The CFG analyses a trial asks for are
+//! keyed on block versions in a formation context, so none needs
+//! invalidating: the dominator trees of the last two CFGs (the pre-trial
+//! one survives a trial and its rollback), the liveness solution, and what
+//! trial verification last saw pass.
 
 use crate::chaos::ChaosSpec;
 use crate::constraints::BlockConstraints;
@@ -33,6 +34,7 @@ use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
 use chf_ir::profile::ProfileData;
 use chf_ir::testgen::SplitMix64;
+use chf_ir::verify::VerifyMemo;
 
 /// Refuse tail duplication of blocks larger than this many slots (§5,
 /// "Limiting tail duplication": duplicating a large merge point bloats code
@@ -274,16 +276,17 @@ pub enum MergeOutcome {
     Skipped(ChfError),
 }
 
-/// Per-run formation state: CFG analyses cached across merge trials, and
-/// the clean-block memo of commit-time optimization.
+/// Per-run formation state: the clean-block memo of commit-time
+/// optimization with the CFG analyses it carries, the trial-verification
+/// memo, and the trial ledger.
 ///
-/// The loop forest is valid for the *current* CFG. Failed trials roll the
-/// CFG back to a bit-identical state, so the cache survives them; only a
-/// committed merge invalidates it. Peel budgets depend only on the training
-/// profile (fixed for the run) and are memoized forever. Liveness needs no
-/// invalidation: the memo's solution is refreshed by block version.
+/// No analysis here needs invalidating. The memo's liveness solution is
+/// refreshed by block version, its dominator cache checks a CFG by block
+/// versions and answers exactly as a fresh build would, and the
+/// verification memo re-checks the blocks whose version moved. Peel budgets
+/// depend only on the training profile (fixed for the run) and are memoized
+/// forever.
 struct FormationCtx {
-    forest: Option<LoopForest>,
     peel_budgets: chf_ir::fxhash::FxHashMap<BlockId, usize>,
     /// Deterministic PRNG for mid-trial fault injection, seeded lazily from
     /// [`FormationConfig::chaos`]. Lives in the context so a formation run
@@ -299,8 +302,13 @@ struct FormationCtx {
     /// clean. Keyed by block version, then content, so it needs no
     /// invalidation: a commit touches a few blocks, and only those are
     /// optimized again.
-    /// Its liveness solution, refreshed, starts every trial's.
+    /// Its liveness solution, refreshed, starts every trial's, and its
+    /// dominator cache answers every trial's CFG questions: the
+    /// classification of the candidate edge, the fit-first guard and the
+    /// trial optimizer's global round.
     clean: chf_opt::CleanBlocks,
+    /// The last function state trial verification passed.
+    verified: VerifyMemo,
     /// The smallest budget point still to fork at (`usize::MAX` when none):
     /// the run forks when it reaches the ledger checkpoint with exactly
     /// this many trials spent.
@@ -318,11 +326,11 @@ struct FormationCtx {
 impl FormationCtx {
     fn new() -> Self {
         FormationCtx {
-            forest: None,
             peel_budgets: chf_ir::fxhash::FxHashMap::default(),
             chaos: None,
             trials_spent: 0,
             clean: chf_opt::CleanBlocks::new(),
+            verified: VerifyMemo::default(),
             next_fork: usize::MAX,
             later_forks: Vec::new(),
             forks: Vec::new(),
@@ -382,20 +390,6 @@ impl FormationCtx {
     fn chaos_fire(&mut self, spec: ChaosSpec) -> bool {
         let period = u64::from(spec.period.max(1));
         self.chaos_rng(spec).next().is_multiple_of(period)
-    }
-
-    /// The loop forest of the current CFG, computed at most once between
-    /// committed merges.
-    fn forest(&mut self, f: &Function) -> &LoopForest {
-        if self.forest.is_none() {
-            self.forest = Some(LoopForest::of(f));
-        }
-        self.forest.as_ref().expect("just filled")
-    }
-
-    /// Invalidate CFG-shape caches after a committed merge.
-    fn invalidate(&mut self) {
-        self.forest = None;
     }
 
     /// Memoized [`peel_budget`] (profile-only, never invalidated).
@@ -530,7 +524,7 @@ fn merge_blocks_in_ctx(
     if !legal_merge(f, hb, s) {
         return MergeOutcome::Failure;
     }
-    let kind = classify(f, ctx.forest(f), hb, s);
+    let kind = classify(f, ctx.clean.doms().tree(f), hb, s);
     match kind {
         DuplicationKind::Tail if !config.tail_duplication => return MergeOutcome::Disallowed,
         DuplicationKind::Tail if f.block(s).size() > MAX_TAIL_DUP_SIZE => {
@@ -588,7 +582,7 @@ fn merge_blocks_in_ctx(
                 crate::chaos::corrupt_trial_block(f, hb, rng);
             }
         }
-        if let Err(error) = chf_ir::verify::verify(f) {
+        if let Err(error) = chf_ir::verify::verify_changed(f, &mut ctx.verified) {
             f.restore_blocks(snap);
             return MergeOutcome::Skipped(ChfError::Verify {
                 context: "merge trial",
@@ -606,11 +600,13 @@ fn merge_blocks_in_ctx(
             f.restore_blocks(snap);
             return MergeOutcome::Failure;
         }
-        ctx.invalidate();
-        return commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind);
+        return commit_with_oracle(f, hb, s, config, oracle_orig, kind);
     }
     ctx.iterative_trials += 1;
-    let fit_first = fits && trial_optimizer_keeps_fit(f, hb, &lv, &config.constraints);
+    let fit_first = fits && {
+        let dom = ctx.clean.doms().tree(f);
+        trial_optimizer_keeps_fit(f, hb, &lv, dom, &config.constraints)
+    };
     ctx.fit_first_trials += usize::from(fit_first);
     if fit_first && !cfg!(debug_assertions) {
         // The trial optimizer cannot turn this fit into a failure, so it
@@ -626,7 +622,7 @@ fn merge_blocks_in_ctx(
         // so the snapshot stays a complete undo record. Test builds also
         // run it on fit-first trials, to check that it keeps their fit.
         let merged = f.block(hb).clone();
-        chf_opt::optimize_block_quick(f, hb, &mut lv);
+        chf_opt::optimize_block_quick(f, hb, &mut lv, ctx.clean.doms());
         lv.refresh(f);
         debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
         let fits = config.constraints.check_with(f, hb, &lv).is_ok();
@@ -644,28 +640,29 @@ fn merge_blocks_in_ctx(
     // Commit: the whole-function quick optimization the scratch-space trial
     // used to run, so the committed state matches it exactly.
     chf_opt::optimize_quick(f, &mut ctx.clean);
-    ctx.invalidate();
     if !f.contains_block(hb) {
         // Optimization proved the whole block unreachable (cannot happen
         // for reachable seeds, but stay safe): the cleanup is already
         // committed; report failure so expansion stops here.
         return MergeOutcome::Failure;
     }
-    commit_with_oracle(f, hb, s, config, oracle_orig, ctx, kind)
+    commit_with_oracle(f, hb, s, config, oracle_orig, kind)
 }
 
 /// Whether [`chf_opt::optimize_block_quick`] on the merged block `hb`, which
 /// fits `c` unoptimized (`lv` describes `f`), leaves it fitting. Of the
 /// checked counts only the bank reads can rise, and only by the rewrites of
 /// global value numbering (see `optimize_block_quick`), so it suffices that
-/// every bank can take all the registers those could add.
+/// every bank can take all the registers those could add. `dom` is the
+/// dominator tree of `f`.
 fn trial_optimizer_keeps_fit(
     f: &Function,
     hb: BlockId,
     lv: &chf_ir::liveness::Liveness,
+    dom: &chf_ir::dom::DomTree,
     c: &BlockConstraints,
 ) -> bool {
-    c.reads_fit_with(lv, hb, &chf_opt::gvn::scoped_rewrite_sources(f, hb))
+    c.reads_fit_with(lv, hb, &chf_opt::gvn::scoped_rewrite_sources(f, hb, dom))
 }
 
 /// Shared tail of the two commit paths: run the differential oracle (when
@@ -677,14 +674,13 @@ fn commit_with_oracle(
     s: BlockId,
     config: &FormationConfig,
     oracle_orig: Option<Function>,
-    ctx: &mut FormationCtx,
     kind: DuplicationKind,
 ) -> MergeOutcome {
     if let Some(orig) = oracle_orig {
         if let Err(e) = crate::oracle::post_commit_check(f, hb, s, config, &orig) {
-            // `post_commit_check` restored `f` from the pre-merge clone, so
-            // the CFG shape changed again — drop the analysis caches.
-            ctx.invalidate();
+            // `post_commit_check` restored `f` from the pre-merge clone,
+            // versions included, so the context's analyses see it as the
+            // pre-merge CFG again.
             return MergeOutcome::Skipped(e);
         }
     }
@@ -770,12 +766,9 @@ fn peel_budget(profile: Option<&ProfileData>, header: BlockId) -> usize {
 
 /// The original innermost loop header containing each block, snapshotted
 /// before formation rewrites the CFG — trip histograms are keyed by these.
-/// Built once per formation run from the context's cached loop forest.
-fn original_headers(
-    f: &Function,
-    ctx: &mut FormationCtx,
-) -> chf_ir::fxhash::FxHashMap<BlockId, BlockId> {
-    let forest = ctx.forest(f);
+/// Built once per formation run.
+fn original_headers(f: &Function) -> chf_ir::fxhash::FxHashMap<BlockId, BlockId> {
+    let forest = LoopForest::of(f);
     f.block_ids()
         .filter_map(|b| forest.innermost_containing(b).map(|l| (b, l.header)))
         .collect()
@@ -869,7 +862,8 @@ fn expand_block(
             break;
         }
         if cand.block == hb {
-            if saved_body.is_none() && classify(f, ctx.forest(f), hb, hb) == DuplicationKind::Unroll
+            if saved_body.is_none()
+                && classify(f, ctx.clean.doms().tree(f), hb, hb) == DuplicationKind::Unroll
             {
                 saved_body = Some(f.block(hb).clone());
             }
@@ -883,7 +877,7 @@ fn expand_block(
             // Peeling gate: merging a loop header that is not our own back
             // edge peels an iteration; only worthwhile for reliably
             // low-trip loops.
-            if classify(f, ctx.forest(f), hb, cand.block) == DuplicationKind::Peel {
+            if classify(f, ctx.clean.doms().tree(f), hb, cand.block) == DuplicationKind::Peel {
                 let done = *peels_done.get(&cand.block).unwrap_or(&0);
                 if done >= ctx.peel_budget(profile, cand.block) {
                     failed.push(cand.block);
@@ -1007,10 +1001,8 @@ fn form_in_ctx(
 ) -> FormationStats {
     policy.prepare(f);
     let policy: &dyn Policy = policy;
-    // One context for the whole run: the headers map is built once, and the
-    // loop forest computed for it seeds the trial cache of the first
-    // expansion (it stays valid until the first committed merge).
-    let headers = original_headers(f, ctx);
+    // One context for the whole run; the headers map is built once.
+    let headers = original_headers(f);
     // Seed ordering decides who gets first claim on the trial budget. The
     // weight is computed before any merge rewrites the CFG, and the sort is
     // total (descending weight, ascending block id), so the visit order —

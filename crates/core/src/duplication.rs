@@ -22,9 +22,9 @@
 //! [`crate::ifconvert::combine`] can fold it into `HB`.
 
 use chf_ir::block::ExitTarget;
+use chf_ir::dom::DomTree;
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
-use chf_ir::loops::LoopForest;
 
 /// How a duplication is classified, for the paper's `m/t/u/p` statistics
 /// and for policies that limit tail duplication.
@@ -43,18 +43,27 @@ pub enum DuplicationKind {
 }
 
 /// Classify what merging `s` into `hb` requires, per Figure 5 lines 7–15.
-pub fn classify(f: &Function, forest: &LoopForest, hb: BlockId, s: BlockId) -> DuplicationKind {
-    if chf_ir::cfg::predecessor_count(f, s) == 1 && !forest.is_back_edge(hb, s) {
-        return DuplicationKind::None;
-    }
-    if forest.is_back_edge(hb, s) {
+///
+/// `dom` is the dominator tree of `f`. Its two loop questions are the
+/// natural-loop definitions themselves, so no loop forest is built:
+/// * `hb → s` is a back edge when `hb` is reachable, the edge exists, and
+///   `s` dominates `hb`;
+/// * `s` heads a loop when it dominates one of its (reachable)
+///   predecessors: that edge is a back edge into `s`.
+pub fn classify(f: &Function, dom: &DomTree, hb: BlockId, s: BlockId) -> DuplicationKind {
+    let back_edge =
+        dom.is_reachable(hb) && f.block(hb).successors().any(|t| t == s) && dom.dominates(s, hb);
+    if back_edge {
         // Figure 5 line 10 names the self-loop case (`HB == S`); after prior
         // merges a multi-block loop body has collapsed into its header, so
         // any back edge from the hyperblock reaching a header it belongs to
         // is an unroll.
         return DuplicationKind::Unroll;
     }
-    if forest.is_header(s) {
+    if chf_ir::cfg::predecessor_count(f, s) == 1 {
+        return DuplicationKind::None;
+    }
+    if dom.preds(s).iter().any(|&p| dom.dominates(s, p)) {
         return DuplicationKind::Peel;
     }
     DuplicationKind::Tail
@@ -159,20 +168,22 @@ mod tests {
     #[test]
     fn classify_merge_point_as_tail() {
         let (f, a, b, d) = fig2();
-        let forest = LoopForest::of(&f);
-        assert_eq!(classify(&f, &forest, a, b), DuplicationKind::None);
-        assert_eq!(classify(&f, &forest, a, d), DuplicationKind::Tail);
-        assert_eq!(classify(&f, &forest, b, d), DuplicationKind::Tail);
+        let dom = DomTree::compute(&f);
+        assert_eq!(classify(&f, &dom, a, b), DuplicationKind::None);
+        assert_eq!(classify(&f, &dom, a, d), DuplicationKind::Tail);
+        assert_eq!(classify(&f, &dom, b, d), DuplicationKind::Tail);
     }
 
     #[test]
     fn classify_loop_cases() {
-        let (f, e, b, _c) = self_loop();
-        let forest = LoopForest::of(&f);
+        let (f, e, b, c) = self_loop();
+        let dom = DomTree::compute(&f);
         // Entering the loop header from outside = peel.
-        assert_eq!(classify(&f, &forest, e, b), DuplicationKind::Peel);
+        assert_eq!(classify(&f, &dom, e, b), DuplicationKind::Peel);
         // The self back edge = unroll.
-        assert_eq!(classify(&f, &forest, b, b), DuplicationKind::Unroll);
+        assert_eq!(classify(&f, &dom, b, b), DuplicationKind::Unroll);
+        // The loop exit has one predecessor and is no header.
+        assert_eq!(classify(&f, &dom, b, c), DuplicationKind::None);
     }
 
     #[test]

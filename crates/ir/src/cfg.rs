@@ -1,5 +1,6 @@
 //! CFG traversal utilities: successor/predecessor maps, orders, reachability.
 
+use crate::block::Block;
 use crate::function::Function;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::BlockId;
@@ -61,6 +62,7 @@ pub fn reachable(f: &Function) -> FxHashSet<BlockId> {
 /// Every block's deduplicated successor list, built once and flat-packed:
 /// the list of block slot `i` is `flat[off[i]..off[i + 1]]`, in
 /// first-appearance order, without removed targets. Holes have empty lists.
+#[derive(Debug)]
 pub(crate) struct SuccTable {
     off: Vec<u32>,
     flat: Vec<BlockId>,
@@ -86,10 +88,34 @@ impl SuccTable {
         SuccTable { off, flat }
     }
 
+    /// Number of block slots the table covers.
+    pub(crate) fn slots(&self) -> usize {
+        self.off.len() - 1
+    }
+
     /// Successors of `b`.
     #[inline]
     pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
         &self.flat[self.off[b.index()] as usize..self.off[b.index() + 1] as usize]
+    }
+
+    /// Whether the list of `b` is the one [`SuccTable::build`] would give
+    /// `blk` as block `b` of `f`, found without building it.
+    pub(crate) fn lists(&self, b: BlockId, f: &Function, blk: &Block) -> bool {
+        let list = self.of(b);
+        // While the lists agree, a target seen before in `blk` is one of
+        // the first `seen` entries of `list`.
+        let mut seen = 0;
+        for s in blk.successors() {
+            if !f.contains_block(s) || list[..seen].contains(&s) {
+                continue;
+            }
+            if list.get(seen) != Some(&s) {
+                return false;
+            }
+            seen += 1;
+        }
+        seen == list.len()
     }
 
     /// Reverse postorder of the subgraph reachable from `entry`.

@@ -1,24 +1,31 @@
-//! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
+//! Dominator tree (Cooper–Harvey–Kennedy iterative algorithm), and a
+//! cache that builds it once per CFG.
 //!
 //! Storage is dense: immediate dominators and RPO numbers live in flat
 //! vectors keyed by `BlockId::index()` (with a sentinel for unreachable
 //! blocks and holes), so the hot `dominates` chain walk is pure array
-//! indexing. Construction is dense too, because it is hot: global value
-//! numbering builds a tree on every merge trial of convergent formation and
-//! again in every commit-time optimization round. Successor lists are built
-//! once into flat arrays, the DFS marks a `Vec<bool>`, and the predecessor
-//! lists the solver and loop-membership walks need come from the same
-//! arrays.
+//! indexing. Successor lists are built once into flat arrays, the DFS marks
+//! a `Vec<bool>`, and the predecessor lists the solver and loop-membership
+//! walks need come from the same arrays.
+//!
+//! Convergent formation asks for dominators many times per merge: to
+//! classify the candidate edge, for the fit-first guard on the trial CFG,
+//! and in every global value-numbering round at commit. Most of those
+//! questions are about a CFG the previous one already saw, because a commit
+//! or a trial edits a few blocks and most edits leave exits alone. A
+//! [`DomCache`] keeps the tree (and loop membership) of the last two CFGs
+//! it was asked about and rebuilds only when the CFG changed.
 
 use crate::cfg::SuccTable;
 use crate::function::Function;
 use crate::ids::BlockId;
+use crate::loops::blocks_in_loops;
 
 /// Sentinel for "not in the tree" (unreachable block or hole).
 const ABSENT: u32 = u32::MAX;
 
 /// Immediate-dominator tree of the reachable CFG.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomTree {
     /// `idom[b.index()]` is the immediate dominator's slot, or `ABSENT`.
     /// The entry's idom is itself.
@@ -37,9 +44,13 @@ pub struct DomTree {
 impl DomTree {
     /// Compute dominators for the reachable portion of `f`.
     pub fn compute(f: &Function) -> DomTree {
-        let slots = f.block_slots();
-        let succs = SuccTable::build(f);
-        let rpo = succs.reverse_postorder(f.entry);
+        Self::build(&SuccTable::build(f), f.entry)
+    }
+
+    /// The tree of the CFG with successor lists `succs` and entry `entry`.
+    fn build(succs: &SuccTable, entry: BlockId) -> DomTree {
+        let slots = succs.slots();
+        let rpo = succs.reverse_postorder(entry);
         let mut rpo_index = vec![ABSENT; slots];
         for (i, b) in rpo.iter().enumerate() {
             rpo_index[b.index()] = i as u32;
@@ -67,7 +78,7 @@ impl DomTree {
         }
 
         let mut idom = vec![ABSENT; slots];
-        idom[f.entry.index()] = f.entry.index() as u32;
+        idom[entry.index()] = entry.index() as u32;
 
         let intersect = |idom: &[u32], rpo_index: &[u32], mut a: usize, mut b: usize| {
             while a != b {
@@ -111,7 +122,7 @@ impl DomTree {
             rpo,
             pred_off,
             pred_flat,
-            entry: f.entry,
+            entry,
         }
     }
 
@@ -188,6 +199,147 @@ impl DomTree {
             .filter(|&(c, &i)| i == p && c != b.index() && i != ABSENT)
             .map(|(c, _)| BlockId(c as u32))
             .collect()
+    }
+}
+
+/// The CFG a [`DomCache`] entry was built for: the entry block, and per
+/// slot whether it holds a block and that block's successor list, in
+/// [`SuccTable`] order. The slot versions last seen with this CFG make the
+/// check cheap: equal versions mean equal content (see
+/// [`Function::block_version`]), so only slots whose version moved are
+/// compared.
+#[derive(Debug)]
+struct CfgKey {
+    entry: BlockId,
+    versions: Vec<u64>,
+    live: Vec<bool>,
+    succs: SuccTable,
+}
+
+impl CfgKey {
+    fn of(f: &Function, succs: SuccTable) -> CfgKey {
+        CfgKey {
+            entry: f.entry,
+            versions: f.block_versions().to_vec(),
+            live: (0..f.block_slots())
+                .map(|i| f.contains_block(BlockId(i as u32)))
+                .collect(),
+            succs,
+        }
+    }
+
+    /// Whether `f` has this CFG. On a match the key adopts `f`'s versions,
+    /// so the next check of an unchanged `f` compares versions only.
+    fn matches(&mut self, f: &Function) -> bool {
+        let now = f.block_versions();
+        if f.entry != self.entry || now.len() != self.versions.len() {
+            return false;
+        }
+        if now == self.versions.as_slice() {
+            return true;
+        }
+        // A slot whose version did not move has its old content. Its list
+        // also depends on which of its targets are live, but a slot whose
+        // live state differs from the key has moved, and every moved slot
+        // is compared here: if they all match, every slot does.
+        let same = now
+            .iter()
+            .zip(&self.versions)
+            .enumerate()
+            .all(|(i, (n, o))| {
+                let b = BlockId(i as u32);
+                n == o
+                    || match f.try_block(b) {
+                        None => !self.live[i],
+                        Some(blk) => self.live[i] && self.succs.lists(b, f, blk),
+                    }
+            });
+        if same {
+            self.versions.copy_from_slice(now);
+        }
+        same
+    }
+}
+
+/// A cached [`DomTree`] with the loop membership derived from it.
+#[derive(Debug)]
+struct DomEntry {
+    key: CfgKey,
+    dom: DomTree,
+    /// [`blocks_in_loops`] of `dom`, computed on first request.
+    in_loops: Option<Vec<bool>>,
+}
+
+/// The dominator tree and loop membership of the last two CFGs asked
+/// about.
+///
+/// A lookup checks the current CFG of `f` against the last entry, then the
+/// one before it, and builds a new tree only when neither matches. The
+/// second entry is what a rolled-back trial finds: the trial asks about its
+/// own CFG, the next question is about the pre-trial CFG again.
+///
+/// A hit is exact. Two functions with the same entry, slot count, live
+/// slots and deduplicated successor lists (in first-appearance order,
+/// removed targets skipped) have the same reverse postorder and the same
+/// tree, so every answer, [`DomTree::rpo`] order included, is the one
+/// [`DomTree::compute`] would give. Test builds check each answer against
+/// a fresh build. Versions only make the check cheap; a cache stays sound
+/// whatever happens to the function between lookups, and across
+/// functions.
+#[derive(Debug, Default)]
+pub struct DomCache {
+    /// The entry that answered last, then the one before it.
+    entries: [Option<DomEntry>; 2],
+    /// Trees built so far.
+    builds: usize,
+}
+
+impl DomCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The dominator tree of `f`: equal to `DomTree::compute(f)`.
+    pub fn tree(&mut self, f: &Function) -> &DomTree {
+        &self.lookup(f).dom
+    }
+
+    /// The dominator tree of `f` and, per block slot, whether the block
+    /// lies in a natural loop: equal to `DomTree::compute(f)` and
+    /// [`blocks_in_loops`] of it.
+    pub fn tree_and_loops(&mut self, f: &Function) -> (&DomTree, &[bool]) {
+        let e = self.lookup(f);
+        let in_loops = e.in_loops.get_or_insert_with(|| blocks_in_loops(&e.dom));
+        // `lookup` checked `e.dom` against a fresh tree.
+        debug_assert!(
+            *in_loops == blocks_in_loops(&e.dom),
+            "cached loop membership differs from a fresh one"
+        );
+        (&e.dom, in_loops)
+    }
+
+    fn lookup(&mut self, f: &Function) -> &mut DomEntry {
+        let [last, before] = &mut self.entries;
+        if !last.as_mut().is_some_and(|e| e.key.matches(f)) {
+            if !before.as_mut().is_some_and(|e| e.key.matches(f)) {
+                let succs = SuccTable::build(f);
+                let dom = DomTree::build(&succs, f.entry);
+                *before = Some(DomEntry {
+                    key: CfgKey::of(f, succs),
+                    dom,
+                    in_loops: None,
+                });
+                self.builds += 1;
+            }
+            std::mem::swap(last, before);
+        }
+        let e = last.as_mut().expect("just filled");
+        debug_assert!(
+            e.dom == DomTree::compute(f),
+            "cached dominator tree differs from a fresh one"
+        );
+        e
     }
 }
 
@@ -277,5 +429,64 @@ mod tests {
         let rpo = d.rpo();
         assert_eq!(rpo.len(), 4);
         assert_eq!(rpo[0], f.entry);
+    }
+
+    /// Looks `f` up in `cache` and reports whether that built a tree.
+    fn built(cache: &mut DomCache, f: &Function) -> bool {
+        let before = cache.builds;
+        assert_eq!(*cache.tree(f), DomTree::compute(f));
+        cache.builds != before
+    }
+
+    #[test]
+    fn an_edit_that_keeps_the_exits_hits() {
+        let mut f = diamond();
+        let mut cache = DomCache::new();
+        assert!(built(&mut cache, &f));
+        assert!(!built(&mut cache, &f));
+        let a = BlockId(1);
+        let r = f.new_reg();
+        f.block_mut(a)
+            .insts
+            .push(crate::instr::Instr::mov(r, Operand::Imm(3)));
+        assert!(!built(&mut cache, &f));
+        let (_, in_loops) = cache.tree_and_loops(&f);
+        assert_eq!(in_loops, vec![false; 4]);
+    }
+
+    #[test]
+    fn a_retarget_a_removal_or_a_new_entry_misses() {
+        let (e, a, j) = (BlockId(0), BlockId(1), BlockId(3));
+        let mut f = diamond();
+        let mut cache = DomCache::new();
+        assert!(built(&mut cache, &f));
+        f.block_mut(e).retarget_exits(a, j);
+        assert!(built(&mut cache, &f));
+
+        let mut f = diamond();
+        let dead = f.add_block(f.block(j).clone());
+        assert!(built(&mut cache, &f));
+        f.remove_block(dead);
+        assert!(built(&mut cache, &f));
+
+        let mut f = diamond();
+        assert!(built(&mut cache, &f));
+        f.entry = a;
+        assert!(built(&mut cache, &f));
+    }
+
+    #[test]
+    fn a_rolled_back_trial_finds_the_tree_before_it() {
+        let (e, a, j) = (BlockId(0), BlockId(1), BlockId(3));
+        let mut f = diamond();
+        let mut cache = DomCache::new();
+        assert!(built(&mut cache, &f));
+        let snap = f.snapshot_blocks([e]);
+        let copy = f.duplicate_block(j);
+        f.block_mut(e).retarget_exits(a, copy);
+        assert!(built(&mut cache, &f));
+        f.restore_blocks(snap);
+        assert!(!built(&mut cache, &f), "the pre-trial entry answers");
+        assert_eq!(cache.builds, 2);
     }
 }

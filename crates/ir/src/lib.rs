@@ -61,7 +61,7 @@ pub mod verify;
 
 pub use block::{Block, Exit, ExitTarget};
 pub use builder::FunctionBuilder;
-pub use dom::DomTree;
+pub use dom::{DomCache, DomTree};
 pub use fingerprint::{shape_fingerprint, CfgShape};
 pub use function::Function;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
@@ -71,4 +71,4 @@ pub use loops::{Loop, LoopForest};
 pub use parse::{parse_function, ParseError};
 pub use profile::{ProfileData, TripHistogram};
 pub use stats::FunctionStats;
-pub use verify::{verify, verify_full, VerifyError};
+pub use verify::{verify, verify_changed, verify_full, VerifyError, VerifyMemo};

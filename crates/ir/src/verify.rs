@@ -7,7 +7,7 @@
 //! simulators run [`verify`] when they decode a function and refuse one
 //! that fails it.
 
-use crate::block::ExitTarget;
+use crate::block::{Block, ExitTarget};
 use crate::function::Function;
 use crate::ids::BlockId;
 use crate::instr::Opcode;
@@ -87,52 +87,128 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
     if !f.contains_block(f.entry) {
         return Err(VerifyError::MissingEntry);
     }
-    let nregs = f.reg_count();
     for (id, blk) in f.blocks() {
-        if blk.exits.is_empty() {
-            return Err(VerifyError::NoExits(id));
+        check_block(f, id, blk)?;
+    }
+    Ok(())
+}
+
+/// The checks of [`verify`] on one block.
+fn check_block(f: &Function, id: BlockId, blk: &Block) -> Result<(), VerifyError> {
+    let nregs = f.reg_count();
+    if blk.exits.is_empty() {
+        return Err(VerifyError::NoExits(id));
+    }
+    let last = blk.exits.len() - 1;
+    if blk.exits[last].pred.is_some() {
+        return Err(VerifyError::NoDefaultExit(id));
+    }
+    for (i, e) in blk.exits.iter().enumerate() {
+        if e.pred.is_none() && i != last {
+            return Err(VerifyError::ExitAfterDefault(id));
         }
-        let last = blk.exits.len() - 1;
-        if blk.exits[last].pred.is_some() {
-            return Err(VerifyError::NoDefaultExit(id));
-        }
-        for (i, e) in blk.exits.iter().enumerate() {
-            if e.pred.is_none() && i != last {
-                return Err(VerifyError::ExitAfterDefault(id));
-            }
-            if let ExitTarget::Block(t) = e.target {
-                if !f.contains_block(t) {
-                    return Err(VerifyError::DanglingEdge(id, t));
-                }
-            }
-            if let Some(p) = e.pred {
-                if p.reg.0 >= nregs {
-                    return Err(VerifyError::RegisterOutOfRange(id, p.reg.0));
-                }
-            }
-            if let ExitTarget::Return(Some(op)) = e.target {
-                if let Some(r) = op.as_reg() {
-                    if r.0 >= nregs {
-                        return Err(VerifyError::RegisterOutOfRange(id, r.0));
-                    }
-                }
+        if let ExitTarget::Block(t) = e.target {
+            if !f.contains_block(t) {
+                return Err(VerifyError::DanglingEdge(id, t));
             }
         }
-        for inst in &blk.insts {
-            let complete = match inst.op {
-                Opcode::Store => inst.a.is_some() && inst.b.is_some(),
-                _ => inst.a.is_some() && inst.dst.is_some(),
-            };
-            if !complete {
-                return Err(VerifyError::MissingOperand(id));
+        if let Some(p) = e.pred {
+            if p.reg.0 >= nregs {
+                return Err(VerifyError::RegisterOutOfRange(id, p.reg.0));
             }
-            for r in inst.uses().chain(inst.def()) {
+        }
+        if let ExitTarget::Return(Some(op)) = e.target {
+            if let Some(r) = op.as_reg() {
                 if r.0 >= nregs {
                     return Err(VerifyError::RegisterOutOfRange(id, r.0));
                 }
             }
         }
     }
+    for inst in &blk.insts {
+        let complete = match inst.op {
+            Opcode::Store => inst.a.is_some() && inst.b.is_some(),
+            _ => inst.a.is_some() && inst.dst.is_some(),
+        };
+        if !complete {
+            return Err(VerifyError::MissingOperand(id));
+        }
+        for r in inst.uses().chain(inst.def()) {
+            if r.0 >= nregs {
+                return Err(VerifyError::RegisterOutOfRange(id, r.0));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What [`verify_changed`] knows of the last function state it saw pass.
+#[derive(Clone, Debug, Default)]
+pub struct VerifyMemo {
+    /// Per slot, its version then.
+    versions: Vec<u64>,
+    /// Per slot: whether it held a block then.
+    live: Vec<bool>,
+    /// The register count then.
+    nregs: u32,
+}
+
+/// [`verify`], checking again only what changed since the last state of
+/// `f` (or of any function sharing its block versions) that `memo` saw
+/// pass. Returns exactly what `verify(f)` returns.
+///
+/// `verify` is a check of the entry plus one check per block, and a
+/// block's check reads only its own content, the register count and
+/// whether its targets are live. A block whose version did not move since
+/// the memo's state passed then, so it passes now unless the register count
+/// fell or one of its targets went from a block to a hole. So this checks:
+/// * every block whose version moved;
+/// * every exit, for a dangling edge, when some slot went from a block to
+///   a hole (or was truncated away);
+/// * every block, when the register count fell below the memo's.
+///
+/// On any finding it returns `verify(f)`, which reports the first
+/// violation in block order, and leaves the memo as it was. On success the
+/// memo records `f`.
+pub fn verify_changed(f: &Function, memo: &mut VerifyMemo) -> Result<(), VerifyError> {
+    let result = verify_changed_unchecked(f, memo);
+    debug_assert_eq!(result, verify(f), "verify_changed disagrees with verify");
+    result
+}
+
+fn verify_changed_unchecked(f: &Function, memo: &mut VerifyMemo) -> Result<(), VerifyError> {
+    if !f.contains_block(f.entry) {
+        return Err(VerifyError::MissingEntry);
+    }
+    let now = f.block_versions();
+    let every = f.reg_count() < memo.nregs;
+    let mut lost = memo
+        .live
+        .get(now.len()..)
+        .is_some_and(|gone| gone.contains(&true));
+    for (i, &version) in now.iter().enumerate() {
+        if !every && memo.versions.get(i) == Some(&version) {
+            continue;
+        }
+        let id = BlockId(i as u32);
+        match f.try_block(id) {
+            Some(blk) if check_block(f, id, blk).is_err() => return verify(f),
+            Some(_) => {}
+            None => lost |= memo.live.get(i) == Some(&true),
+        }
+    }
+    if lost
+        && f.blocks()
+            .any(|(_, blk)| blk.successors().any(|t| !f.contains_block(t)))
+    {
+        return verify(f);
+    }
+    memo.versions.clear();
+    memo.versions.extend_from_slice(now);
+    memo.live.clear();
+    memo.live
+        .extend((0..now.len()).map(|i| f.contains_block(BlockId(i as u32))));
+    memo.nregs = f.reg_count();
     Ok(())
 }
 
@@ -421,5 +497,61 @@ mod tests {
         let p = VerifyError::PredicateUseBeforeDef(BlockId(2), 7);
         assert!(p.to_string().contains("B2"));
         assert!(p.to_string().contains("r7"));
+    }
+
+    #[test]
+    fn changed_only_check_reports_an_untouched_block_whose_target_went() {
+        let mut f = valid_fn();
+        let x = BlockId(1);
+        let mut blk = Block::new();
+        blk.exits.push(Exit::jump(x));
+        let y = f.add_block(blk);
+        let mut memo = VerifyMemo::default();
+        assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+        assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+        // `y` keeps its version, but its target becomes a hole.
+        let e = f.entry;
+        f.block_mut(e).exits[0] = Exit::ret(None);
+        f.remove_block(x);
+        assert_eq!(
+            verify_changed(&f, &mut memo),
+            Err(VerifyError::DanglingEdge(y, x))
+        );
+        // A failure leaves the memo as it was.
+        f.block_mut(y).exits[0] = Exit::ret(None);
+        assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+    }
+
+    #[test]
+    fn changed_only_check_sees_a_register_count_rewound_under_an_untouched_block() {
+        let mut f = valid_fn();
+        let x = BlockId(1);
+        let snap = f.snapshot_blocks([f.entry]);
+        let r = f.new_reg();
+        // Against the snapshot's contract, a block outside it names the
+        // register the restore takes back.
+        f.block_mut(x).insts.push(Instr::mov(r, Operand::Imm(1)));
+        let mut memo = VerifyMemo::default();
+        assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+        f.restore_blocks(snap);
+        assert_eq!(
+            verify_changed(&f, &mut memo),
+            Err(VerifyError::RegisterOutOfRange(x, r.0))
+        );
+    }
+
+    #[test]
+    fn changed_only_check_reports_a_removed_entry() {
+        let mut f = valid_fn();
+        let mut memo = VerifyMemo::default();
+        assert_eq!(verify_changed(&f, &mut memo), Ok(()));
+        let (e, x) = (f.entry, BlockId(1));
+        f.entry = x;
+        f.remove_block(e);
+        f.entry = e;
+        assert_eq!(
+            verify_changed(&f, &mut memo),
+            Err(VerifyError::MissingEntry)
+        );
     }
 }

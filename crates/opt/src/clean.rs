@@ -20,9 +20,11 @@
 //!
 //! The memo also owns a [`Liveness`] solution, which
 //! [`Dce`](crate::dce::Dce) refreshes instead of recomputing and formation
-//! trials clone, and the DCE sweeps that removed nothing.
+//! trials clone, the DCE sweeps that removed nothing, and a [`DomCache`]
+//! that global value numbering and formation's CFG questions share.
 
 use chf_ir::block::Block;
+use chf_ir::dom::DomCache;
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 use chf_ir::liveness::{Liveness, RegSetBuf};
@@ -74,7 +76,8 @@ struct Seen {
 
 /// Per block: a copy of its content, and a bitmask of the kernels that last
 /// returned `false` on exactly that content. Also the liveness solution
-/// and DCE sweep memo of [`Dce::run_cached`](crate::Pass::run_cached).
+/// and DCE sweep memo of [`Dce::run_cached`](crate::Pass::run_cached), and
+/// the dominator trees of [`Gvn::run_cached`](crate::Pass::run_cached).
 ///
 /// Pass one memo to [`Pass::run_cached`](crate::Pass::run_cached) for as
 /// long as it is useful; it stays sound whatever happens to the function in
@@ -87,6 +90,7 @@ pub struct CleanBlocks {
     /// Per slot: the version and `live_out` of the block's last DCE sweep
     /// that removed nothing; version 0 (never a block's) when there is none.
     swept: Vec<(u64, RegSetBuf)>,
+    doms: DomCache,
 }
 
 impl CleanBlocks {
@@ -100,6 +104,12 @@ impl CleanBlocks {
     pub fn liveness(&mut self, f: &Function) -> &Liveness {
         self.liveness.refresh(f);
         &self.liveness
+    }
+
+    /// The memo's dominator trees, which answer for whatever function they
+    /// are asked about.
+    pub fn doms(&mut self) -> &mut DomCache {
+        &mut self.doms
     }
 
     /// The refreshed liveness solution and the sweep memo, for DCE.

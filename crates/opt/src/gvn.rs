@@ -241,71 +241,122 @@ fn value_number(blk: &mut Block, vn: &mut LocalVn) -> bool {
     changed
 }
 
-/// Registers whose value is fixed for the whole execution: never-redefined
-/// parameters, and single-def unpredicated non-memory defs outside all loops
-/// whose operands are themselves invariant. Indexed by register; the
-/// verifier guarantees every register is below `reg_count()`.
-fn invariant_regs(f: &Function, in_loop: &[bool]) -> Vec<bool> {
-    let nregs = f.reg_count() as usize;
-    let mut def_count = vec![0u32; nregs];
-    for (_, blk) in f.blocks() {
-        for inst in &blk.insts {
-            if let Some(d) = inst.def() {
-                def_count[d.index()] += 1;
-            }
-        }
-    }
-    // A parameter's implicit entry definition counts as a def: a parameter
-    // that is also written by an instruction is not single-def.
-    let params = f.params as usize;
-    let mut invariant = vec![false; nregs];
-    for p in 0..params {
-        def_count[p] += 1;
-        invariant[p] = def_count[p] == 1;
-    }
+/// The per-register tables of the invariant analysis, one per thread and
+/// reused across rounds, so a round pays nothing for register numbers.
+struct Invariants {
+    /// Definitions per register.
+    defs: RegTable<u32>,
+    /// Whether the register's value is fixed for the whole execution.
+    invariant: RegTable<bool>,
+}
 
-    // Fixpoint over the def chain.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (b, blk) in f.blocks() {
-            if in_loop[b.index()] {
-                continue; // defs inside loops may execute repeatedly
-            }
+thread_local! {
+    static INVARIANTS: RefCell<Invariants> = const {
+        RefCell::new(Invariants {
+            defs: RegTable::new(),
+            invariant: RegTable::new(),
+        })
+    };
+    /// The registers [`scoped_rewrite_sources`] finds in the scoped block.
+    static BLOCK_REGS: RefCell<RegTable<bool>> = const { RefCell::new(RegTable::new()) };
+}
+
+impl Invariants {
+    /// Find the registers whose value is fixed for the whole execution:
+    /// never-redefined parameters, and single-def unpredicated non-memory
+    /// defs outside all loops whose operands are themselves invariant.
+    fn compute(&mut self, f: &Function, in_loop: &[bool]) {
+        let Invariants { defs, invariant } = self;
+        defs.clear();
+        invariant.clear();
+        for (_, blk) in f.blocks() {
             for inst in &blk.insts {
-                let Some(d) = inst.def() else { continue };
-                if invariant[d.index()]
-                    || inst.pred.is_some()
-                    || inst.op == Opcode::Load
-                    || def_count[d.index()] != 1
-                {
-                    continue;
+                if let Some(d) = inst.def() {
+                    *defs.get_mut(d) += 1;
                 }
-                if inst.uses().all(|u| invariant[u.index()]) {
-                    invariant[d.index()] = true;
-                    changed = true;
+            }
+        }
+        // A parameter's implicit entry definition counts as a def: a
+        // parameter that is also written by an instruction is not
+        // single-def.
+        for p in (0..f.params).map(Reg) {
+            *defs.get_mut(p) += 1;
+            invariant.set(p, defs.get(p) == 1);
+        }
+
+        // Fixpoint over the def chain.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (b, blk) in f.blocks() {
+                if in_loop[b.index()] {
+                    continue; // defs inside loops may execute repeatedly
+                }
+                for inst in &blk.insts {
+                    let Some(d) = inst.def() else { continue };
+                    if invariant.get(d)
+                        || inst.pred.is_some()
+                        || inst.op == Opcode::Load
+                        || defs.get(d) != 1
+                    {
+                        continue;
+                    }
+                    if inst.uses().all(|u| invariant.get(u)) {
+                        invariant.set(d, true);
+                        changed = true;
+                    }
                 }
             }
         }
     }
-    invariant
 }
 
-/// Dominator-scoped GVN over invariant expressions.
+/// Dominator-scoped GVN over invariant expressions, on a fresh dominator
+/// tree.
 fn run_global(f: &mut Function) -> bool {
-    run_global_scoped(f, None)
+    let dom = DomTree::compute(f);
+    run_global_with(f, None, &dom, &blocks_in_loops(&dom))
 }
 
-/// `run_global` restricted to rewrites *landing in* `scope` (when given):
-/// the dominator/invariant analyses still look at the whole function, but
-/// only instructions of the scoped block are rewritten. This is what the
-/// block-scoped trial optimizer needs — global facts, local edits.
-pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
-    let dom = DomTree::compute(f);
-    let invariant = invariant_regs(f, &blocks_in_loops(&dom));
+/// Dominator-scoped GVN over invariant expressions, restricted to rewrites
+/// *landing in* `scope` (when given): the dominator and invariant analyses
+/// still look at the whole function, but only instructions of the scoped
+/// block are rewritten. This is what the block-scoped trial optimizer
+/// needs — global facts, local edits.
+///
+/// `dom` is the dominator tree of `f` and `in_loops` its
+/// [`blocks_in_loops`], as a [`DomCache`](chf_ir::dom::DomCache) gives
+/// them; the rewrites visit blocks in `dom`'s reverse postorder.
+pub fn run_global_with(
+    f: &mut Function,
+    scope: Option<BlockId>,
+    dom: &DomTree,
+    in_loops: &[bool],
+) -> bool {
+    let rewrites = INVARIANTS.with_borrow_mut(|inv| {
+        inv.compute(f, in_loops);
+        global_rewrites(f, scope, dom, &inv.invariant)
+    });
+    let changed = !rewrites.is_empty();
+    for (b, i, pr) in rewrites {
+        let inst = &mut f.block_mut(b).insts[i];
+        let d = inst.dst.expect("dst");
+        *inst = Instr::mov(d, Operand::Reg(pr));
+    }
+    changed
+}
+
+/// The rewrites of [`run_global_with`]: `(block, index, pr)` turns the
+/// instruction at `index` of `block` into `mov d, pr`.
+fn global_rewrites(
+    f: &Function,
+    scope: Option<BlockId>,
+    dom: &DomTree,
+    invariant: &RegTable<bool>,
+) -> Vec<(BlockId, usize, Reg)> {
     let is_inv_operand = |o: Operand| match o {
         Operand::Imm(_) => true,
-        Operand::Reg(r) => invariant[r.index()],
+        Operand::Reg(r) => invariant.get(r),
     };
 
     // Collect invariant expressions keyed syntactically.
@@ -318,7 +369,7 @@ pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
         let blk = f.block(b);
         for (i, inst) in blk.insts.iter().enumerate() {
             let Some(d) = inst.def() else { continue };
-            if !invariant[d.index()] || inst.op == Opcode::Mov {
+            if !invariant.get(d) || inst.op == Opcode::Mov {
                 continue;
             }
             if !(inst.a.map(is_inv_operand).unwrap_or(true)
@@ -339,17 +390,10 @@ pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
             }
         }
     }
-
-    let changed = !rewrites.is_empty();
-    for (b, i, pr) in rewrites {
-        let inst = &mut f.block_mut(b).insts[i];
-        let d = inst.dst.expect("dst");
-        *inst = Instr::mov(d, Operand::Reg(pr));
-    }
-    changed
+    rewrites
 }
 
-/// Every register a [`run_global_scoped`]`(f, Some(b))` could make `b`
+/// Every register a [`run_global_with`]`(f, Some(b), ..)` could make `b`
 /// read from the register file, whether it runs on `f` as it stands or
 /// after the block-local kernels of [`crate::optimize_block_quick`] edited
 /// `b`. Empty when `b` stays in a loop. A register defined more than once
@@ -380,8 +424,9 @@ pub fn run_global_scoped(f: &mut Function, scope: Option<BlockId>) -> bool {
 /// * `b` stays in a loop if every exit targets a block that dominates `b`
 ///   (the exit is a back edge) or reaches such an `l` without passing `h`
 ///   or `b`: whichever exits survive, one closes a loop through `b`.
-pub fn scoped_rewrite_sources(f: &Function, b: BlockId) -> Vec<Reg> {
-    let dom = DomTree::compute(f);
+///
+/// `dom` is the dominator tree of `f`.
+pub fn scoped_rewrite_sources(f: &Function, b: BlockId, dom: &DomTree) -> Vec<Reg> {
     if !dom.is_reachable(b) {
         return Vec::new(); // the global round visits reachable blocks only
     }
@@ -427,35 +472,35 @@ pub fn scoped_rewrite_sources(f: &Function, b: BlockId) -> Vec<Reg> {
         return Vec::new();
     }
     // The opcodes and register operands instructions of `b` can have.
-    let mut ops = 0u32;
-    let mut operands = vec![false; f.reg_count() as usize];
-    for i in &f.block(b).insts {
-        let reduced = match i.op {
-            Opcode::Mul => Opcode::Shl,
-            Opcode::Div => Opcode::Shr,
-            Opcode::Rem => Opcode::And,
-            op => op,
-        };
-        ops |= 1 << i.op as u32 | 1 << reduced as u32;
-        let regs = [i.a, i.b].into_iter().flatten().filter_map(|o| o.as_reg());
-        for r in regs.chain(i.def()) {
-            operands[r.index()] = true;
+    BLOCK_REGS.with_borrow_mut(|operands| {
+        operands.clear();
+        let mut ops = 0u32;
+        for i in &f.block(b).insts {
+            let reduced = match i.op {
+                Opcode::Mul => Opcode::Shl,
+                Opcode::Div => Opcode::Shr,
+                Opcode::Rem => Opcode::And,
+                op => op,
+            };
+            ops |= 1 << i.op as u32 | 1 << reduced as u32;
+            let regs = [i.a, i.b].into_iter().flatten().filter_map(|o| o.as_reg());
+            for r in regs.chain(i.def()) {
+                operands.set(r, true);
+            }
         }
-    }
-    let can_match = |o: Option<Operand>| {
-        o.and_then(|o| o.as_reg())
-            .is_none_or(|r| operands[r.index()])
-    };
-    chain
-        .iter()
-        .zip(&stays)
-        .skip(1)
-        .filter(|&(_, &stay)| !stay)
-        .flat_map(|(&d, _)| &f.block(d).insts)
-        .filter(|i| i.pred.is_none() && !matches!(i.op, Opcode::Mov | Opcode::Load))
-        .filter(|i| ops >> i.op as u32 & 1 != 0 && can_match(i.a) && can_match(i.b))
-        .filter_map(Instr::def)
-        .collect()
+        let can_match =
+            |o: Option<Operand>| o.and_then(|o| o.as_reg()).is_none_or(|r| operands.get(r));
+        chain
+            .iter()
+            .zip(&stays)
+            .skip(1)
+            .filter(|&(_, &stay)| !stay)
+            .flat_map(|(&d, _)| &f.block(d).insts)
+            .filter(|i| i.pred.is_none() && !matches!(i.op, Opcode::Mov | Opcode::Load))
+            .filter(|i| ops >> i.op as u32 & 1 != 0 && can_match(i.a) && can_match(i.b))
+            .filter_map(Instr::def)
+            .collect()
+    })
 }
 
 impl Pass for Gvn {
@@ -467,10 +512,13 @@ impl Pass for Gvn {
         Kernel::Gvn.each_block(f) | run_global(f)
     }
 
-    /// Only the local half uses the memo: `run_global` reads facts from
-    /// other blocks.
+    /// The local half skips the blocks the memo knows are clean; the
+    /// global half reads facts from other blocks, so it visits every block,
+    /// on the memo's cached dominator tree and loop membership.
     fn run_cached(&mut self, f: &mut Function, clean: &mut CleanBlocks) -> bool {
-        clean.run(f, Kernel::Gvn) | run_global(f)
+        let local = clean.run(f, Kernel::Gvn);
+        let (dom, in_loops) = clean.doms().tree_and_loops(f);
+        local | run_global_with(f, None, dom, in_loops)
     }
 }
 
@@ -658,17 +706,20 @@ mod tests {
     #[test]
     fn a_loop_the_local_kernels_can_break_does_not_hide_sources() {
         let (mut f, h, pr) = droppable_self_loop(Opcode::Add);
-        assert_eq!(scoped_rewrite_sources(&f, h), vec![pr]);
+        assert_eq!(
+            scoped_rewrite_sources(&f, h, &DomTree::compute(&f)),
+            vec![pr]
+        );
         // Predicate folding drops the back edge, so `d` turns invariant
         // and global value numbering makes `h` read `pr`.
         let mut lv = chf_ir::liveness::Liveness::compute(&f);
         assert!(!lv.register_reads(h).contains(&pr));
-        crate::optimize_block_quick(&mut f, h, &mut lv);
+        crate::optimize_block_quick(&mut f, h, &mut lv, &mut chf_ir::dom::DomCache::new());
         lv.refresh(&f);
         assert!(lv.register_reads(h).contains(&pr));
         // No instruction of `h` can come to match a `sub`.
         let (f, h, _) = droppable_self_loop(Opcode::Sub);
-        assert!(scoped_rewrite_sources(&f, h).is_empty());
+        assert!(scoped_rewrite_sources(&f, h, &DomTree::compute(&f)).is_empty());
     }
 
     #[test]
@@ -689,10 +740,13 @@ mod tests {
         fb.switch_to(l);
         fb.jump(h);
         let mut f = fb.build().unwrap();
-        assert!(scoped_rewrite_sources(&f, h).is_empty());
-        assert!(scoped_rewrite_sources(&f, l).is_empty());
+        assert!(scoped_rewrite_sources(&f, h, &DomTree::compute(&f)).is_empty());
+        assert!(scoped_rewrite_sources(&f, l, &DomTree::compute(&f)).is_empty());
         // An exit out of the loop could be the one that survives.
         f.block_mut(l).exits[0] = chf_ir::block::Exit::ret(None);
-        assert_eq!(scoped_rewrite_sources(&f, h), vec![pr]);
+        assert_eq!(
+            scoped_rewrite_sources(&f, h, &DomTree::compute(&f)),
+            vec![pr]
+        );
     }
 }

@@ -24,7 +24,10 @@
 //! pipeline the convergent formation loop invokes after every merge. A
 //! [`CleanBlocks`] memo lets repeated runs skip the blocks the block-local
 //! kernels have already left unchanged, and carries the liveness solution
-//! DCE refreshes instead of recomputing. The five block-local kernels each cost time linear in their block:
+//! DCE refreshes instead of recomputing and the dominator trees global
+//! value numbering reads (a [`DomCache`](chf_ir::dom::DomCache), rebuilt
+//! only when the CFG changed). The five block-local kernels each cost time
+//! linear in their block:
 //! they keep per-register facts in per-thread, epoch-stamped
 //! [`RegTable`](chf_ir::regtable::RegTable)s, reused across calls and never
 //! zeroed, so no call pays for the register numbers a block uses.
@@ -182,7 +185,7 @@ pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
 /// So slots, memory ops and definitions never rise, and liveness is a
 /// per-register problem, so a register `b` defines can become live-out
 /// only if it becomes newly read somewhere. Only global value numbering
-/// ([`gvn::run_global_scoped`]) adds new reads: it rewrites `d = op x, y`
+/// ([`gvn::run_global_with`]) adds new reads: it rewrites `d = op x, y`
 /// to `mov d, pr` with `pr` defined in a strict dominator. `pr` has one
 /// definition, outside `b`, so no write is added either. The registers it
 /// could add are [`gvn::scoped_rewrite_sources`].
@@ -192,16 +195,22 @@ pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
 /// it first, so only the blocks changed since then are solved again. On
 /// return it describes `f` as of the last sweep: refresh it once more
 /// before reading it, which costs nothing if that sweep removed nothing.
+///
+/// `doms` answers the global round's dominator and loop questions.
+/// Formation passes its run's cache, which keeps the pre-trial tree for the
+/// questions after a rollback, and whose tree of the trial's CFG serves the
+/// first global round of a commit.
 pub fn optimize_block_quick(
     f: &mut Function,
     b: chf_ir::ids::BlockId,
     live: &mut chf_ir::liveness::Liveness,
+    doms: &mut chf_ir::dom::DomCache,
 ) {
     // Purely local rounds first (no whole-function analyses), then one
     // global round: scoped global value numbering, exit threading, and
     // liveness-based DCE, followed by a final local cleanup and DCE of
     // whatever the global round exposed. Dominators and loop membership are
-    // computed once per call, liveness refreshed once or twice.
+    // looked up once per call, liveness refreshed once or twice.
     let local = |f: &mut Function| {
         let mut changed = false;
         changed |= constfold::fold_block(f.block_mut(b));
@@ -217,7 +226,8 @@ pub fn optimize_block_quick(
         }
     }
     let mut changed = false;
-    changed |= gvn::run_global_scoped(f, Some(b));
+    let (dom, in_loops) = doms.tree_and_loops(f);
+    changed |= gvn::run_global_with(f, Some(b), dom, in_loops);
     changed |= jumpthread::thread_block_exits(f, b);
     if dce::eliminate_in_block(f, b, live) || changed {
         local(f);

@@ -7,10 +7,10 @@
 use chf::core::duplication::{classify, duplicate_for_merge, DuplicationKind};
 use chf::core::ifconvert::combine;
 use chf::ir::builder::FunctionBuilder;
+use chf::ir::dom::DomTree;
 use chf::ir::function::Function;
 use chf::ir::ids::BlockId;
 use chf::ir::instr::Operand;
-use chf::ir::loops::LoopForest;
 
 fn reg(r: chf::ir::ids::Reg) -> Operand {
     Operand::Reg(r)
@@ -61,8 +61,8 @@ fn show(title: &str, f: &Function) {
 fn main() {
     // Figure 2: classical tail duplication.
     let (mut f, a, d) = figure2();
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, a, d), DuplicationKind::Tail);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, a, d), DuplicationKind::Tail);
     show("Figure 2a: original CFG (D is a merge point)", &f);
     let d_copy = duplicate_for_merge(&mut f, a, d);
     show("Figure 2c/2d: D duplicated to D', A retargeted", &f);
@@ -71,8 +71,8 @@ fn main() {
 
     // Figure 3: head duplication implements peeling.
     let (mut f, a, b) = figure34();
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, a, b), DuplicationKind::Peel);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, a, b), DuplicationKind::Peel);
     show("Figure 3a: original CFG (B is a loop header)", &f);
     let b_copy = duplicate_for_merge(&mut f, a, b);
     show(
@@ -84,8 +84,8 @@ fn main() {
 
     // Figure 4: head duplication implements unrolling.
     let (mut f, _a, b) = figure34();
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, b, b), DuplicationKind::Unroll);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, b, b), DuplicationKind::Unroll);
     show("Figure 4a: original CFG (B's back edge targets itself)", &f);
     let b_copy = duplicate_for_merge(&mut f, b, b);
     show(

@@ -5,6 +5,7 @@ use chf::core::duplication::{classify, duplicate_for_merge, DuplicationKind};
 use chf::core::ifconvert::combine;
 use chf::core::pipeline::{compile, CompileConfig, PhaseOrdering};
 use chf::ir::builder::FunctionBuilder;
+use chf::ir::dom::DomTree;
 use chf::ir::function::Function;
 use chf::ir::ids::{BlockId, Reg};
 use chf::ir::instr::Operand;
@@ -64,8 +65,8 @@ fn figure2_tail_duplication_sequence() {
     let (mut f, a, b, d) = fig2();
     let orig = f.clone();
     assert_eq!(chf::ir::cfg::predecessor_count(&f, d), 2);
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, a, d), DuplicationKind::Tail);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, a, d), DuplicationKind::Tail);
 
     // (c) code duplication + (d) CFG transformation.
     let d2 = duplicate_for_merge(&mut f, a, d);
@@ -87,8 +88,8 @@ fn figure2_tail_duplication_sequence() {
 fn figure3_head_duplication_peels() {
     let (mut f, a, b, _c) = fig34();
     let orig = f.clone();
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, a, b), DuplicationKind::Peel);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, a, b), DuplicationKind::Peel);
 
     // (b) copy B to B'; (c) A -> B', B' -> B (loop entrance), B' -> C.
     let b2 = duplicate_for_merge(&mut f, a, b);
@@ -111,8 +112,8 @@ fn figure3_head_duplication_peels() {
 fn figure4_head_duplication_unrolls() {
     let (mut f, _a, b, c) = fig34();
     let orig = f.clone();
-    let forest = LoopForest::of(&f);
-    assert_eq!(classify(&f, &forest, b, b), DuplicationKind::Unroll);
+    let dom = DomTree::compute(&f);
+    assert_eq!(classify(&f, &dom, b, b), DuplicationKind::Unroll);
 
     // (b)/(c): B -> B' replaces the self edge; B' -> B is the new back edge;
     // B' -> C exists.
