@@ -565,7 +565,6 @@ impl Target for FormationTarget {
             repro_dir: self.repro_dir.clone(),
         };
         let mut config = FormationConfig {
-            verify_trials: true,
             oracle: Some(oracle_cfg.clone()),
             ..FormationConfig::default()
         };

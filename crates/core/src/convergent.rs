@@ -3,9 +3,11 @@
 //! `expand_block` implements `ExpandBlock`: starting from a seed block, it
 //! repeatedly asks the policy for the best candidate successor, attempts the
 //! merge as an *in-place trial* ([`merge_blocks`] snapshots the blocks the
-//! merge can touch, transforms the CFG directly, optionally optimizes the
-//! merged block, checks the structural constraints, and rolls the snapshot
-//! back on failure), and keeps only successful merges. The paper's
+//! merge can touch, transforms the CFG directly, verifies it, optionally
+//! optimizes the merged block and checks the structural constraints), and
+//! keeps only successful merges. A refused merge comes back as a
+//! [`Reject`] naming the step that refused it, and the snapshot is rolled
+//! back in one place. The paper's
 //! implementation tested merges in scratch space to "avoid a more
 //! complicated undo step"; cloning the whole function per trial dominated
 //! compile time here, so the undo step is now explicit — a merge only ever
@@ -22,13 +24,13 @@
 //! trial verification last saw pass.
 
 use crate::chaos::ChaosSpec;
-use crate::constraints::BlockConstraints;
+use crate::constraints::{BlockConstraints, Violation};
 use crate::duplication::{classify, duplicate_for_merge, DuplicationKind};
 use crate::error::ChfError;
-use crate::ifconvert::combine_with_liveness;
+use crate::ifconvert::{combine_with_liveness, CombineError};
 use crate::oracle::OracleConfig;
 use crate::policy::{Candidate, Policy};
-use chf_ir::block::ExitTarget;
+use chf_ir::block::{Block, ExitTarget};
 use chf_ir::function::Function;
 use chf_ir::ids::BlockId;
 use chf_ir::loops::LoopForest;
@@ -68,13 +70,6 @@ pub struct FormationConfig {
     /// promotion). Always on in real hyperblock compilers; exposed for the
     /// ablation study.
     pub speculation: bool,
-    /// Verify the IR after every combine trial and *contain* a violation by
-    /// rolling the trial back and skipping the candidate (recorded in
-    /// [`FormationStats::skipped`]), instead of panicking via a
-    /// `debug_assert`. On by default: the verify is cheap relative to the
-    /// combine itself, and it turns a formation bug from a compiler abort
-    /// into a degraded (but correct) compilation.
-    pub verify_trials: bool,
     /// Differential oracle: after each *committed* merge, re-execute the
     /// function on seeded inputs against its pre-merge self and roll the
     /// merge back on any behaviour change (see [`crate::oracle`]). `None`
@@ -84,8 +79,8 @@ pub struct FormationConfig {
     pub oracle: Option<OracleConfig>,
     /// Deterministic mid-trial fault injection (see [`crate::chaos`]):
     /// periodically corrupts the merged block *inside* the trial window so
-    /// the verify-and-rollback path is exercised. Requires `verify_trials`;
-    /// `None` (the default) injects nothing.
+    /// the verify-and-rollback path is exercised. `None` (the default)
+    /// injects nothing.
     pub chaos: Option<ChaosSpec>,
     /// Trial-budget ledger: cap on merge *trials* (attempted merges,
     /// successful or not) per formation run — one whole-function
@@ -136,7 +131,6 @@ impl Default for FormationConfig {
             iterative_opt: true,
             trip_aware_unroll: true,
             speculation: true,
-            verify_trials: true,
             oracle: None,
             chaos: None,
             trial_budget: None,
@@ -157,11 +151,12 @@ pub struct FormationStats {
     pub unrolls: usize,
     /// Peeled iterations (`p`).
     pub peels: usize,
-    /// Merge attempts rejected by the constraints or combine hazards.
+    /// Merge trials refused by a [`Reject`] other than
+    /// [`Reject::Disallowed`] and [`Reject::Skipped`].
     pub failures: usize,
     /// Trials contained by the crash-safety net: a verifier violation or
     /// oracle mismatch detected mid-formation, rolled back, and skipped
-    /// (see [`MergeOutcome::Skipped`]). Deliberately *not* part of
+    /// (see [`Reject::Skipped`]). Deliberately *not* part of
     /// [`FormationStats::mtup`] — the paper's `m/t/u/p` column reports only
     /// committed transformations, and the golden snapshots must stay
     /// byte-identical when nothing is skipped.
@@ -258,16 +253,32 @@ impl FormationStats {
     }
 }
 
-/// Outcome of one [`merge_blocks`] attempt.
+/// Why [`merge_blocks`] refused a merge, named by the step that refused
+/// it. Every rejection but [`Reject::Vanished`] leaves the function as the
+/// merge found it.
 #[derive(Clone, Debug, PartialEq)]
-pub enum MergeOutcome {
-    /// The merge was committed; the kind of duplication it used.
-    Success(DuplicationKind),
-    /// The merged block would violate the constraints, or combining was
-    /// structurally impossible; the function is unchanged.
-    Failure,
-    /// The configuration forbids this kind of merge.
-    Disallowed,
+pub enum Reject {
+    /// The merge is structurally impossible. The legality check reports a
+    /// missing block or no edge `hb → s` as `NoEdge`, `s` being the entry
+    /// as `IllegalTarget` and several such edges as `MultipleEdges`; the
+    /// rest come from [`crate::ifconvert::combine`].
+    Combine(CombineError),
+    /// The configuration forbids this kind of duplication, or the merge
+    /// point to tail-duplicate is too large.
+    Disallowed(DuplicationKind),
+    /// The merged block breaks the structural constraints.
+    Misfit {
+        /// The first constraint it breaks.
+        violation: Violation,
+        /// Whether the trial optimizer ran on the block before the check
+        /// (always, under [`FormationConfig::iterative_opt`], when the
+        /// unoptimized block might not fit; never without it).
+        optimized: bool,
+    },
+    /// The commit-time cleanup removed `hb` itself: `hb` was unreachable.
+    /// The merge and the cleanup stay committed, and expansion of `hb`
+    /// ends.
+    Vanished,
     /// The crash-safety net fired: the trial produced IR the verifier
     /// rejected (and was rolled back bit-identically), or the committed
     /// merge failed the differential oracle (and was undone from the
@@ -401,40 +412,57 @@ impl FormationCtx {
     }
 }
 
-/// Cheap structural pre-checks before attempting a merge.
-fn legal_merge(f: &Function, hb: BlockId, s: BlockId) -> bool {
-    if !f.contains_block(hb) || !f.contains_block(s) || s == f.entry {
-        return false;
+/// Cheap structural pre-checks before attempting a merge: both blocks
+/// exist, `s` is not the entry, and exactly one exit of `hb` targets `s`.
+fn legal_merge(f: &Function, hb: BlockId, s: BlockId) -> Result<(), CombineError> {
+    if !f.contains_block(hb) || !f.contains_block(s) {
+        return Err(CombineError::NoEdge);
     }
-    // Exactly one exit of hb may target s.
-    f.block(hb)
+    if s == f.entry {
+        return Err(CombineError::IllegalTarget);
+    }
+    let edges = f
+        .block(hb)
         .exits
         .iter()
         .filter(|e| e.target == ExitTarget::Block(s))
-        .count()
-        == 1
+        .count();
+    match edges {
+        0 => Err(CombineError::NoEdge),
+        1 => Ok(()),
+        _ => Err(CombineError::MultipleEdges),
+    }
 }
 
 /// `MergeBlocks` (Figure 5): attempt to merge `s` into `hb`, duplicating
 /// `s` first when it has side entrances, optimizing if configured, and
-/// committing only if the result satisfies the constraints.
+/// committing only if the result satisfies the constraints. Returns the
+/// kind of duplication the committed merge used, or the step that refused
+/// it.
+///
+/// `saved_body` is the loop body saved before the first unroll: when the
+/// merge is an unroll (`hb == s`), the appended iteration is instantiated
+/// from it rather than from the current (already unrolled) block — the
+/// paper's "saves the original loop body and appends one additional
+/// iteration at a time", which keeps unroll granularity at one iteration
+/// instead of doubling.
 pub fn merge_blocks(
     f: &mut Function,
     hb: BlockId,
     s: BlockId,
     config: &FormationConfig,
-) -> MergeOutcome {
-    merge_blocks_with_body(f, hb, s, config, None)
+    saved_body: Option<&Block>,
+) -> Result<DuplicationKind, Reject> {
+    legal_merge(f, hb, s).map_err(Reject::Combine)?;
+    let mut ctx = FormationCtx::new();
+    let kind = classify(f, ctx.clean.doms().tree(f), hb, s);
+    merge_blocks_in_ctx(f, hb, s, kind, config, saved_body, &mut ctx)
 }
 
 /// Instantiate a saved loop body as a fresh block whose back edge targets
 /// `hb`, retargeting `hb`'s self edge to it. Returns `None` (no change) if
 /// any of the saved body's exit targets no longer exists.
-fn append_saved_iteration(
-    f: &mut Function,
-    hb: BlockId,
-    body: &chf_ir::block::Block,
-) -> Option<BlockId> {
+fn append_saved_iteration(f: &mut Function, hb: BlockId, body: &Block) -> Option<BlockId> {
     for e in &body.exits {
         if let Some(t) = e.target.block() {
             if t != hb && !f.contains_block(t) {
@@ -466,74 +494,44 @@ fn append_saved_iteration(
     Some(new)
 }
 
-/// [`merge_blocks`] with an optional *saved loop body*: when the merge is an
-/// unroll (`hb == s`), the appended iteration is instantiated from the body
-/// saved before the first unroll, rather than from the current (already
-/// unrolled) block — the paper's "saves the original loop body and appends
-/// one additional iteration at a time", which keeps unroll granularity at
-/// one iteration instead of doubling.
-pub fn merge_blocks_with_body(
-    f: &mut Function,
-    hb: BlockId,
-    s: BlockId,
-    config: &FormationConfig,
-    saved_body: Option<&chf_ir::block::Block>,
-) -> MergeOutcome {
-    merge_blocks_in_ctx(f, hb, s, config, saved_body, &mut FormationCtx::new())
-}
-
-/// The in-place trial/commit core of [`merge_blocks_with_body`].
+/// The core of [`merge_blocks`], in the run's context, for an edge `hb → s`
+/// that `classify` found to be of `kind`. Three phases: admit (legality
+/// and the configuration), the in-place [`trial`], and commit.
 ///
 /// A merge attempt touches a known, small set of state: the hyperblock `hb`
 /// (guard code and spliced instructions/exits), the successor `s` (profile
 /// rescaling during duplication, removal when merged directly), blocks
 /// *appended* by duplication, and freshly allocated registers. Snapshotting
-/// exactly that set makes rollback an exact inverse, so a failed trial
+/// exactly that set makes rollback an exact inverse, so a refused trial
 /// leaves `f` bit-identical to its pre-trial state — no whole-function
-/// scratch clone per trial.
+/// scratch clone per trial. The snapshot is restored in one place, on any
+/// rejection of the trial.
 ///
-/// With `iterative_opt`, the fit decision is the one the scalar pipeline
-/// scoped to the merged block ([`chf_opt::optimize_block_quick`]) would
-/// reach. That trial optimizer cannot raise a checked count except the
-/// bank reads its global value numbering adds, so when the unoptimized
-/// block fits and every bank has room for those reads, the block fits
-/// either way and the trial optimizer is not run. It decides only the
-/// other trials, mutating nothing outside the snapshot. On success its
-/// cleanup is rewound, and the historical whole-function
-/// [`chf_opt::optimize_quick`] runs once per committed merge, reproducing
-/// the exact committed state of the scratch-space implementation. It
-/// shares the context's clean-block memo, so the blocks earlier commits
-/// left clean and this merge did not touch skip the block-local kernels,
-/// and DCE skips the blocks whose content and `live_out` its last clean
-/// sweep saw; global GVN and jump threading still visit every block.
-///
-/// Liveness is never solved from scratch per trial. The trial clones the
-/// memo's solution after [refreshing](chf_ir::liveness::Liveness::refresh)
-/// it — a rolled-back trial restores block versions, so that refresh only
-/// re-solves what the last commit changed — and refreshes its clone after
-/// each edit: for the speculation set after duplication, for the fit check
-/// of the unoptimized block, and in and after the trial optimizer.
+/// With `iterative_opt`, the commit runs the historical whole-function
+/// [`chf_opt::optimize_quick`] once per committed merge, reproducing the
+/// exact committed state of the scratch-space implementation. It shares
+/// the context's clean-block memo, so the blocks earlier commits left clean
+/// and this merge did not touch skip the block-local kernels, and DCE skips
+/// the blocks whose content and `live_out` its last clean sweep saw; global
+/// GVN and jump threading still visit every block. With the oracle on, the
+/// committed function is then checked against its pre-merge clone.
 fn merge_blocks_in_ctx(
     f: &mut Function,
     hb: BlockId,
     s: BlockId,
+    kind: DuplicationKind,
     config: &FormationConfig,
-    saved_body: Option<&chf_ir::block::Block>,
+    saved_body: Option<&Block>,
     ctx: &mut FormationCtx,
-) -> MergeOutcome {
-    if !legal_merge(f, hb, s) {
-        return MergeOutcome::Failure;
-    }
-    let kind = classify(f, ctx.clean.doms().tree(f), hb, s);
-    match kind {
-        DuplicationKind::Tail if !config.tail_duplication => return MergeOutcome::Disallowed,
-        DuplicationKind::Tail if f.block(s).size() > MAX_TAIL_DUP_SIZE => {
-            return MergeOutcome::Disallowed
-        }
-        DuplicationKind::Unroll | DuplicationKind::Peel if !config.head_duplication => {
-            return MergeOutcome::Disallowed
-        }
-        _ => {}
+) -> Result<DuplicationKind, Reject> {
+    legal_merge(f, hb, s).map_err(Reject::Combine)?;
+    let disallowed = match kind {
+        DuplicationKind::None => false,
+        DuplicationKind::Tail => !config.tail_duplication || f.block(s).size() > MAX_TAIL_DUP_SIZE,
+        DuplicationKind::Unroll | DuplicationKind::Peel => !config.head_duplication,
+    };
+    if disallowed {
+        return Err(Reject::Disallowed(kind));
     }
 
     // Differential-oracle baseline: the pre-merge function, cloned only
@@ -541,112 +539,135 @@ fn merge_blocks_in_ctx(
     // the hot path never pays for the clone).
     let oracle_orig = config.oracle.as_ref().map(|_| f.clone());
 
-    // In-place trial: snapshot the touched blocks, transform, check, then
-    // keep or roll back.
     let snap = f.snapshot_blocks([hb, s]);
+    if let Err(reject) = trial(f, hb, s, kind, config, saved_body, ctx) {
+        f.restore_blocks(snap);
+        return Err(reject);
+    }
+
+    if config.iterative_opt {
+        // Commit: the whole-function quick optimization the scratch-space
+        // trial used to run, so the committed state matches it exactly.
+        chf_opt::optimize_quick(f, &mut ctx.clean);
+        if !f.contains_block(hb) {
+            return Err(Reject::Vanished);
+        }
+    }
+    if let Some(orig) = oracle_orig {
+        // On a mismatch `post_commit_check` restores `f` from the pre-merge
+        // clone, versions included, so the context's analyses see it as
+        // the pre-merge CFG again.
+        crate::oracle::post_commit_check(f, hb, s, config, &orig).map_err(Reject::Skipped)?;
+    }
+    Ok(kind)
+}
+
+/// The in-place trial of merging `s` into `hb`: duplicate, combine,
+/// verify, and decide the fit. On `Err` the caller restores the snapshot;
+/// on `Ok` `f` holds the merged, unoptimized `hb`.
+///
+/// With `iterative_opt`, the fit decision is the one the scalar pipeline
+/// scoped to the merged block ([`chf_opt::optimize_block_quick`]) would
+/// reach. That trial optimizer cannot raise a checked count except the
+/// bank reads its global value numbering adds, so when the unoptimized
+/// block fits and every bank has room for those reads, the block fits
+/// either way and release builds do not run the trial optimizer. Test
+/// builds run it on those trials too, to check that it keeps their fit.
+/// It mutates nothing outside the snapshot, and its cleanup is rewound.
+///
+/// Liveness is never solved from scratch per trial. The trial clones the
+/// memo's solution after [refreshing](chf_ir::liveness::Liveness::refresh)
+/// it — a rolled-back trial restores block versions, so that refresh only
+/// re-solves what the last commit changed — and refreshes its clone after
+/// each edit: for the speculation set after duplication, for the fit check
+/// of the unoptimized block, and in and after the trial optimizer.
+fn trial(
+    f: &mut Function,
+    hb: BlockId,
+    s: BlockId,
+    kind: DuplicationKind,
+    config: &FormationConfig,
+    saved_body: Option<&Block>,
+    ctx: &mut FormationCtx,
+) -> Result<(), Reject> {
     let mut lv = ctx.clean.liveness(f).clone();
     let s_eff = match kind {
         DuplicationKind::None => s,
-        DuplicationKind::Unroll if s == hb && saved_body.is_some() => {
-            match append_saved_iteration(f, hb, saved_body.expect("checked")) {
-                Some(b) => b,
-                None => duplicate_for_merge(f, hb, s),
-            }
-        }
+        DuplicationKind::Unroll if s == hb => saved_body
+            .and_then(|body| append_saved_iteration(f, hb, body))
+            .unwrap_or_else(|| duplicate_for_merge(f, hb, s)),
         _ => duplicate_for_merge(f, hb, s),
     };
     // The speculation-safety set reads liveness after any duplication.
     lv.refresh(f);
-    if combine_with_liveness(f, hb, s_eff, config.speculation, Some(&lv)).is_err() {
-        f.restore_blocks(snap);
-        return MergeOutcome::Failure;
-    }
+    combine_with_liveness(f, hb, s_eff, config.speculation, Some(&lv)).map_err(Reject::Combine)?;
     // Canonicalize the exit list: merging both arms of a diamond leaves two
     // exits to the join; collapsing them removes the dead branch and lets
     // the join itself become a single-predecessor merge candidate.
     f.block_mut(hb).dedupe_exits();
-    if config.verify_trials {
-        // Crash-safety net. The combine above is exactly the class of CFG
-        // surgery the verifier polices; a violation here is a compiler bug,
-        // but one we can *contain*: the snapshot is a complete undo record,
-        // so roll the trial back bit-identically and skip the candidate
-        // instead of aborting the whole compilation.
-        //
-        // Fault-injection hook: with `config.chaos` set, periodically
-        // corrupt the merged block inside the trial window — every injected
-        // fault must be caught right here and survived via rollback, which
-        // is what the chaos campaigns assert.
-        if let Some(spec) = config.chaos {
-            if ctx.chaos_fire(spec) {
-                let rng = ctx.chaos_rng(spec);
-                crate::chaos::corrupt_trial_block(f, hb, rng);
-            }
+    // Crash-safety net. The combine above is exactly the class of CFG
+    // surgery the verifier polices; a violation here is a compiler bug, but
+    // one we can *contain*: the snapshot is a complete undo record, so the
+    // trial is rolled back bit-identically and the candidate skipped
+    // instead of aborting the whole compilation.
+    //
+    // Fault-injection hook: with `config.chaos` set, periodically corrupt
+    // the merged block inside the trial window — every injected fault must
+    // be caught right here and survived via rollback, which is what the
+    // chaos campaigns assert.
+    if let Some(spec) = config.chaos {
+        if ctx.chaos_fire(spec) {
+            let rng = ctx.chaos_rng(spec);
+            crate::chaos::corrupt_trial_block(f, hb, rng);
         }
-        if let Err(error) = chf_ir::verify::verify_changed(f, &mut ctx.verified) {
-            f.restore_blocks(snap);
-            return MergeOutcome::Skipped(ChfError::Verify {
-                context: "merge trial",
-                error,
-            });
-        }
-    } else {
-        debug_assert!(chf_ir::verify::verify(f).is_ok(), "merge broke IR:\n{f}");
     }
+    chf_ir::verify::verify_changed(f, &mut ctx.verified).map_err(|error| {
+        Reject::Skipped(ChfError::Verify {
+            context: "merge trial",
+            error,
+        })
+    })?;
     lv.refresh(f);
     debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-    let fits = config.constraints.check_with(f, hb, &lv).is_ok();
+    let unoptimized = config.constraints.check_with(f, hb, &lv);
     if !config.iterative_opt {
-        if !fits {
-            f.restore_blocks(snap);
-            return MergeOutcome::Failure;
-        }
-        return commit_with_oracle(f, hb, s, config, oracle_orig, kind);
+        return unoptimized.map_err(|violation| Reject::Misfit {
+            violation,
+            optimized: false,
+        });
     }
     ctx.iterative_trials += 1;
-    let fit_first = fits && {
+    let fit_first = unoptimized.is_ok() && {
         let dom = ctx.clean.doms().tree(f);
         trial_optimizer_keeps_fit(f, hb, &lv, dom, &config.constraints)
     };
     ctx.fit_first_trials += usize::from(fit_first);
-    if fit_first && !cfg!(debug_assertions) {
-        // The trial optimizer cannot turn this fit into a failure, so it
-        // has nothing to decide. Commit `hb` without `combine`'s growth
-        // slack, as the rewind below does: a formed function keeps every
-        // block it commits.
-        let blk = f.block_mut(hb);
-        blk.insts.shrink_to_fit();
-        blk.exits.shrink_to_fit();
-    } else {
+    if !fit_first || cfg!(debug_assertions) {
         // Decide on the *scoped* optimization of the merged block: same
         // scalar pipeline, same two-round budget, but only `hb` is mutated
-        // so the snapshot stays a complete undo record. Test builds also
-        // run it on fit-first trials, to check that it keeps their fit.
+        // so the snapshot stays a complete undo record.
         let merged = f.block(hb).clone();
         chf_opt::optimize_block_quick(f, hb, &mut lv, ctx.clean.doms());
         lv.refresh(f);
         debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-        let fits = config.constraints.check_with(f, hb, &lv).is_ok();
+        let optimized = config.constraints.check_with(f, hb, &lv);
         assert!(
-            fits || !fit_first,
+            optimized.is_ok() || !fit_first,
             "trial optimization broke the fit of {hb}:\n{f}"
         );
-        if !fits {
-            f.restore_blocks(snap);
-            return MergeOutcome::Failure;
-        }
+        optimized.map_err(|violation| Reject::Misfit {
+            violation,
+            optimized: true,
+        })?;
         // Rewind the decision's scoped cleanup.
         *f.block_mut(hb) = merged;
     }
-    // Commit: the whole-function quick optimization the scratch-space trial
-    // used to run, so the committed state matches it exactly.
-    chf_opt::optimize_quick(f, &mut ctx.clean);
-    if !f.contains_block(hb) {
-        // Optimization proved the whole block unreachable (cannot happen
-        // for reachable seeds, but stay safe): the cleanup is already
-        // committed; report failure so expansion stops here.
-        return MergeOutcome::Failure;
-    }
-    commit_with_oracle(f, hb, s, config, oracle_orig, kind)
+    // Commit `hb` without `combine`'s growth slack: a formed function keeps
+    // every block it commits.
+    let blk = f.block_mut(hb);
+    blk.insts.shrink_to_fit();
+    blk.exits.shrink_to_fit();
+    Ok(())
 }
 
 /// Whether [`chf_opt::optimize_block_quick`] on the merged block `hb`, which
@@ -663,28 +684,6 @@ fn trial_optimizer_keeps_fit(
     c: &BlockConstraints,
 ) -> bool {
     c.reads_fit_with(lv, hb, &chf_opt::gvn::scoped_rewrite_sources(f, hb, dom))
-}
-
-/// Shared tail of the two commit paths: run the differential oracle (when
-/// configured) against the pre-merge clone, undoing the commit on a
-/// mismatch.
-fn commit_with_oracle(
-    f: &mut Function,
-    hb: BlockId,
-    s: BlockId,
-    config: &FormationConfig,
-    oracle_orig: Option<Function>,
-    kind: DuplicationKind,
-) -> MergeOutcome {
-    if let Some(orig) = oracle_orig {
-        if let Err(e) = crate::oracle::post_commit_check(f, hb, s, config, &orig) {
-            // `post_commit_check` restored `f` from the pre-merge clone,
-            // versions included, so the context's analyses see it as the
-            // pre-merge CFG again.
-            return MergeOutcome::Skipped(e);
-        }
-    }
-    MergeOutcome::Success(kind)
 }
 
 /// Median header-visit count of the loop headed by `header`, from its
@@ -828,7 +827,7 @@ fn expand_block(
         chf_ir::fxhash::FxHashMap::default();
     // The pristine loop body, captured just before the first unroll so that
     // later unrolls append single iterations (paper §4.1).
-    let mut saved_body: Option<chf_ir::block::Block> = None;
+    let mut saved_body: Option<Block> = None;
     while merges < MAX_MERGES_PER_BLOCK {
         let Some(idx) = policy.select(f, hb, &candidates) else {
             break;
@@ -861,10 +860,9 @@ fn expand_block(
             stats.deadline_hit |= deadline_expired;
             break;
         }
+        let kind = classify(f, ctx.clean.doms().tree(f), hb, cand.block);
         if cand.block == hb {
-            if saved_body.is_none()
-                && classify(f, ctx.clean.doms().tree(f), hb, hb) == DuplicationKind::Unroll
-            {
+            if saved_body.is_none() && kind == DuplicationKind::Unroll {
                 saved_body = Some(f.block(hb).clone());
             }
             let budget = *unroll_budget
@@ -873,22 +871,20 @@ fn expand_block(
                 failed.push(cand.block);
                 continue;
             }
-        } else if config.trip_aware_unroll {
+        } else if config.trip_aware_unroll && kind == DuplicationKind::Peel {
             // Peeling gate: merging a loop header that is not our own back
             // edge peels an iteration; only worthwhile for reliably
             // low-trip loops.
-            if classify(f, ctx.clean.doms().tree(f), hb, cand.block) == DuplicationKind::Peel {
-                let done = *peels_done.get(&cand.block).unwrap_or(&0);
-                if done >= ctx.peel_budget(profile, cand.block) {
-                    failed.push(cand.block);
-                    continue;
-                }
+            let done = *peels_done.get(&cand.block).unwrap_or(&0);
+            if done >= ctx.peel_budget(profile, cand.block) {
+                failed.push(cand.block);
+                continue;
             }
         }
         ctx.trials_spent += 1;
         stats.trials += 1;
-        match merge_blocks_in_ctx(f, hb, cand.block, config, saved_body.as_ref(), ctx) {
-            MergeOutcome::Success(kind) => {
+        match merge_blocks_in_ctx(f, hb, cand.block, kind, config, saved_body.as_ref(), ctx) {
+            Ok(kind) => {
                 stats.merges += 1;
                 match kind {
                     DuplicationKind::Tail => stats.tail_dups += 1,
@@ -909,19 +905,22 @@ fn expand_block(
                 failed.clear();
                 push_successors(f, &mut candidates, &mut order, cand.depth + 1, &failed);
             }
-            MergeOutcome::Failure => {
+            Err(Reject::Vanished) => {
+                // No `hb` is left to grow, and every remaining candidate
+                // would fail the legality check.
                 stats.failures += 1;
-                failed.push(cand.block);
+                break;
             }
-            MergeOutcome::Disallowed => {
-                failed.push(cand.block);
-            }
-            MergeOutcome::Skipped(_) => {
-                // The safety net contained a verifier violation or oracle
-                // mismatch and left the function semantically intact; the
-                // candidate is poisoned, but formation converges on the
-                // rest.
-                stats.skipped += 1;
+            Err(reject) => {
+                match reject {
+                    Reject::Disallowed(_) => {}
+                    // The safety net contained a verifier violation or
+                    // oracle mismatch and left the function semantically
+                    // intact; the candidate is poisoned, but formation
+                    // converges on the rest.
+                    Reject::Skipped(_) => stats.skipped += 1,
+                    _ => stats.failures += 1,
+                }
                 failed.push(cand.block);
             }
         }
@@ -1099,7 +1098,9 @@ mod tests {
         p.apply(f);
     }
 
-    fn diamond() -> Function {
+    /// `e → t | z → j`, with `pad` more instructions in the join `j`.
+    /// Returns the function, `t` and `j`.
+    fn padded_diamond(pad: usize) -> (Function, BlockId, BlockId) {
         let mut fb = FunctionBuilder::new("diamond", 1);
         let e = fb.create_block();
         let t = fb.create_block();
@@ -1116,9 +1117,16 @@ mod tests {
         fb.mov_to(out, Operand::Imm(2));
         fb.jump(j);
         fb.switch_to(j);
-        let y = fb.mul(reg(out), Operand::Imm(10));
+        let mut y = fb.mul(reg(out), Operand::Imm(10));
+        for _ in 0..pad {
+            y = fb.add(reg(y), Operand::Imm(1));
+        }
         fb.ret(Some(reg(y)));
-        fb.build().unwrap()
+        (fb.build().unwrap(), t, j)
+    }
+
+    fn diamond() -> Function {
+        padded_diamond(0).0
     }
 
     #[test]
@@ -1434,31 +1442,193 @@ mod tests {
         let (mut f, h, s) = gvn_tips_a_bank(0);
         let config = FormationConfig::default();
         let mut ctx = FormationCtx::new();
-        let outcome = merge_blocks_in_ctx(&mut f, h, s, &config, None, &mut ctx);
-        assert_eq!(outcome, MergeOutcome::Failure);
+        let kind = DuplicationKind::None;
+        let outcome = merge_blocks_in_ctx(&mut f, h, s, kind, &config, None, &mut ctx);
+        assert!(
+            matches!(
+                outcome,
+                Err(Reject::Misfit {
+                    optimized: true,
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
         assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 0));
         // The unoptimized block fits; only the trial optimizer's rewrite
         // fails it, as the full trial optimizer decides.
-        let (mut f, h, s) = gvn_tips_a_bank(0);
-        assert_eq!(
-            merge_blocks_with_body(&mut f, h, s, &config, None),
-            MergeOutcome::Failure
-        );
         let no_opt = FormationConfig {
             iterative_opt: false,
             ..FormationConfig::default()
         };
         assert_eq!(
-            merge_blocks_with_body(&mut f, h, s, &no_opt, None),
-            MergeOutcome::Success(DuplicationKind::None)
+            merge_blocks(&mut f, h, s, &no_opt, None),
+            Ok(DuplicationKind::None)
         );
         // With `pr` in another bank there is room, and nothing is left for
         // the trial optimizer to decide.
         let (mut f, h, s) = gvn_tips_a_bank(1);
         let mut ctx = FormationCtx::new();
-        let outcome = merge_blocks_in_ctx(&mut f, h, s, &config, None, &mut ctx);
-        assert_eq!(outcome, MergeOutcome::Success(DuplicationKind::None));
+        let outcome = merge_blocks_in_ctx(&mut f, h, s, kind, &config, None, &mut ctx);
+        assert_eq!(outcome, Ok(DuplicationKind::None));
         assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 1));
+    }
+
+    /// Merge `s` into `hb`, expecting a refusal that leaves `f` printing
+    /// as before and still verifying.
+    fn refused(f: &mut Function, hb: BlockId, s: BlockId, config: &FormationConfig) -> Reject {
+        let before = f.to_string();
+        let reject = merge_blocks(f, hb, s, config, None).expect_err("merge must be refused");
+        assert_eq!(f.to_string(), before, "{reject:?} left the merge behind");
+        verify(f).unwrap();
+        reject
+    }
+
+    #[test]
+    fn the_entry_is_an_illegal_target() {
+        let (mut f, t, _) = padded_diamond(0);
+        let entry = f.entry;
+        let reject = refused(&mut f, t, entry, &FormationConfig::default());
+        assert_eq!(reject, Reject::Combine(CombineError::IllegalTarget));
+    }
+
+    #[test]
+    fn a_clobbered_exit_predicate_rolls_back() {
+        // The entry exits `[c1] -> x`, `[c2] -> s`, `-> y`, and `s` writes
+        // `c1`, the predicate of an exit evaluated after its code.
+        let mut fb = FunctionBuilder::new("f", 1);
+        let e = fb.create_block();
+        let s = fb.create_block();
+        let x = fb.create_block();
+        let y = fb.create_block();
+        fb.switch_to(e);
+        let c1 = fb.cmp_lt(reg(fb.param(0)), Operand::Imm(0));
+        let c2 = fb.cmp_gt(reg(fb.param(0)), Operand::Imm(10));
+        fb.jump(y);
+        fb.switch_to(s);
+        fb.mov_to(c1, Operand::Imm(1));
+        fb.ret(None);
+        fb.switch_to(x);
+        fb.ret(None);
+        fb.switch_to(y);
+        fb.ret(None);
+        let mut f = fb.build().unwrap();
+        f.block_mut(e).exits = vec![
+            chf_ir::block::Exit::when(chf_ir::instr::Pred::on_true(c1), x),
+            chf_ir::block::Exit::when(chf_ir::instr::Pred::on_true(c2), s),
+            chf_ir::block::Exit::jump(y),
+        ];
+        let reject = refused(&mut f, e, s, &FormationConfig::default());
+        assert_eq!(reject, Reject::Combine(CombineError::ClobbersRemainingExit));
+    }
+
+    #[test]
+    fn tail_duplication_is_disallowed_over_the_cap_or_when_off() {
+        let (mut f, t, j) = padded_diamond(MAX_TAIL_DUP_SIZE);
+        assert!(f.block(j).size() > MAX_TAIL_DUP_SIZE);
+        let reject = refused(&mut f, t, j, &FormationConfig::default());
+        assert_eq!(reject, Reject::Disallowed(DuplicationKind::Tail));
+        let (mut f, t, j) = padded_diamond(0);
+        let no_tails = FormationConfig {
+            tail_duplication: false,
+            ..FormationConfig::default()
+        };
+        let reject = refused(&mut f, t, j, &no_tails);
+        assert_eq!(reject, Reject::Disallowed(DuplicationKind::Tail));
+    }
+
+    #[test]
+    fn an_unoptimized_misfit_rolls_back() {
+        let (mut f, t, _) = padded_diamond(0);
+        let entry = f.entry;
+        let config = FormationConfig {
+            constraints: BlockConstraints {
+                max_insts: 2,
+                headroom_percent: 0,
+                ..BlockConstraints::trips()
+            },
+            iterative_opt: false,
+            ..FormationConfig::default()
+        };
+        let reject = refused(&mut f, entry, t, &config);
+        assert!(
+            matches!(
+                reject,
+                Reject::Misfit {
+                    violation: Violation::TooManyInstructions { .. },
+                    optimized: false
+                }
+            ),
+            "{reject:?}"
+        );
+    }
+
+    #[test]
+    fn an_optimized_misfit_names_its_bank() {
+        let (mut f, h, s) = gvn_tips_a_bank(0);
+        let reject = refused(&mut f, h, s, &FormationConfig::default());
+        assert!(
+            matches!(
+                reject,
+                Reject::Misfit {
+                    violation: Violation::TooManyBankReads { bank: 0, .. },
+                    optimized: true
+                }
+            ),
+            "{reject:?}"
+        );
+    }
+
+    #[test]
+    fn a_corrupted_trial_is_skipped_and_rolled_back() {
+        let (mut f, t, _) = padded_diamond(0);
+        let entry = f.entry;
+        let config = FormationConfig {
+            chaos: Some(ChaosSpec { seed: 1, period: 1 }),
+            ..FormationConfig::default()
+        };
+        let reject = refused(&mut f, entry, t, &config);
+        assert!(
+            matches!(reject, Reject::Skipped(ChfError::Verify { .. })),
+            "{reject:?}"
+        );
+    }
+
+    /// The entry `B0` jumps to `B3`, a merge point too large to
+    /// tail-duplicate. The unreachable `B1` branches to `B2` and `B3`; `B2`
+    /// reaches the return through the empty forwarder `B4`.
+    fn unreachable_seed() -> Function {
+        let mut text = String::from(
+            "fn vanish(params: 1, regs: 29)\n\
+             B0:\n  exits:\n    -> B3\n\
+             B1:\n    r1 = lt r0, #0\n  exits:\n    [r1] -> B2\n    -> B3\n\
+             B2:\n  exits:\n    -> B4\n\
+             B3:\n",
+        );
+        for i in 2..28 {
+            let src = if i == 2 { 0 } else { i - 1 };
+            text += &format!("    r{i} = add r{src}, #1\n");
+        }
+        text += "  exits:\n    -> ret r27\n\
+                 B4:\n  exits:\n    -> B5\n\
+                 B5:\n  exits:\n    -> ret r0\n";
+        chf_ir::parse::parse_function(&text).unwrap()
+    }
+
+    #[test]
+    fn a_vanished_hyperblock_ends_its_expansion() {
+        let mut f = unreachable_seed();
+        let (b1, b2) = (BlockId(1), BlockId(2));
+        assert_eq!(
+            merge_blocks(&mut f, b1, b2, &FormationConfig::default(), None),
+            Err(Reject::Vanished)
+        );
+        assert!(!f.contains_block(b1));
+        verify(&f).unwrap();
+        // `B1`'s other candidate, `B3`, is not tried after it vanished.
+        let mut f = unreachable_seed();
+        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        assert_eq!((stats.trials, stats.failures), (2, 1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! machinery already knows how to roll the CFG back bit-identically, so the
 //! correct reaction is *rollback + skip candidate*, reported through this
 //! type. `ChfError` is therefore carried inside
-//! [`crate::convergent::MergeOutcome::Skipped`] and surfaced by
+//! [`crate::convergent::Reject::Skipped`] and surfaced by
 //! [`crate::pipeline::try_compile`], never panicked.
 
 use crate::constraints::InvalidConstraints;

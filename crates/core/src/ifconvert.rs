@@ -223,25 +223,14 @@ fn build_guard(
 /// Returns a [`CombineError`] and leaves `f` untouched if the merge is
 /// structurally impossible.
 pub fn combine(f: &mut Function, hb: BlockId, s: BlockId) -> Result<(), CombineError> {
-    combine_with(f, hb, s, true)
+    combine_with_liveness(f, hb, s, true, None)
 }
 
 /// [`combine`] with speculation optionally disabled (every merged
-/// instruction keeps a guard). Used by the speculation ablation; real
-/// hyperblock compilers always speculate.
-pub fn combine_with(
-    f: &mut Function,
-    hb: BlockId,
-    s: BlockId,
-    speculation: bool,
-) -> Result<(), CombineError> {
-    combine_with_liveness(f, hb, s, speculation, None)
-}
-
-/// [`combine_with`] with an optionally pre-computed liveness solution for
-/// the *current* state of `f`. The convergent formation driver passes its
-/// trial's solution, refreshed after any duplication; `None` computes
-/// liveness here.
+/// instruction keeps a guard; the speculation ablation turns it off) and
+/// an optionally pre-computed liveness solution for the *current* state of
+/// `f`. The convergent formation driver passes its trial's solution,
+/// refreshed after any duplication; `None` computes liveness here.
 pub(crate) fn combine_with_liveness(
     f: &mut Function,
     hb: BlockId,

@@ -144,9 +144,11 @@ pub fn post_commit_check(
 /// Whether re-attempting the merge `hb <- s` on `h` still exhibits a
 /// divergence on `args` (or panics — a crash reproducer is equally useful).
 ///
-/// The merge re-runs under a *stripped* configuration (no oracle, no chaos,
-/// no trial verification) so reduction cannot recurse into the oracle or
-/// re-inject faults.
+/// The merge re-runs under a *stripped* configuration (no oracle, no chaos)
+/// so reduction cannot recurse into the oracle or re-inject faults. Its
+/// trial is still verified: a reduced case whose merge the verifier refuses
+/// is rolled back and so does not reproduce, which keeps the reducer on the
+/// behaviour change it was given.
 fn reproduces(
     h: &Function,
     hb: BlockId,
@@ -158,7 +160,7 @@ fn reproduces(
     let pre = h.clone();
     let merged = catch_unwind(AssertUnwindSafe(move || {
         let mut m = pre;
-        merge_blocks(&mut m, hb, s, plain);
+        let _ = merge_blocks(&mut m, hb, s, plain, None);
         m
     }));
     let Ok(merged) = merged else {
@@ -276,7 +278,6 @@ fn reduce_merge_mismatch(
     let plain = FormationConfig {
         oracle: None,
         chaos: None,
-        verify_trials: false,
         ..config.clone()
     };
     let run_cfg = cfg.run_config();

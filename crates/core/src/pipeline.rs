@@ -174,9 +174,7 @@ fn formation_config(config: &CompileConfig, head: bool, iterative_opt: bool) -> 
         } else {
             SeedOrder::Frequency
         },
-        // `verify_trials` (and the disabled oracle hook) come from the
-        // default: every pipeline formation runs under the mid-trial
-        // verify-and-rollback safety net.
+        // The oracle stays off, as in the default.
         ..FormationConfig::default()
     }
 }

@@ -18,6 +18,7 @@
 //! "Loop peeling and unrolling").
 
 use crate::constraints::BlockConstraints;
+use crate::convergent::merge_blocks;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
@@ -269,16 +270,10 @@ pub fn hyperblock_unroll_peel(
             if !f.block(header).successors().any(|s| s == header) {
                 break; // self edge gone (fully unrolled or shape changed)
             }
-            match crate::convergent::merge_blocks_with_body(
-                f,
-                header,
-                header,
-                &merge_config,
-                Some(&saved),
-            ) {
-                crate::convergent::MergeOutcome::Success(_) => stats.unrolls += 1,
-                _ => break,
+            if merge_blocks(f, header, header, &merge_config, Some(&saved)).is_err() {
+                break;
             }
+            stats.unrolls += 1;
         }
 
         // Peel into the (unique, non-loop) predecessor when trip counts are
@@ -301,10 +296,10 @@ pub fn hyperblock_unroll_peel(
                 .collect();
             let [pred] = preds.as_slice() else { break };
             let pred = *pred;
-            match crate::convergent::merge_blocks(f, pred, header, &merge_config) {
-                crate::convergent::MergeOutcome::Success(_) => stats.peels += 1,
-                _ => break,
+            if merge_blocks(f, pred, header, &merge_config, None).is_err() {
+                break;
             }
+            stats.peels += 1;
         }
     }
     stats

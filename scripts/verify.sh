@@ -46,6 +46,9 @@
 #                                # replica guard proves the stage-by-stage
 #                                # replicas still equal the real
 #                                # `optimize` and `try_compile`
+#   scripts/verify.sh loc        # code lines per crate and in total
+#                                # (not in `all`; CI adds them to the
+#                                # job summary)
 #
 # Performance is measured by `benchmark/run.sh` (see benchmark/README.md),
 # not by a gate here.
@@ -185,6 +188,28 @@ run_bench() {
     cargo test --manifest-path benchmark/Cargo.toml
 }
 
+# Counts the program's code lines, per crate and in total: the non-blank
+# lines of crates/*/src/**/*.rs that are not `//`, `///` or `//!` comments
+# and come before the file's first column-0 `#[cfg(test)]` (every test
+# module sits at the end of its file). Each change reports its net delta
+# with this count. It has no threshold.
+run_loc() {
+    echo "==> code lines per crate (crates/*/src, before each file's first #[cfg(test)])"
+    total=0
+    for dir in crates/*/; do
+        crate=$(basename "${dir}")
+        n=$(find "${dir}src" -name '*.rs' | sort | xargs awk '
+            FNR == 1 { tests = 0 }
+            /^#\[cfg\(test\)\]/ { tests = 1 }
+            tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+            { n++ }
+            END { print n + 0 }')
+        echo "${crate} ${n}"
+        total=$((total + n))
+    done
+    echo "total ${total}"
+}
+
 run_all() {
     run_fmt
     run_build
@@ -218,6 +243,7 @@ while [ "$#" -gt 0 ]; do
         tournament) run_tournament ;;
         corpus) run_corpus ;;
         bench) run_bench ;;
+        loc) run_loc ;;
         chaos | service)
             # Optional numeric fault/request count following the step.
             case "${1:-}" in
@@ -231,7 +257,7 @@ while [ "$#" -gt 0 ]; do
         all) run_all ;;
         *)
             echo "verify.sh: unknown step '${step}'" >&2
-            echo "usage: scripts/verify.sh [fmt|build|lint|doc|test|bench|smoke|tournament|corpus|chaos [N]|service [N]|all]..." >&2
+            echo "usage: scripts/verify.sh [fmt|build|lint|doc|test|bench|smoke|tournament|corpus|chaos [N]|service [N]|loc|all]..." >&2
             exit 2
             ;;
     esac
