@@ -153,20 +153,6 @@ impl BlockConstraints {
         r.0 % self.reg_banks
     }
 
-    /// Whether block `b`'s register reads, as `liveness` has them, plus the
-    /// registers of `extra` it does not read yet, stay within
-    /// `reads_per_bank` in every bank. Duplicates in `extra` count twice.
-    pub(crate) fn reads_fit_with(&self, liveness: &Liveness, b: BlockId, extra: &[Reg]) -> bool {
-        let reads = liveness.register_reads(b);
-        let extra = || extra.iter().filter(|r| !reads.contains(r));
-        extra().all(|r| {
-            let k = self.bank(*r);
-            let read = reads.iter().filter(|&q| self.bank(q) == k).count();
-            let added = extra().filter(|q| self.bank(**q) == k).count();
-            read.saturating_add(added) <= self.reads_per_bank
-        })
-    }
-
     /// The bank of the first register of `regs`, in ascending order, that is
     /// the `limit + 1`-th of its bank: the bank a running per-bank count
     /// would report first. Counts by rescanning the registers before it,

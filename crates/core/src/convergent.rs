@@ -3,13 +3,13 @@
 //! `expand_block` implements `ExpandBlock`: starting from a seed block, it
 //! repeatedly asks the policy for the best candidate successor, attempts the
 //! merge as an *in-place trial* ([`merge_blocks`] snapshots the blocks the
-//! merge can touch, transforms the CFG directly, verifies it, optionally
-//! optimizes the merged block and checks the structural constraints), and
-//! keeps only successful merges. A refused merge comes back as a
-//! [`Reject`] naming the step that refused it, and the snapshot is rolled
-//! back in one place. The paper's
-//! implementation tested merges in scratch space to "avoid a more
-//! complicated undo step"; cloning the whole function per trial dominated
+//! merge can touch, transforms the CFG directly, verifies it and checks the
+//! structural constraints, with a second check on the optimized block when
+//! the merged one misfits), and keeps only successful merges. A refused
+//! merge comes back as a [`Reject`] naming the step that refused it, and
+//! the snapshot is rolled back in one place. The paper's implementation
+//! tested merges in scratch space to "avoid a more complicated undo
+//! step"; cloning the whole function per trial dominated
 //! compile time here, so the undo step is now explicit — a merge only ever
 //! writes the hyperblock, the merged successor, freshly appended blocks and
 //! fresh registers, all of which [`chf_ir::function::BlocksSnapshot`]
@@ -57,8 +57,9 @@ pub struct FormationConfig {
     /// Allow tail duplication. (Always on in the paper; exposed for
     /// ablation.)
     pub tail_duplication: bool,
-    /// Run scalar optimizations on the merged block before the legality
-    /// check — the difference between `(IUP)O` and `(IUPO)`.
+    /// Run scalar optimizations on a merged block that misfits before
+    /// checking it again, and on the function after each committed merge —
+    /// the difference between `(IUP)O` and `(IUPO)`.
     pub iterative_opt: bool,
     /// Limit unrolling by the loop's expected trip count, estimated from
     /// the profiled back-edge probability (§5: the peeling/unrolling policy
@@ -270,9 +271,9 @@ pub enum Reject {
     Misfit {
         /// The first constraint it breaks.
         violation: Violation,
-        /// Whether the trial optimizer ran on the block before the check
-        /// (always, under [`FormationConfig::iterative_opt`], when the
-        /// unoptimized block might not fit; never without it).
+        /// Whether the block misfit unoptimized and the trial optimizer
+        /// ran on it before this check (only under
+        /// [`FormationConfig::iterative_opt`]).
         optimized: bool,
     },
     /// The commit-time cleanup removed `hb` itself: `hb` was unreachable.
@@ -315,8 +316,8 @@ struct FormationCtx {
     /// optimized again.
     /// Its liveness solution, refreshed, starts every trial's, and its
     /// dominator cache answers every trial's CFG questions: the
-    /// classification of the candidate edge, the fit-first guard and the
-    /// trial optimizer's global round.
+    /// classification of the candidate edge and the trial optimizer's
+    /// global round.
     clean: chf_opt::CleanBlocks,
     /// The last function state trial verification passed.
     verified: VerifyMemo,
@@ -328,10 +329,6 @@ struct FormationCtx {
     later_forks: Vec<usize>,
     /// Forks taken so far, in budget order.
     forks: Vec<BudgetFork>,
-    /// Merge trials that reached the `iterative_opt` fit decision.
-    iterative_trials: usize,
-    /// Of those, the trials decided without the trial optimizer.
-    fit_first_trials: usize,
 }
 
 impl FormationCtx {
@@ -345,8 +342,6 @@ impl FormationCtx {
             next_fork: usize::MAX,
             later_forks: Vec::new(),
             forks: Vec::new(),
-            iterative_trials: 0,
-            fit_first_trials: 0,
         }
     }
 
@@ -566,14 +561,12 @@ fn merge_blocks_in_ctx(
 /// verify, and decide the fit. On `Err` the caller restores the snapshot;
 /// on `Ok` `f` holds the merged, unoptimized `hb`.
 ///
-/// With `iterative_opt`, the fit decision is the one the scalar pipeline
-/// scoped to the merged block ([`chf_opt::optimize_block_quick`]) would
-/// reach. That trial optimizer cannot raise a checked count except the
-/// bank reads its global value numbering adds, so when the unoptimized
-/// block fits and every bank has room for those reads, the block fits
-/// either way and release builds do not run the trial optimizer. Test
-/// builds run it on those trials too, to check that it keeps their fit.
-/// It mutates nothing outside the snapshot, and its cleanup is rewound.
+/// A merged block that fits is committed as it stands. With
+/// `iterative_opt`, one that does not fit is decided again on the scalar
+/// pipeline scoped to it ([`chf_opt::optimize_block_quick`]): if the
+/// optimized block fits, the merge commits, unoptimized. That trial
+/// optimizer mutates nothing outside the snapshot, and its cleanup is
+/// rewound.
 ///
 /// Liveness is never solved from scratch per trial. The trial clones the
 /// memo's solution after [refreshing](chf_ir::liveness::Liveness::refresh)
@@ -629,36 +622,27 @@ fn trial(
     })?;
     lv.refresh(f);
     debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-    let unoptimized = config.constraints.check_with(f, hb, &lv);
-    if !config.iterative_opt {
-        return unoptimized.map_err(|violation| Reject::Misfit {
-            violation,
-            optimized: false,
-        });
-    }
-    ctx.iterative_trials += 1;
-    let fit_first = unoptimized.is_ok() && {
-        let dom = ctx.clean.doms().tree(f);
-        trial_optimizer_keeps_fit(f, hb, &lv, dom, &config.constraints)
-    };
-    ctx.fit_first_trials += usize::from(fit_first);
-    if !fit_first || cfg!(debug_assertions) {
-        // Decide on the *scoped* optimization of the merged block: same
-        // scalar pipeline, same two-round budget, but only `hb` is mutated
-        // so the snapshot stays a complete undo record.
+    if let Err(violation) = config.constraints.check_with(f, hb, &lv) {
+        if !config.iterative_opt {
+            return Err(Reject::Misfit {
+                violation,
+                optimized: false,
+            });
+        }
+        // Decide again on the *scoped* optimization of the merged block:
+        // same scalar pipeline, same two-round budget, but only `hb` is
+        // mutated so the snapshot stays a complete undo record.
         let merged = f.block(hb).clone();
         chf_opt::optimize_block_quick(f, hb, &mut lv, ctx.clean.doms());
         lv.refresh(f);
         debug_assert_eq!(lv, chf_ir::liveness::Liveness::compute(f));
-        let optimized = config.constraints.check_with(f, hb, &lv);
-        assert!(
-            optimized.is_ok() || !fit_first,
-            "trial optimization broke the fit of {hb}:\n{f}"
-        );
-        optimized.map_err(|violation| Reject::Misfit {
-            violation,
-            optimized: true,
-        })?;
+        config
+            .constraints
+            .check_with(f, hb, &lv)
+            .map_err(|violation| Reject::Misfit {
+                violation,
+                optimized: true,
+            })?;
         // Rewind the decision's scoped cleanup.
         *f.block_mut(hb) = merged;
     }
@@ -668,22 +652,6 @@ fn trial(
     blk.insts.shrink_to_fit();
     blk.exits.shrink_to_fit();
     Ok(())
-}
-
-/// Whether [`chf_opt::optimize_block_quick`] on the merged block `hb`, which
-/// fits `c` unoptimized (`lv` describes `f`), leaves it fitting. Of the
-/// checked counts only the bank reads can rise, and only by the rewrites of
-/// global value numbering (see `optimize_block_quick`), so it suffices that
-/// every bank can take all the registers those could add. `dom` is the
-/// dominator tree of `f`.
-fn trial_optimizer_keeps_fit(
-    f: &Function,
-    hb: BlockId,
-    lv: &chf_ir::liveness::Liveness,
-    dom: &chf_ir::dom::DomTree,
-    c: &BlockConstraints,
-) -> bool {
-    c.reads_fit_with(lv, hb, &chf_opt::gvn::scoped_rewrite_sources(f, hb, dom))
 }
 
 /// Median header-visit count of the loop headed by `header`, from its
@@ -1409,9 +1377,9 @@ mod tests {
     /// A merge whose block sits on the bank-0 read limit, where global
     /// value numbering rewrites `d = add p1, 5` in the merged block to a
     /// copy of `pr`, defined by the same expression in the entry block:
-    /// `pr` (bank 0) becomes a ninth bank-0 read. Returns the function,
-    /// the block merged into and the block merged.
-    fn gvn_tips_a_bank(pr_bank: u32) -> (Function, BlockId, BlockId) {
+    /// after the trial optimizer, `pr` (bank 0) is a ninth bank-0 read.
+    /// Returns the function, the block merged into and the block merged.
+    fn gvn_tips_a_bank() -> (Function, BlockId, BlockId) {
         let mut fb = FunctionBuilder::new("f", 40);
         let e = fb.create_block();
         let h = fb.create_block();
@@ -1419,7 +1387,7 @@ mod tests {
         let p1 = reg(chf_ir::ids::Reg(1));
         fb.switch_to(e);
         let mut pr = fb.fresh_reg();
-        while pr.0 % 4 != pr_bank {
+        while !pr.0.is_multiple_of(4) {
             pr = fb.fresh_reg();
         }
         fb.push(chf_ir::instr::Instr::add(pr, p1, Operand::Imm(5)));
@@ -1438,25 +1406,15 @@ mod tests {
     }
 
     #[test]
-    fn fit_first_falls_back_when_gvn_can_tip_a_bank() {
-        let (mut f, h, s) = gvn_tips_a_bank(0);
-        let config = FormationConfig::default();
-        let mut ctx = FormationCtx::new();
-        let kind = DuplicationKind::None;
-        let outcome = merge_blocks_in_ctx(&mut f, h, s, kind, &config, None, &mut ctx);
-        assert!(
-            matches!(
-                outcome,
-                Err(Reject::Misfit {
-                    optimized: true,
-                    ..
-                })
-            ),
-            "{outcome:?}"
+    fn a_block_that_fits_as_merged_commits() {
+        let (mut f, h, s) = gvn_tips_a_bank();
+        assert_eq!(
+            merge_blocks(&mut f, h, s, &FormationConfig::default(), None),
+            Ok(DuplicationKind::None)
         );
-        assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 0));
-        // The unoptimized block fits; only the trial optimizer's rewrite
-        // fails it, as the full trial optimizer decides.
+        verify(&f).unwrap();
+        // It commits although the trial optimizer would tip bank 0.
+        let (mut f, h, s) = gvn_tips_a_bank();
         let no_opt = FormationConfig {
             iterative_opt: false,
             ..FormationConfig::default()
@@ -1465,13 +1423,14 @@ mod tests {
             merge_blocks(&mut f, h, s, &no_opt, None),
             Ok(DuplicationKind::None)
         );
-        // With `pr` in another bank there is room, and nothing is left for
-        // the trial optimizer to decide.
-        let (mut f, h, s) = gvn_tips_a_bank(1);
-        let mut ctx = FormationCtx::new();
-        let outcome = merge_blocks_in_ctx(&mut f, h, s, kind, &config, None, &mut ctx);
-        assert_eq!(outcome, Ok(DuplicationKind::None));
-        assert_eq!((ctx.iterative_trials, ctx.fit_first_trials), (1, 1));
+        let mut lv = chf_ir::liveness::Liveness::compute(&f);
+        chf_opt::optimize_block_quick(&mut f, h, &mut lv, &mut chf_ir::dom::DomCache::new());
+        lv.refresh(&f);
+        let optimized = no_opt.constraints.check_with(&f, h, &lv);
+        assert!(
+            matches!(optimized, Err(Violation::TooManyBankReads { bank: 0, .. })),
+            "{optimized:?}"
+        );
     }
 
     /// Merge `s` into `hb`, expecting a refusal that leaves `f` printing
@@ -1565,7 +1524,11 @@ mod tests {
 
     #[test]
     fn an_optimized_misfit_names_its_bank() {
-        let (mut f, h, s) = gvn_tips_a_bank(0);
+        // With `s` adding `p32` where it added `p1`, the merged block reads
+        // bank 0 nine times unoptimized, and every read feeds the returned
+        // value, so no kernel can drop one.
+        let (mut f, h, s) = gvn_tips_a_bank();
+        f.block_mut(s).insts[0].a = Some(reg(chf_ir::ids::Reg(32)));
         let reject = refused(&mut f, h, s, &FormationConfig::default());
         assert!(
             matches!(
@@ -1629,30 +1592,5 @@ mod tests {
         let mut f = unreachable_seed();
         let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
         assert_eq!((stats.trials, stats.failures), (2, 1));
-    }
-
-    #[test]
-    fn most_micro_trials_skip_the_trial_optimizer() {
-        let (mut trials, mut skipped) = (0, 0);
-        for w in chf_workloads::microbenchmarks() {
-            let mut f = w.function.clone();
-            w.profile.apply(&mut f);
-            let mut ctx = FormationCtx::new();
-            let config = FormationConfig::default();
-            form_in_ctx(
-                &mut f,
-                &mut BreadthFirst,
-                &config,
-                Some(&w.profile),
-                &mut ctx,
-            );
-            trials += ctx.iterative_trials;
-            skipped += ctx.fit_first_trials;
-        }
-        assert!(trials > 0);
-        assert!(
-            2 * skipped >= trials,
-            "{skipped} of {trials} iterative trials skipped the trial optimizer"
-        );
     }
 }

@@ -9,8 +9,8 @@
 //! walks need come from the same arrays.
 //!
 //! Convergent formation asks for dominators many times per merge: to
-//! classify the candidate edge, for the fit-first guard on the trial CFG,
-//! and in every global value-numbering round at commit. Most of those
+//! classify the candidate edge, in the trial optimizer's global round on
+//! the trial CFG, and in every global value-numbering round at commit. Most of those
 //! questions are about a CFG the previous one already saw, because a commit
 //! or a trial edits a few blocks and most edits leave exits alone. A
 //! [`DomCache`] keeps the tree (and loop membership) of the last two CFGs

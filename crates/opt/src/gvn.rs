@@ -257,8 +257,6 @@ thread_local! {
             invariant: RegTable::new(),
         })
     };
-    /// The registers [`scoped_rewrite_sources`] finds in the scoped block.
-    static BLOCK_REGS: RefCell<RegTable<bool>> = const { RefCell::new(RegTable::new()) };
 }
 
 impl Invariants {
@@ -391,116 +389,6 @@ fn global_rewrites(
         }
     }
     rewrites
-}
-
-/// Every register a [`run_global_with`]`(f, Some(b), ..)` could make `b`
-/// read from the register file, whether it runs on `f` as it stands or
-/// after the block-local kernels of [`crate::optimize_block_quick`] edited
-/// `b`. Empty when `b` stays in a loop. A register defined more than once
-/// is listed once per definition.
-///
-/// A rewrite landing in `b` turns `d = op x, y` into `mov d, pr`. Since `d`
-/// is invariant, `b` lies in no loop. `pr` is defined earlier in `b`, which
-/// adds no upward-exposed read, or by an unpredicated, non-`Mov`,
-/// non-`Load` instruction `pr = op x, y` of a strict dominator of `b` that
-/// lies in no loop either. Those definitions are the list, less the ones no
-/// instruction of `b` can come to match: the local kernels turn
-/// instructions into `mov`s (never rewritten) or strength-reduce `mul`,
-/// `div` and `rem` to `shl`, `shr` and `and`, and replace a register
-/// operand only by a `mov` source of `b` or a register `b` defines (an
-/// immediate operand can be any folded constant).
-///
-/// "In no loop" is judged by the CFG the global round sees. The local
-/// kernels edit only `b`, and their one CFG edit is predicate optimization
-/// dropping exits of `b`, which never adds a target. Dropping out-edges of
-/// `b` keeps `b`'s dominators but can take blocks out of loops, so a block
-/// counts as in a loop only if it stays in one whichever exits go. Only a
-/// header dominating `b` can head a loop around `b` or one of its
-/// dominators, so only the back edges `l → h` into those headers, with
-/// `l ≠ b`, are walked:
-/// * a strict dominator stays in the loop of `l → h` if it reaches `l`
-///   without passing `h` or `b`, or is `h` with a successor that does
-///   (or `l` is `h`);
-/// * `b` stays in a loop if every exit targets a block that dominates `b`
-///   (the exit is a back edge) or reaches such an `l` without passing `h`
-///   or `b`: whichever exits survive, one closes a loop through `b`.
-///
-/// `dom` is the dominator tree of `f`.
-pub fn scoped_rewrite_sources(f: &Function, b: BlockId, dom: &DomTree) -> Vec<Reg> {
-    if !dom.is_reachable(b) {
-        return Vec::new(); // the global round visits reachable blocks only
-    }
-    let mut chain = vec![b];
-    while let Some(d) = dom.idom(chain[chain.len() - 1]) {
-        if d == chain[chain.len() - 1] {
-            break;
-        }
-        chain.push(d);
-    }
-    let exits = &f.block(b).exits;
-    let leaves = exits.iter().any(|e| e.target.block().is_none());
-    let targets: Vec<BlockId> = exits.iter().filter_map(|e| e.target.block()).collect();
-    let mut closes: Vec<bool> = targets.iter().map(|&t| dom.dominates(t, b)).collect();
-    let mut stays = vec![false; chain.len()];
-    let mut mark = vec![0u32; dom.slots()];
-    let mut walk = 0u32;
-    let mut stack: Vec<BlockId> = Vec::new();
-    for &h in &chain {
-        for &l in dom.preds(h) {
-            if l == b || !dom.dominates(h, l) {
-                continue;
-            }
-            // The blocks that reach `l` without passing `h` or `b`.
-            walk += 1;
-            stack.push(l);
-            while let Some(x) = stack.pop() {
-                if x != h && x != b && mark[x.index()] != walk {
-                    mark[x.index()] = walk;
-                    stack.extend_from_slice(dom.preds(x));
-                }
-            }
-            let reaches = |x: BlockId| mark[x.index()] == walk;
-            for (stay, &d) in stays.iter_mut().zip(&chain).skip(1) {
-                *stay |= reaches(d) || (d == h && (l == h || f.block(h).successors().any(reaches)));
-            }
-            for (close, &t) in closes.iter_mut().zip(&targets) {
-                *close |= reaches(t);
-            }
-        }
-    }
-    if !leaves && closes.iter().all(|&c| c) {
-        return Vec::new();
-    }
-    // The opcodes and register operands instructions of `b` can have.
-    BLOCK_REGS.with_borrow_mut(|operands| {
-        operands.clear();
-        let mut ops = 0u32;
-        for i in &f.block(b).insts {
-            let reduced = match i.op {
-                Opcode::Mul => Opcode::Shl,
-                Opcode::Div => Opcode::Shr,
-                Opcode::Rem => Opcode::And,
-                op => op,
-            };
-            ops |= 1 << i.op as u32 | 1 << reduced as u32;
-            let regs = [i.a, i.b].into_iter().flatten().filter_map(|o| o.as_reg());
-            for r in regs.chain(i.def()) {
-                operands.set(r, true);
-            }
-        }
-        let can_match =
-            |o: Option<Operand>| o.and_then(|o| o.as_reg()).is_none_or(|r| operands.get(r));
-        chain
-            .iter()
-            .zip(&stays)
-            .skip(1)
-            .filter(|&(_, &stay)| !stay)
-            .flat_map(|(&d, _)| &f.block(d).insts)
-            .filter(|i| i.pred.is_none() && !matches!(i.op, Opcode::Mov | Opcode::Load))
-            .filter(|i| ops >> i.op as u32 & 1 != 0 && can_match(i.a) && can_match(i.b))
-            .filter_map(Instr::def)
-            .collect()
-    })
 }
 
 impl Pass for Gvn {
@@ -678,75 +566,6 @@ mod tests {
                 Gvn.run(f);
             },
             0..60,
-        );
-    }
-
-    /// `e: pr = add p0, 1 -> h`; `h: c = mov 0; d = <op> p0, 1; [c] -> h,
-    /// else -> x`; `x: ret d`. `h` loops only through an exit whose guard
-    /// is the constant 0.
-    fn droppable_self_loop(op: Opcode) -> (Function, BlockId, Reg) {
-        let mut fb = FunctionBuilder::new("f", 1);
-        let e = fb.create_block();
-        let h = fb.create_block();
-        let x = fb.create_block();
-        let p0 = Operand::Reg(fb.param(0));
-        fb.switch_to(e);
-        let pr = fb.add(p0, Operand::Imm(1));
-        fb.jump(h);
-        fb.switch_to(h);
-        let c = fb.mov(Operand::Imm(0));
-        let d = fb.fresh_reg();
-        fb.push(Instr::binary(op, d, p0, Operand::Imm(1)));
-        fb.branch(c, h, x);
-        fb.switch_to(x);
-        fb.ret(Some(Operand::Reg(d)));
-        (fb.build().unwrap(), h, pr)
-    }
-
-    #[test]
-    fn a_loop_the_local_kernels_can_break_does_not_hide_sources() {
-        let (mut f, h, pr) = droppable_self_loop(Opcode::Add);
-        assert_eq!(
-            scoped_rewrite_sources(&f, h, &DomTree::compute(&f)),
-            vec![pr]
-        );
-        // Predicate folding drops the back edge, so `d` turns invariant
-        // and global value numbering makes `h` read `pr`.
-        let mut lv = chf_ir::liveness::Liveness::compute(&f);
-        assert!(!lv.register_reads(h).contains(&pr));
-        crate::optimize_block_quick(&mut f, h, &mut lv, &mut chf_ir::dom::DomCache::new());
-        lv.refresh(&f);
-        assert!(lv.register_reads(h).contains(&pr));
-        // No instruction of `h` can come to match a `sub`.
-        let (f, h, _) = droppable_self_loop(Opcode::Sub);
-        assert!(scoped_rewrite_sources(&f, h, &DomTree::compute(&f)).is_empty());
-    }
-
-    #[test]
-    fn a_block_that_stays_in_a_loop_has_no_sources() {
-        // e: pr = add p0, 1 -> h; h: d = add p0, 1; [p0] -> h, else -> l;
-        // l -> h. Whichever exit of `h` survives closes a loop.
-        let mut fb = FunctionBuilder::new("f", 1);
-        let e = fb.create_block();
-        let h = fb.create_block();
-        let l = fb.create_block();
-        let p0 = Operand::Reg(fb.param(0));
-        fb.switch_to(e);
-        let pr = fb.add(p0, Operand::Imm(1));
-        fb.jump(h);
-        fb.switch_to(h);
-        fb.add(p0, Operand::Imm(1));
-        fb.branch(fb.param(0), h, l);
-        fb.switch_to(l);
-        fb.jump(h);
-        let mut f = fb.build().unwrap();
-        assert!(scoped_rewrite_sources(&f, h, &DomTree::compute(&f)).is_empty());
-        assert!(scoped_rewrite_sources(&f, l, &DomTree::compute(&f)).is_empty());
-        // An exit out of the loop could be the one that survives.
-        f.block_mut(l).exits[0] = chf_ir::block::Exit::ret(None);
-        assert_eq!(
-            scoped_rewrite_sources(&f, h, &DomTree::compute(&f)),
-            vec![pr]
         );
     }
 }

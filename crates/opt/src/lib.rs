@@ -157,38 +157,7 @@ pub fn optimize_quick(f: &mut Function, clean: &mut CleanBlocks) {
 /// not disturb any block outside the trial's snapshot (rollback restores
 /// only the snapshot). The whole-function [`optimize_quick`] then runs once
 /// per *committed* merge, not once per trial. Formation runs it only on
-/// the trials the unoptimized block cannot decide: one that does not fit,
-/// or whose bank reads lack room for what global value numbering may add.
-///
-/// # What it can raise
-///
-/// Formation checks `b`'s instruction slots (with one padding slot per
-/// register write per extra exit), its memory ops, and its register reads
-/// (upward-exposed uses) and writes (live-out defs) per bank. No kernel
-/// adds an instruction, exit, load, store or destination, removes an
-/// unpredicated definition that is not dead, or adds a use that is
-/// upward-exposed where the use it replaces was not:
-/// * constant folding, strength reduction and boolean simplification
-///   rewrite an instruction in place to an operand subset or a cheaper
-///   opcode over the same operands;
-/// * copy propagation forwards `mov d, s` to a later use only if `s` is
-///   not redefined in between, so `s` is as exposed there as at the `mov`;
-/// * local value numbering reuses only a register an earlier unpredicated
-///   instruction of `b` defined and nothing redefined since;
-/// * predicate optimization merges `[p] X; [!p] X` into one `X`, unguards
-///   or deletes instructions and exits with a constant guard, and drops
-///   duplicate exits; it can drop exits of `b`, never add a target;
-/// * jump threading retargets exits past empty forwarders, which have the
-///   live-in of their target;
-/// * DCE deletes instructions whose destination is dead.
-///
-/// So slots, memory ops and definitions never rise, and liveness is a
-/// per-register problem, so a register `b` defines can become live-out
-/// only if it becomes newly read somewhere. Only global value numbering
-/// ([`gvn::run_global_with`]) adds new reads: it rewrites `d = op x, y`
-/// to `mov d, pr` with `pr` defined in a strict dominator. `pr` has one
-/// definition, outside `b`, so no write is added either. The registers it
-/// could add are [`gvn::scoped_rewrite_sources`].
+/// a merged block that does not fit unoptimized.
 ///
 /// `live` is a liveness solution of some earlier state of `f` (or of a
 /// clone of it); each DCE sweep [refreshes](chf_ir::liveness::Liveness::refresh)
