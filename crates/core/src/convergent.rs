@@ -15,13 +15,13 @@
 //! fresh registers, all of which [`chf_ir::function::BlocksSnapshot`]
 //! restores exactly.
 //!
-//! [`form_hyperblocks`] drives `ExpandBlock` over the whole function in
-//! descending frequency order, so hot loop bodies unroll before colder
-//! code competes for their blocks. The CFG analyses a trial asks for are
-//! keyed on block versions in a formation context, so none needs
-//! invalidating: the dominator trees of the last two CFGs (the pre-trial
-//! one survives a trial and its rollback), the liveness solution, and what
-//! trial verification last saw pass.
+//! [`form_hyperblocks_with_profile`] drives `ExpandBlock` over the whole
+//! function in descending frequency order, so hot loop bodies unroll before
+//! colder code competes for their blocks. Every merge runs in its caller's
+//! [`FormationCtx`], whose CFG analyses are keyed on block versions, so
+//! none needs invalidating: the dominator trees of the last two CFGs (the
+//! pre-trial one survives a trial and its rollback), the liveness solution,
+//! and what trial verification last saw pass.
 
 use crate::chaos::ChaosSpec;
 use crate::constraints::{BlockConstraints, Violation};
@@ -85,9 +85,9 @@ pub struct FormationConfig {
     pub chaos: Option<ChaosSpec>,
     /// Trial-budget ledger: cap on merge *trials* (attempted merges,
     /// successful or not) per formation run — one whole-function
-    /// [`form_hyperblocks`] call. `None` (the default) reproduces today's
-    /// unbounded behaviour exactly. When the ledger runs dry, remaining
-    /// candidates are skipped and counted in
+    /// [`form_hyperblocks_with_profile`] call. `None` (the default)
+    /// reproduces today's unbounded behaviour exactly. When the ledger runs
+    /// dry, remaining candidates are skipped and counted in
     /// [`FormationStats::budget_skipped`]; the trials actually spent are in
     /// [`FormationStats::trials`] either way.
     /// Profile-guided orderings ([`SeedOrder::HotFirst`] seeds plus the
@@ -102,12 +102,12 @@ pub struct FormationConfig {
     /// the anytime result of the convergent loop rather than an error.
     /// `None` (the default) never expires.
     pub deadline: Option<std::time::Instant>,
-    /// In which order [`form_hyperblocks`] visits seed blocks — who gets
-    /// first claim on the trial budget.
+    /// In which order [`form_hyperblocks_with_profile`] visits seed blocks
+    /// — who gets first claim on the trial budget.
     pub seed_order: SeedOrder,
 }
 
-/// Order in which [`form_hyperblocks`] processes seed blocks.
+/// Order in which [`form_hyperblocks_with_profile`] processes seed blocks.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SeedOrder {
     /// Descending profiled block frequency, ties on block id — the
@@ -288,9 +288,14 @@ pub enum Reject {
     Skipped(ChfError),
 }
 
-/// Per-run formation state: the clean-block memo of commit-time
+/// The context every merge runs in: the clean-block memo of commit-time
 /// optimization with the CFG analyses it carries, the trial-verification
 /// memo, and the trial ledger.
+///
+/// One context serves one sequence of merges on one function: a formation
+/// run, the finish of each of its budget forks, one discrete unroll/peel
+/// pass ([`crate::unroll::hyperblock_unroll_peel`]), or one attempt of the
+/// oracle's reducer. Create it with `FormationCtx::default()`.
 ///
 /// No analysis here needs invalidating. The memo's liveness solution is
 /// refreshed by block version, its dominator cache checks a CFG by block
@@ -298,7 +303,8 @@ pub enum Reject {
 /// verification memo re-checks the blocks whose version moved. Peel budgets
 /// depend only on the training profile (fixed for the run) and are memoized
 /// forever.
-struct FormationCtx {
+#[derive(Default)]
+pub struct FormationCtx {
     peel_budgets: chf_ir::fxhash::FxHashMap<BlockId, usize>,
     /// Deterministic PRNG for mid-trial fault injection, seeded lazily from
     /// [`FormationConfig::chaos`]. Lives in the context so a formation run
@@ -321,10 +327,9 @@ struct FormationCtx {
     clean: chf_opt::CleanBlocks,
     /// The last function state trial verification passed.
     verified: VerifyMemo,
-    /// The smallest budget point still to fork at (`usize::MAX` when none):
-    /// the run forks when it reaches the ledger checkpoint with exactly
-    /// this many trials spent.
-    next_fork: usize,
+    /// The smallest budget point still to fork at: the run forks when it
+    /// reaches the ledger checkpoint with exactly this many trials spent.
+    next_fork: Option<usize>,
     /// The budget points after `next_fork`, largest first.
     later_forks: Vec<usize>,
     /// Forks taken so far, in budget order.
@@ -332,19 +337,6 @@ struct FormationCtx {
 }
 
 impl FormationCtx {
-    fn new() -> Self {
-        FormationCtx {
-            peel_budgets: chf_ir::fxhash::FxHashMap::default(),
-            chaos: None,
-            trials_spent: 0,
-            clean: chf_opt::CleanBlocks::new(),
-            verified: VerifyMemo::default(),
-            next_fork: usize::MAX,
-            later_forks: Vec::new(),
-            forks: Vec::new(),
-        }
-    }
-
     /// Fork at each of `budgets` (any order, duplicates allowed) below the
     /// run's own budget `cap`.
     fn fork_at(&mut self, budgets: &[usize], cap: Option<usize>) {
@@ -355,7 +347,7 @@ impl FormationCtx {
             .collect();
         self.later_forks.sort_unstable_by(|a, b| b.cmp(a));
         self.later_forks.dedup();
-        self.next_fork = self.later_forks.pop().unwrap_or(usize::MAX);
+        self.next_fork = self.later_forks.pop();
     }
 
     /// Fork the run capped at the trials spent so far, at the ledger
@@ -376,7 +368,7 @@ impl FormationCtx {
             function: f.clone(),
             stats,
         });
-        self.next_fork = self.later_forks.pop().unwrap_or(usize::MAX);
+        self.next_fork = self.later_forks.pop();
     }
 
     /// Whether the budget (if any) still has room for another trial.
@@ -441,17 +433,21 @@ fn legal_merge(f: &Function, hb: BlockId, s: BlockId) -> Result<(), CombineError
 /// paper's "saves the original loop body and appends one additional
 /// iteration at a time", which keeps unroll granularity at one iteration
 /// instead of doubling.
+///
+/// The merge runs in `ctx`, whose analyses follow `f` by block version, so
+/// a caller merging repeatedly in one function passes the same context to
+/// every call.
 pub fn merge_blocks(
     f: &mut Function,
     hb: BlockId,
     s: BlockId,
     config: &FormationConfig,
     saved_body: Option<&Block>,
+    ctx: &mut FormationCtx,
 ) -> Result<DuplicationKind, Reject> {
     legal_merge(f, hb, s).map_err(Reject::Combine)?;
-    let mut ctx = FormationCtx::new();
     let kind = classify(f, ctx.clean.doms().tree(f), hb, s);
-    merge_blocks_in_ctx(f, hb, s, kind, config, saved_body, &mut ctx)
+    merge_legal(f, hb, s, kind, config, saved_body, ctx)
 }
 
 /// Instantiate a saved loop body as a fresh block whose back edge targets
@@ -489,9 +485,9 @@ fn append_saved_iteration(f: &mut Function, hb: BlockId, body: &Block) -> Option
     Some(new)
 }
 
-/// The core of [`merge_blocks`], in the run's context, for an edge `hb → s`
-/// that `classify` found to be of `kind`. Three phases: admit (legality
-/// and the configuration), the in-place [`trial`], and commit.
+/// The core of [`merge_blocks`], for a legal edge `hb → s` that `classify`
+/// found to be of `kind`. Three phases: admit (the configuration), the
+/// in-place [`trial`], and commit.
 ///
 /// A merge attempt touches a known, small set of state: the hyperblock `hb`
 /// (guard code and spliced instructions/exits), the successor `s` (profile
@@ -510,7 +506,7 @@ fn append_saved_iteration(f: &mut Function, hb: BlockId, body: &Block) -> Option
 /// the blocks whose content and `live_out` its last clean sweep saw; global
 /// GVN and jump threading still visit every block. With the oracle on, the
 /// committed function is then checked against its pre-merge clone.
-fn merge_blocks_in_ctx(
+fn merge_legal(
     f: &mut Function,
     hb: BlockId,
     s: BlockId,
@@ -519,7 +515,6 @@ fn merge_blocks_in_ctx(
     saved_body: Option<&Block>,
     ctx: &mut FormationCtx,
 ) -> Result<DuplicationKind, Reject> {
-    legal_merge(f, hb, s).map_err(Reject::Combine)?;
     let disallowed = match kind {
         DuplicationKind::None => false,
         DuplicationKind::Tail => !config.tail_duplication || f.block(s).size() > MAX_TAIL_DUP_SIZE,
@@ -820,7 +815,7 @@ fn expand_block(
         // its result before going on. The unroll/peel gating below can
         // bring the loop back to this point without a trial, but the
         // budget point has moved on by then.
-        if ctx.trials_spent == ctx.next_fork {
+        if ctx.next_fork == Some(ctx.trials_spent) {
             ctx.fork(f, &stats, 1 + candidates.len(), deadline_expired);
         }
         if !ctx.budget_open(config) || deadline_expired {
@@ -851,7 +846,12 @@ fn expand_block(
         }
         ctx.trials_spent += 1;
         stats.trials += 1;
-        match merge_blocks_in_ctx(f, hb, cand.block, kind, config, saved_body.as_ref(), ctx) {
+        // The candidate was classified above, for the gates; an edge that
+        // earlier merges took away fails here as a trial.
+        let merged = legal_merge(f, hb, cand.block)
+            .map_err(Reject::Combine)
+            .and_then(|()| merge_legal(f, hb, cand.block, kind, config, saved_body.as_ref(), ctx));
+        match merged {
             Ok(kind) => {
                 stats.merges += 1;
                 match kind {
@@ -896,20 +896,12 @@ fn expand_block(
     stats
 }
 
-/// Run convergent hyperblock formation over the whole function.
+/// Run convergent hyperblock formation over the whole function, with
+/// `profile`'s trip-count histograms (if any) bounding the unroll/peel
+/// budgets.
 ///
 /// Seeds are processed in descending profile-frequency order (hot loop
 /// bodies first). Afterwards unreachable blocks are removed.
-pub fn form_hyperblocks(
-    f: &mut Function,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-) -> FormationStats {
-    form_hyperblocks_with_profile(f, policy, config, None)
-}
-
-/// [`form_hyperblocks`] with trip-count histograms available for the
-/// unroll/peel budgets.
 pub fn form_hyperblocks_with_profile(
     f: &mut Function,
     policy: &mut dyn Policy,
@@ -951,24 +943,11 @@ pub fn form_hyperblocks_forked(
     profile: Option<&ProfileData>,
     fork_budgets: &[usize],
 ) -> (FormationStats, Vec<BudgetFork>) {
-    let mut ctx = FormationCtx::new();
-    ctx.fork_at(fork_budgets, config.trial_budget);
-    let stats = form_in_ctx(f, policy, config, profile, &mut ctx);
-    (stats, ctx.forks)
-}
-
-/// The body of [`form_hyperblocks_forked`], in the caller's context: the
-/// forks are left in `ctx.forks`.
-fn form_in_ctx(
-    f: &mut Function,
-    policy: &mut dyn Policy,
-    config: &FormationConfig,
-    profile: Option<&ProfileData>,
-    ctx: &mut FormationCtx,
-) -> FormationStats {
     policy.prepare(f);
     let policy: &dyn Policy = policy;
     // One context for the whole run; the headers map is built once.
+    let mut ctx = FormationCtx::default();
+    ctx.fork_at(fork_budgets, config.trial_budget);
     let headers = original_headers(f);
     // Seed ordering decides who gets first claim on the trial budget. The
     // weight is computed before any merge rewrites the CFG, and the sort is
@@ -996,7 +975,8 @@ fn form_in_ctx(
             continue;
         }
         let forked = ctx.forks.len();
-        let s = expand_block(f, b, policy, config, profile, headers.get(&b).copied(), ctx);
+        let header = headers.get(&b).copied();
+        let s = expand_block(f, b, policy, config, profile, header, &mut ctx);
         for fork in &mut ctx.forks[forked..] {
             fork.stats.merge(&stats);
             finish_fork(fork, &seeds[i + 1..], policy, config, profile, &headers);
@@ -1004,7 +984,7 @@ fn form_in_ctx(
         stats.merge(&s);
     }
     chf_ir::cfg::remove_unreachable(f);
-    stats
+    (stats, ctx.forks)
 }
 
 /// Finish `fork` as its capped run would after the seed it forked in: each
@@ -1019,12 +999,12 @@ fn finish_fork(
     profile: Option<&ProfileData>,
     headers: &chf_ir::fxhash::FxHashMap<BlockId, BlockId>,
 ) {
+    // The fork's ledger is spent: a budget of 0 closes it at every seed.
     let config = FormationConfig {
-        trial_budget: Some(fork.budget),
+        trial_budget: Some(0),
         ..config.clone()
     };
-    let mut ctx = FormationCtx::new();
-    ctx.trials_spent = fork.budget;
+    let mut ctx = FormationCtx::default();
     for &(b, _) in rest {
         if !fork.function.contains_block(b) {
             continue;
@@ -1058,6 +1038,11 @@ mod tests {
 
     fn digest(f: &Function, args: &[i64]) -> (Option<i64>, Vec<(i64, i64)>) {
         run(f, args, &[], &RunConfig::default()).unwrap().digest()
+    }
+
+    /// Breadth-first formation of `f` without a profile.
+    fn form(f: &mut Function, config: &FormationConfig) -> FormationStats {
+        form_hyperblocks_with_profile(f, &mut BreadthFirst, config, None)
     }
 
     /// Stamp a self-profile onto `f` using the given training input.
@@ -1102,7 +1087,7 @@ mod tests {
         let mut f = diamond();
         with_profile(&mut f, &[5]);
         let orig = f.clone();
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        let stats = form(&mut f, &FormationConfig::default());
         verify(&f).unwrap();
         assert_eq!(f.block_count(), 1, "{f}");
         assert_eq!(stats.merges, 3);
@@ -1138,7 +1123,7 @@ mod tests {
         let mut f = fb.build().unwrap();
         with_profile(&mut f, &[40]);
         let orig = f.clone();
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        let stats = form(&mut f, &FormationConfig::default());
         verify(&f).unwrap();
         assert!(stats.unrolls >= 2, "expected unrolling, got {stats:?}");
         for a in [0, 1, 3, 17, 40] {
@@ -1176,7 +1161,7 @@ mod tests {
         let mut f = fb.build().unwrap();
         with_profile(&mut f, &[3]);
         let orig = f.clone();
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        let stats = form(&mut f, &FormationConfig::default());
         verify(&f).unwrap();
         assert!(
             stats.peels + stats.unrolls >= 1,
@@ -1215,7 +1200,7 @@ mod tests {
             ..FormationConfig::default()
         };
         let orig = f.clone();
-        form_hyperblocks(&mut f, &mut BreadthFirst, &config);
+        form(&mut f, &config);
         verify(&f).unwrap();
         for (b, blk) in f.blocks() {
             assert!(blk.size() <= 24, "block {b} too big: {}", blk.size());
@@ -1245,7 +1230,7 @@ mod tests {
             head_duplication: false,
             ..FormationConfig::default()
         };
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &config);
+        let stats = form(&mut f, &config);
         assert_eq!(stats.unrolls, 0);
         assert_eq!(stats.peels, 0);
     }
@@ -1261,7 +1246,7 @@ mod tests {
             p.apply(&mut f);
             let orig = f.clone();
             let cfg = FormationConfig::default();
-            form_hyperblocks(&mut f, &mut BreadthFirst, &cfg);
+            form(&mut f, &cfg);
             verify(&f).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{f}"));
             for args in [[3, 7], [0, 0], [9, 2], [-5, 11]] {
                 let a = run(&orig, &args, &[], &RunConfig::default()).unwrap();
@@ -1285,7 +1270,7 @@ mod tests {
             let p = profile_run(&f, &[3, 7], &[]).unwrap();
             p.apply(&mut f);
             let orig = f.clone();
-            form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+            form(&mut f, &FormationConfig::default());
             let a = run(&orig, &[3, 7], &[], &RunConfig::default()).unwrap();
             let b = run(&f, &[3, 7], &[], &RunConfig::default()).unwrap();
             before_total += a.blocks_executed;
@@ -1300,7 +1285,7 @@ mod tests {
     /// Count the trials an unbounded formation of `f` performs.
     fn unbounded_trials(f: &Function) -> usize {
         let mut g = f.clone();
-        form_hyperblocks(&mut g, &mut BreadthFirst, &FormationConfig::default()).trials
+        form(&mut g, &FormationConfig::default()).trials
     }
 
     #[test]
@@ -1317,7 +1302,7 @@ mod tests {
             trial_budget: Some(cap),
             ..FormationConfig::default()
         };
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &config);
+        let stats = form(&mut f, &config);
         verify(&f).unwrap();
         assert_eq!(
             stats.trials, cap,
@@ -1345,7 +1330,7 @@ mod tests {
     fn unbounded_budget_leaves_ledger_silent() {
         let mut f = diamond();
         with_profile(&mut f, &[5]);
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        let stats = form(&mut f, &FormationConfig::default());
         assert!(stats.trials > 0);
         assert_eq!(stats.budget_skipped, 0);
         // Without a binding budget the m/t/u/p string must be exactly the
@@ -1366,7 +1351,7 @@ mod tests {
             trial_budget: Some(0),
             ..FormationConfig::default()
         };
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &config);
+        let stats = form(&mut f, &config);
         verify(&f).unwrap();
         assert_eq!(stats.trials, 0);
         assert_eq!(stats.merges, 0);
@@ -1409,7 +1394,14 @@ mod tests {
     fn a_block_that_fits_as_merged_commits() {
         let (mut f, h, s) = gvn_tips_a_bank();
         assert_eq!(
-            merge_blocks(&mut f, h, s, &FormationConfig::default(), None),
+            merge_blocks(
+                &mut f,
+                h,
+                s,
+                &FormationConfig::default(),
+                None,
+                &mut FormationCtx::default()
+            ),
             Ok(DuplicationKind::None)
         );
         verify(&f).unwrap();
@@ -1420,7 +1412,7 @@ mod tests {
             ..FormationConfig::default()
         };
         assert_eq!(
-            merge_blocks(&mut f, h, s, &no_opt, None),
+            merge_blocks(&mut f, h, s, &no_opt, None, &mut FormationCtx::default()),
             Ok(DuplicationKind::None)
         );
         let mut lv = chf_ir::liveness::Liveness::compute(&f);
@@ -1437,7 +1429,8 @@ mod tests {
     /// as before and still verifying.
     fn refused(f: &mut Function, hb: BlockId, s: BlockId, config: &FormationConfig) -> Reject {
         let before = f.to_string();
-        let reject = merge_blocks(f, hb, s, config, None).expect_err("merge must be refused");
+        let reject = merge_blocks(f, hb, s, config, None, &mut FormationCtx::default())
+            .expect_err("merge must be refused");
         assert_eq!(f.to_string(), before, "{reject:?} left the merge behind");
         verify(f).unwrap();
         reject
@@ -1583,14 +1576,21 @@ mod tests {
         let mut f = unreachable_seed();
         let (b1, b2) = (BlockId(1), BlockId(2));
         assert_eq!(
-            merge_blocks(&mut f, b1, b2, &FormationConfig::default(), None),
+            merge_blocks(
+                &mut f,
+                b1,
+                b2,
+                &FormationConfig::default(),
+                None,
+                &mut FormationCtx::default()
+            ),
             Err(Reject::Vanished)
         );
         assert!(!f.contains_block(b1));
         verify(&f).unwrap();
         // `B1`'s other candidate, `B3`, is not tried after it vanished.
         let mut f = unreachable_seed();
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+        let stats = form(&mut f, &FormationConfig::default());
         assert_eq!((stats.trials, stats.failures), (2, 1));
     }
 }

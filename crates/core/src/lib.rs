@@ -50,9 +50,7 @@ pub mod unroll;
 
 pub use chaos::{ChaosSpec, FaultKind};
 pub use constraints::BlockConstraints;
-pub use convergent::{
-    form_hyperblocks, form_hyperblocks_with_profile, FormationConfig, FormationStats, SeedOrder,
-};
+pub use convergent::{form_hyperblocks_with_profile, FormationConfig, FormationStats, SeedOrder};
 pub use error::ChfError;
 pub use oracle::OracleConfig;
 pub use pipeline::{

@@ -21,10 +21,11 @@
 //! headers record the failing merge (`hb <- s`), the diverging arguments
 //! and the oracle seed, followed by the reduced pre-merge function, which
 //! [`chf_ir::parse::parse_function`] reads back directly (the parser skips
-//! comments). Re-running the named merge on the parsed function and
-//! comparing executions reproduces the divergence.
+//! comments). Re-running the named merge on the parsed function, in a
+//! fresh [`FormationCtx`], and comparing executions reproduces the
+//! divergence.
 
-use crate::convergent::{merge_blocks, FormationConfig};
+use crate::convergent::{merge_blocks, FormationConfig, FormationCtx, Reject};
 use crate::error::ChfError;
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
@@ -145,10 +146,11 @@ pub fn post_commit_check(
 /// divergence on `args` (or panics — a crash reproducer is equally useful).
 ///
 /// The merge re-runs under a *stripped* configuration (no oracle, no chaos)
-/// so reduction cannot recurse into the oracle or re-inject faults. Its
-/// trial is still verified: a reduced case whose merge the verifier refuses
-/// is rolled back and so does not reproduce, which keeps the reducer on the
-/// behaviour change it was given.
+/// so reduction cannot recurse into the oracle or re-inject faults, and in
+/// a fresh context, since a merge that panics may leave its context
+/// half-updated. Its trial is still verified: a reduced case whose merge
+/// the verifier refuses is rolled back and so does not reproduce, which
+/// keeps the reducer on the behaviour change it was given.
 fn reproduces(
     h: &Function,
     hb: BlockId,
@@ -157,17 +159,16 @@ fn reproduces(
     args: &[i64],
     run_cfg: &RunConfig,
 ) -> bool {
-    let pre = h.clone();
-    let merged = catch_unwind(AssertUnwindSafe(move || {
-        let mut m = pre;
-        let _ = merge_blocks(&mut m, hb, s, plain, None);
-        m
+    let mut merged = h.clone();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut ctx = FormationCtx::default();
+        merge_blocks(&mut merged, hb, s, plain, None, &mut ctx)
     }));
-    let Ok(merged) = merged else {
-        return true; // the reduced case crashes the merge: keep it
-    };
-    if merged.to_string() == h.to_string() {
-        return false; // merge refused: nothing was transformed
+    match outcome {
+        Err(_) => return true, // the reduced case crashes the merge: keep it
+        Ok(Ok(_) | Err(Reject::Vanished)) => {}
+        // Every other rejection leaves the function as it was found.
+        Ok(Err(_)) => return false,
     }
     match (run(h, args, &[], run_cfg), run(&merged, args, &[], run_cfg)) {
         (Ok(a), Ok(b)) => a.digest() != b.digest(),
@@ -347,7 +348,9 @@ fn write_repro(
     let _ = writeln!(text, "# diverging args: {args:?} (oracle seed {seed})");
     let _ = writeln!(
         text,
-        "# to reproduce: parse this function, run merge_blocks({hb}, {s}), compare runs"
+        "# to reproduce: parse this function as `f`, run \
+         merge_blocks(&mut f, {hb}, {s}, &config, None, &mut FormationCtx::default()) \
+         with the oracle and chaos off, compare runs"
     );
     text.push_str(&body);
     write_unique_til(dir, &stem, &text)
@@ -418,6 +421,32 @@ mod tests {
             reduced.block_count() < blocks_before || insts_after < insts_before,
             "reducer removed nothing from a generated program"
         );
+    }
+
+    /// `B0` branches on the sign of its argument to `B1` or `B2`, which
+    /// return different constants.
+    fn branch() -> Function {
+        chf_ir::parse::parse_function(
+            "fn branch(params: 1, regs: 2)\n\
+             B0:\n    r1 = lt r0, #0\n  exits:\n    [r1] -> B1\n    -> B2\n\
+             B1:\n  exits:\n    -> ret #1\n\
+             B2:\n  exits:\n    -> ret #2\n",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn a_refused_or_faithful_merge_does_not_reproduce() {
+        let plain = FormationConfig::default();
+        let run_cfg = OracleConfig::default().run_config();
+        let (b0, b1) = (BlockId(0), BlockId(1));
+        // The merge commits and keeps the behaviour.
+        assert!(!reproduces(&branch(), b0, b1, &plain, &[-3], &run_cfg));
+        // A reduction deleted the `B0 -> B1` exit, so the merge is refused
+        // (a panic would count as reproducing).
+        let mut h = branch();
+        h.block_mut(b0).exits.remove(0);
+        assert!(!reproduces(&h, b0, b1, &plain, &[-3], &run_cfg));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! "Loop peeling and unrolling").
 
 use crate::constraints::BlockConstraints;
-use crate::convergent::merge_blocks;
+use crate::convergent::{merge_blocks, FormationConfig, FormationCtx};
 use chf_ir::block::ExitTarget;
 use chf_ir::function::Function;
 use chf_ir::fxhash::FxHashMap;
@@ -249,11 +249,14 @@ pub fn hyperblock_unroll_peel(
             .collect()
     };
 
-    let merge_config = crate::convergent::FormationConfig {
+    let merge_config = FormationConfig {
         constraints: constraints.clone(),
         iterative_opt: false,
-        ..crate::convergent::FormationConfig::default()
+        ..FormationConfig::default()
     };
+    // One context for the whole pass: each merge's analyses follow the
+    // blocks the previous merges changed.
+    let mut ctx = FormationCtx::default();
 
     for header in headers {
         if !f.contains_block(header) {
@@ -270,7 +273,7 @@ pub fn hyperblock_unroll_peel(
             if !f.block(header).successors().any(|s| s == header) {
                 break; // self edge gone (fully unrolled or shape changed)
             }
-            if merge_blocks(f, header, header, &merge_config, Some(&saved)).is_err() {
+            if merge_blocks(f, header, header, &merge_config, Some(&saved), &mut ctx).is_err() {
                 break;
             }
             stats.unrolls += 1;
@@ -296,7 +299,7 @@ pub fn hyperblock_unroll_peel(
                 .collect();
             let [pred] = preds.as_slice() else { break };
             let pred = *pred;
-            if merge_blocks(f, pred, header, &merge_config, None).is_err() {
+            if merge_blocks(f, pred, header, &merge_config, None, &mut ctx).is_err() {
                 break;
             }
             stats.peels += 1;

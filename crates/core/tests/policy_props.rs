@@ -10,7 +10,7 @@
 //!    ledger never overruns its budget, and formation under a binding
 //!    budget still preserves behaviour.
 
-use chf_core::convergent::{form_hyperblocks, FormationConfig, SeedOrder};
+use chf_core::convergent::{form_hyperblocks_with_profile, FormationConfig, SeedOrder};
 use chf_core::policy::{BreadthFirst, HotFirst};
 use chf_ir::testgen::{generate, GenConfig};
 use chf_sim::functional::run;
@@ -27,13 +27,18 @@ proptest! {
         // "uniform" case. Run both policies with their pipeline-matched
         // seed orders (which also coincide at weight 0).
         let mut bf = base.clone();
-        let bf_stats = form_hyperblocks(&mut bf, &mut BreadthFirst, &FormationConfig::default());
+        let bf_stats = form_hyperblocks_with_profile(
+            &mut bf,
+            &mut BreadthFirst,
+            &FormationConfig::default(),
+            None,
+        );
         let mut hf = base.clone();
         let hf_config = FormationConfig {
             seed_order: SeedOrder::HotFirst,
             ..FormationConfig::default()
         };
-        let hf_stats = form_hyperblocks(&mut hf, &mut HotFirst, &hf_config);
+        let hf_stats = form_hyperblocks_with_profile(&mut hf, &mut HotFirst, &hf_config, None);
         prop_assert_eq!(
             bf_stats.mtup(),
             hf_stats.mtup(),
@@ -56,7 +61,7 @@ proptest! {
             trial_budget: Some(cap),
             ..FormationConfig::default()
         };
-        let stats = form_hyperblocks(&mut f, &mut BreadthFirst, &config);
+        let stats = form_hyperblocks_with_profile(&mut f, &mut BreadthFirst, &config, None);
         prop_assert!(
             stats.trials <= cap,
             "seed {}: {} trials exceed cap {}",

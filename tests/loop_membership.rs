@@ -4,7 +4,7 @@
 //! with the forest on every block and edge, before and after formation has
 //! unrolled and peeled the loops.
 
-use chf::core::convergent::{form_hyperblocks, FormationConfig};
+use chf::core::convergent::{form_hyperblocks_with_profile, FormationConfig};
 use chf::core::duplication::{classify, DuplicationKind};
 use chf::core::pipeline::{try_compile, CompileConfig};
 use chf::core::policy::BreadthFirst;
@@ -33,7 +33,7 @@ fn assert_membership_agrees(f: &Function, what: &str) {
 /// Checks `f`, then forms hyperblocks in it and checks the result.
 fn check_before_and_after_formation(mut f: Function, what: &str) {
     assert_membership_agrees(&f, what);
-    form_hyperblocks(&mut f, &mut BreadthFirst, &FormationConfig::default());
+    form_hyperblocks_with_profile(&mut f, &mut BreadthFirst, &FormationConfig::default(), None);
     assert_membership_agrees(&f, &format!("{what} after formation"));
 }
 
